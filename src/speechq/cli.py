@@ -17,6 +17,7 @@ from . import labels as lb
 from . import model as mdl
 from .config import ConfigError, RunConfig
 from .data import ManifestError
+from .diffcore import CheckpointError
 from .signal import WavFormatError, Waveform, load_wav, save_wav
 from .train import (
     NumericalDivergence,
@@ -145,7 +146,10 @@ def cmd_predict(args) -> int:
             raise WavFormatError(
                 f"{path}: sample rate {wave.sample_rate} does not match model rate {cfg.sample_rate}"
             )
-        out = mdl.forward(wave, cfg, params, mode="eval")
+        try:
+            out = mdl.forward(wave, cfg, params, mode="eval")
+        except WavFormatError as exc:
+            raise WavFormatError(f"{path}: {exc}") from exc
         s_e = lb.decode_expect(out.distribution, quant)
         s_m = lb.decode_max(out.distribution, quant)
         # Both scores always appear; the selected decoder's comes first.
@@ -187,7 +191,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ManifestError, WavFormatError, FileNotFoundError) as exc:
+    except (ManifestError, WavFormatError, CheckpointError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (NumericalDivergence, FloatingPointError) as exc:

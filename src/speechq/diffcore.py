@@ -14,6 +14,8 @@ on distinct threads.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from typing import Callable, Iterable, Sequence
 
@@ -31,6 +33,7 @@ __all__ = [
     "Adam",
     "save_checkpoint",
     "load_checkpoint",
+    "CheckpointError",
 ]
 
 
@@ -243,7 +246,9 @@ def clip_floor(x, floor: float) -> Tensor:
 
 def log(x) -> Tensor:
     x = as_tensor(x)
-    v = np.log(x.values)
+    # log(0) and log(<0) are reported by the finiteness check in _make.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = np.log(x.values)
 
     def vjp(g):
         return (g / x.values,)
@@ -405,7 +410,12 @@ def global_layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 
 
 def conv1d_pointwise(x, w, b) -> Tensor:
-    """1x1 convolution: (B, Cin, T) x (Cout, Cin) + (Cout,) -> (B, Cout, T)."""
+    """1x1 convolution: (B, Cin, T) x (Cout, Cin) + (Cout,) -> (B, Cout, T).
+
+    The forward pass and both weight-side VJPs are BLAS matrix products:
+    ``w @ x[b]`` per batch item, ``w.T @ g[b]`` for the input gradient and
+    one GEMM contracting (batch, time) for the weight gradient.
+    """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.values.ndim != 3 or w.values.ndim != 2 or x.values.shape[1] != w.values.shape[1]:
         raise ValueError(
@@ -413,11 +423,12 @@ def conv1d_pointwise(x, w, b) -> Tensor:
         )
     if b.values.shape != (w.values.shape[0],):
         raise ValueError("bias must match output channels")
-    v = np.einsum("oc,bct->bot", w.values, x.values) + b.values[None, :, None]
+    v = np.matmul(w.values, x.values)
+    v += b.values[None, :, None]
 
     def vjp(g):
-        gx = np.einsum("oc,bot->bct", w.values, g) if x.requires_grad else None
-        gw = np.einsum("bot,bct->oc", g, x.values) if w.requires_grad else None
+        gx = np.matmul(w.values.T, g) if x.requires_grad else None
+        gw = np.tensordot(g, x.values, axes=([0, 2], [0, 2])) if w.requires_grad else None
         gb = np.sum(g, axis=(0, 2)) if b.requires_grad else None
         return gx, gw, gb
 
@@ -504,19 +515,18 @@ def istft_synthesis(spec_stack, cfg: StftConfig) -> Tensor:
     x = as_tensor(spec_stack)
     if x.values.ndim != 4 or x.values.shape[0] != 2 or x.values.shape[2] != cfg.n_bins:
         raise ValueError(f"expected (2, B, {cfg.n_bins}, T) stack, got {x.values.shape}")
-    _, batch, _, n_frames = x.values.shape
+    n_frames = x.values.shape[3]
     cdtype = np.complex64 if x.values.dtype == np.float32 else np.complex128
-    out = np.empty((batch, cfg.output_len(n_frames)), dtype=x.values.dtype)
-    for b in range(batch):
-        spec = (x.values[0, b] + 1j * x.values[1, b]).astype(cdtype)
-        out[b] = _synthesize(spec, cfg)
+    spec = (x.values[0] + 1j * x.values[1]).astype(cdtype)
+    out = _synthesize(spec, cfg)
 
     def vjp(g):
+        # Filled into a C-ordered array: the reductions downstream sum in
+        # memory order, so a transposed layout would change their rounding.
+        sg = _synthesize_adjoint(g, n_frames, cfg)
         grad = np.empty_like(x.values)
-        for b in range(batch):
-            sg = _synthesize_adjoint(g[b], n_frames, cfg)
-            grad[0, b] = sg.real
-            grad[1, b] = sg.imag
+        grad[0] = sg.real
+        grad[1] = sg.imag
         return (grad,)
 
     return _make(out, (x,), vjp)
@@ -730,24 +740,61 @@ def save_checkpoint(path, arrays: dict, header: dict) -> None:
             fh.write(raw)
 
 
+class CheckpointError(ValueError):
+    """Raised for files that are not complete, well-formed checkpoints."""
+
+
 def load_checkpoint(path):
-    """Read a checkpoint back as (arrays, header). Bit-exact inverse of save."""
+    """Read a checkpoint back as (arrays, header). Bit-exact inverse of save.
+
+    Raises:
+        CheckpointError: bad magic, unknown version or dtype, a short read,
+            or an array whose byte count disagrees with its shape.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            # Checked against the file size first, so a corrupt length field
+            # cannot make read() allocate an arbitrarily large buffer.
+            if n > size - fh.tell():
+                raise CheckpointError(f"{path}: truncated checkpoint")
+            return fh.read(n)
+
+        def unpack(fmt: str):
+            return struct.unpack(fmt, read(struct.calcsize(fmt)))
+
         if fh.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+            raise CheckpointError(f"{path}: not a checkpoint file")
+        (version,) = unpack("<I")
         if version != _FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        (count,) = struct.unpack("<I", fh.read(4))
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        (hlen,) = unpack("<Q")
+        try:
+            header = json.loads(read(hlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: unreadable checkpoint header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: checkpoint header is not a JSON object")
+        (count,) = unpack("<I")
         arrays = {}
         for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            code, ndim = struct.unpack("<BB", fh.read(2))
-            shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
-            (nbytes,) = struct.unpack("<Q", fh.read(8))
-            raw = fh.read(nbytes)
-            arrays[name] = np.frombuffer(raw, dtype=_DTYPE_CODES[code]).reshape(shape).copy()
+            (nlen,) = unpack("<H")
+            try:
+                name = read(nlen).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"{path}: unreadable array name: {exc}") from exc
+            code, ndim = unpack("<BB")
+            if code not in _DTYPE_CODES:
+                raise CheckpointError(f"{path}: unknown dtype code {code} for {name!r}")
+            shape = unpack(f"<{ndim}Q")
+            (nbytes,) = unpack("<Q")
+            dtype = _DTYPE_CODES[code]
+            if nbytes != math.prod(shape) * dtype.itemsize:
+                raise CheckpointError(
+                    f"{path}: array {name!r} holds {nbytes} bytes, shape {shape} needs "
+                    f"{math.prod(shape) * dtype.itemsize}"
+                )
+            raw = read(nbytes)
+            arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
         return arrays, header

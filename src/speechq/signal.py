@@ -6,6 +6,13 @@ exactly (sin^2 + cos^2 = 1), so overlap-add resynthesis inverts the
 analysis transform on the fully overlapped interior of the signal.
 Frames start at multiples of the hop; tail samples shorter than one
 window are dropped.
+
+Because the hop is exactly half the window, every output sample of the
+overlap-add lies in exactly two frames (one at the edges). Synthesis
+therefore views the output as (T + 1) blocks of one hop and adds the
+first and second frame halves into it with two shifted, loop-free adds;
+its adjoint gathers all frames with one fancy index. The synthesis
+helpers take any leading batch axes.
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ LPS_FLOOR = 1e-12
 
 
 class WavFormatError(ValueError):
-    """Raised for WAV files this package cannot ingest."""
+    """Raised for audio this package cannot ingest: unreadable WAV files and
+    signals shorter than one analysis window."""
 
 
 @dataclass
@@ -122,7 +130,7 @@ class StftConfig:
 
     def num_frames(self, n_samples: int) -> int:
         if n_samples < self.window_len:
-            raise ValueError(
+            raise WavFormatError(
                 f"signal of {n_samples} samples is shorter than one window ({self.window_len})"
             )
         return (n_samples - self.window_len) // self.hop_len + 1
@@ -180,10 +188,10 @@ def save_wav(path, wave: Waveform, encoding: str = "float32") -> None:
 
 
 def _frame_signal(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """Slice a signal into overlapping frames, shape (T, window_len)."""
-    n_frames = cfg.num_frames(x.size)
+    """Slice (..., L) signals into overlapping frames, shape (..., T, window_len)."""
+    n_frames = cfg.num_frames(x.shape[-1])
     idx = np.arange(cfg.window_len)[None, :] + cfg.hop_len * np.arange(n_frames)[:, None]
-    return x[idx]
+    return x[..., idx]
 
 
 def stft(wave: Waveform, cfg: StftConfig) -> np.ndarray:
@@ -195,52 +203,54 @@ def stft(wave: Waveform, cfg: StftConfig) -> np.ndarray:
     return np.fft.rfft(frames, n=cfg.fft_len, axis=1).T
 
 
+def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Overlap-add (..., T, 2 * hop) frames at 50% overlap into (..., (T + 1) * hop).
+
+    Output block r is the first half of frame r plus the second half of
+    frame r - 1, so two shifted half-frame adds replace a per-frame loop.
+    """
+    *lead, n_frames, _ = frames.shape
+    out = np.zeros((*lead, n_frames + 1, hop), dtype=frames.dtype)
+    out[..., :-1, :] += frames[..., :hop]
+    out[..., 1:, :] += frames[..., hop:]
+    return out.reshape(*lead, (n_frames + 1) * hop)
+
+
 def _synthesize(spec: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """Windowed overlap-add synthesis of an (F, T) complex matrix.
+    """Windowed overlap-add synthesis of (..., F, T) complex spectra into (..., L).
 
     The imaginary parts of the DC and Nyquist bins cannot contribute to a
     real signal and are discarded explicitly.
     """
     spec = np.array(spec)
-    spec[0] = spec[0].real
-    spec[-1] = spec[-1].real
-    frames = np.fft.irfft(spec, n=cfg.fft_len, axis=0)  # (window_len, T)
-    frames = frames * cfg.window[:, None].astype(frames.dtype)
-    n_frames = spec.shape[1]
-    out = np.zeros(cfg.output_len(n_frames), dtype=frames.dtype)
-    for t in range(n_frames):
-        start = t * cfg.hop_len
-        out[start : start + cfg.window_len] += frames[:, t]
-    return out / _window_sumsquare(cfg, n_frames).astype(frames.dtype)
+    spec[..., 0, :] = spec[..., 0, :].real
+    spec[..., -1, :] = spec[..., -1, :].real
+    frames = np.fft.irfft(np.swapaxes(spec, -1, -2), n=cfg.fft_len, axis=-1)  # (..., T, window_len)
+    frames *= cfg.window.astype(frames.dtype)
+    out = _overlap_add(frames, cfg.hop_len)
+    return out / _window_sumsquare(cfg, spec.shape[-1]).astype(frames.dtype)
 
 
 def _synthesize_adjoint(grad_out: np.ndarray, n_frames: int, cfg: StftConfig) -> np.ndarray:
-    """Adjoint of _synthesize: maps a waveform gradient to an (F, T) complex gradient.
+    """Adjoint of _synthesize: maps (..., L) waveform gradients to (..., F, T) complex ones.
 
     The returned complex matrix packs d/d(real) + 1j * d/d(imag); the DC and
     Nyquist rows carry zero imaginary gradient, matching the forward pass.
     """
     g = grad_out / _window_sumsquare(cfg, n_frames).astype(grad_out.dtype)
-    frames_g = np.empty((cfg.window_len, n_frames), dtype=g.dtype)
-    for t in range(n_frames):
-        start = t * cfg.hop_len
-        frames_g[:, t] = g[start : start + cfg.window_len]
-    frames_g *= cfg.window[:, None].astype(g.dtype)
-    spec_g = np.fft.rfft(frames_g, n=cfg.fft_len, axis=0)
+    frames_g = _frame_signal(g, cfg)  # (..., T, window_len)
+    frames_g *= cfg.window.astype(g.dtype)
+    spec_g = np.fft.rfft(frames_g, n=cfg.fft_len, axis=-1)
     scale = np.full(cfg.n_bins, 2.0 / cfg.fft_len)
     scale[0] = 1.0 / cfg.fft_len
     scale[-1] = 1.0 / cfg.fft_len
-    return spec_g * scale[:, None].astype(g.dtype)
+    return np.swapaxes(spec_g * scale.astype(g.dtype), -1, -2)
 
 
 def _window_sumsquare(cfg: StftConfig, n_frames: int) -> np.ndarray:
     """Overlap-added squared synthesis window, floored away from zero."""
-    wss = np.zeros(cfg.output_len(n_frames))
-    w2 = cfg.window**2
-    for t in range(n_frames):
-        start = t * cfg.hop_len
-        wss[start : start + cfg.window_len] += w2
-    return np.maximum(wss, 1e-12)
+    w2 = np.broadcast_to(cfg.window**2, (n_frames, cfg.window_len))
+    return np.maximum(_overlap_add(w2, cfg.hop_len), 1e-12)
 
 
 def istft(spec: np.ndarray, cfg: StftConfig) -> Waveform:

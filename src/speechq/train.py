@@ -23,6 +23,7 @@ from .config import RunConfig
 from .data import DatasetEntry
 from .labels import QuantizerConfig
 from .model import ModelConfig
+from .signal import WavFormatError
 
 __all__ = [
     "NumericalDivergence",
@@ -64,7 +65,7 @@ def _crop_length(entries: list[DatasetEntry], cfg: ModelConfig, crop_seconds: fl
     shortest = min(len(e.degraded) for e in entries)
     crop = min(want, shortest)
     if crop < cfg.stft.window_len:
-        raise ValueError(
+        raise WavFormatError(
             f"crop of {crop} samples is shorter than one analysis window ({cfg.stft.window_len})"
         )
     return crop

@@ -410,6 +410,79 @@ class TestEval:
         assert "decoder=expect" in content and "decoder=max" in content
 
 
+class TestBadInputs:
+    """Bad files map to exit code 2 with one stderr line and no traceback."""
+
+    @pytest.fixture
+    def fresh_checkpoint(self, tmp_path):
+        from speechq.labels import QuantizerConfig
+        from speechq.model import ModelConfig, init_params
+
+        cfg = ModelConfig(
+            bottleneck_channels=8, conv_channels=16, blocks_per_repeat=2, repeats=1, n_classes=10
+        )
+        ckpt = tmp_path / "fresh.ckpt"
+        tr.save_run_checkpoint(ckpt, cfg, QuantizerConfig(10), init_params(cfg, seed=2))
+        return ckpt
+
+    @pytest.fixture
+    def wav(self, tmp_path):
+        from speechq.signal import save_wav
+
+        path = tmp_path / "tone.wav"
+        save_wav(path, dt.synth_clean("tone-complex", 0.5, seed=1))
+        return path
+
+    @staticmethod
+    def assert_data_error(argv, capsys, expected):
+        assert cli.main([str(a) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("data error: ") and expected in err
+        assert "Traceback" not in err
+
+    def test_short_wav_predict(self, fresh_checkpoint, tmp_path, capsys):
+        from speechq.signal import Waveform, save_wav
+
+        short = tmp_path / "short.wav"
+        save_wav(short, Waveform(np.full(100, 0.1), 16000))
+        self.assert_data_error(
+            ["predict", "--checkpoint", fresh_checkpoint, short], capsys, "shorter than one window"
+        )
+
+    def test_short_wav_eval(self, fresh_checkpoint, tmp_path, capsys):
+        from speechq.signal import Waveform, save_wav
+
+        save_wav(tmp_path / "short.wav", Waveform(np.full(100, 0.1), 16000))
+        manifest = tmp_path / "short.tsv"
+        manifest.write_text("degraded_path\tlabel\nshort.wav\t2.0\n")
+        self.assert_data_error(
+            ["eval", "--checkpoint", fresh_checkpoint, "--manifest", manifest], capsys, "shorter than one window"
+        )
+
+    def test_short_wav_train(self, tmp_path, capsys):
+        from speechq.signal import Waveform, save_wav
+
+        save_wav(tmp_path / "short.wav", Waveform(np.full(100, 0.1), 16000))
+        manifest = tmp_path / "short.tsv"
+        manifest.write_text("degraded_path\tlabel\nshort.wav\t2.0\n")
+        config = write_config(
+            tmp_path,
+            TINY_MODEL.format(steps=2) + f"\n[data]\nmanifest = {manifest}\n[output]\ndir = {tmp_path / 'run'}\n",
+        )
+        self.assert_data_error(["train", "--config", config], capsys, "shorter than one analysis window")
+
+    @pytest.mark.parametrize("keep", [0.3, 0.999])
+    def test_truncated_checkpoint(self, fresh_checkpoint, wav, tmp_path, capsys, keep):
+        full = fresh_checkpoint.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(full[: int(len(full) * keep)])
+        self.assert_data_error(["predict", "--checkpoint", cut, wav], capsys, "truncated checkpoint")
+
+    def test_wav_as_checkpoint(self, wav, capsys):
+        self.assert_data_error(["predict", "--checkpoint", wav, wav], capsys, "not a checkpoint file")
+
+
 class TestUsageErrors:
     def test_unknown_command_is_config_error(self, capsys):
         assert cli.main(["frobnicate"]) == 1

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -215,3 +217,42 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ValueError, match="not a checkpoint"):
             dc.load_checkpoint(path)
+
+    def test_format_v1_layout_is_pinned(self, tmp_path):
+        path = tmp_path / "v1.ckpt"
+        dc.save_checkpoint(path, {"w": np.array([1.5, -2.0], dtype=np.float32)}, {"step": 3})
+        blob = b'{"format_version": 1, "step": 3}'
+        expected = (
+            b"SQCK"
+            + struct.pack("<IQ", 1, len(blob))
+            + blob
+            + struct.pack("<IH", 1, 1)
+            + b"w"
+            + struct.pack("<BBQQ", 0, 1, 2, 8)
+            + np.array([1.5, -2.0], dtype="<f4").tobytes()
+        )
+        assert path.read_bytes() == expected
+
+    def test_every_truncation_is_a_checkpoint_error(self, tmp_path):
+        path = tmp_path / "full.ckpt"
+        dc.save_checkpoint(path, {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(2, np.float32)}, {"step": 1})
+        full = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for n in range(len(full)):
+            cut.write_bytes(full[:n])
+            with pytest.raises(dc.CheckpointError):
+                dc.load_checkpoint(cut)
+
+    def test_unknown_version_and_size_mismatch(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        dc.save_checkpoint(path, {"w": np.zeros(4)}, {})
+        full = path.read_bytes()
+        bad_version = tmp_path / "v9.ckpt"
+        bad_version.write_bytes(full[:4] + struct.pack("<I", 9) + full[8:])
+        with pytest.raises(dc.CheckpointError, match="version 9"):
+            dc.load_checkpoint(bad_version)
+        # The byte-count field sits right before the 32 data bytes.
+        wrong_size = tmp_path / "size.ckpt"
+        wrong_size.write_bytes(full[:-40] + struct.pack("<Q", 24) + full[-32:])
+        with pytest.raises(dc.CheckpointError, match="needs 32"):
+            dc.load_checkpoint(wrong_size)
