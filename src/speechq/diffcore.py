@@ -300,20 +300,75 @@ def prelu(x, slope) -> Tensor:
         raise ValueError(
             f"prelu expects (B, C, T) input and per-channel slope, got {x.values.shape} / {slope.values.shape}"
         )
-    pos = x.values > 0
-    a = slope.values[None, :, None]
-    v = np.where(pos, x.values, a * x.values)
+
+    def times_factor(y):
+        # The factor is exactly 1 where x > 0 and exactly the slope elsewhere,
+        # so the product equals a two-branch select bit for bit, without one.
+        m = (x.values > 0).astype(x.values.dtype)
+        s = 1 - m
+        s *= slope.values[None, :, None]
+        s += m
+        s *= y
+        return s
 
     def vjp(g):
-        gx = np.where(pos, g, a * g) if x.requires_grad else None
-        gs = np.sum(np.where(pos, 0.0, g * x.values), axis=(0, 2)) if slope.requires_grad else None
+        gx = times_factor(g) if x.requires_grad else None
+        # Only x <= 0 contributes to the slope gradient: g * min(x, 0).
+        gs = np.sum(g * np.minimum(x.values, 0), axis=(0, 2)) if slope.requires_grad else None
         return gx, gs
 
-    return _make(v, (x, slope), vjp)
+    return _make(times_factor(x.values), (x, slope), vjp)
 
 
 # ---------------------------------------------------------------------------
 # normalization
+
+
+def _check_norm_args(op: str, x: Tensor, gamma: Tensor, beta: Tensor) -> None:
+    if x.values.ndim != 3:
+        raise ValueError(f"{op} expects (B, C, T), got {x.values.shape}")
+    c = x.values.shape[1]
+    if gamma.values.shape != (c,) or beta.values.shape != (c,):
+        raise ValueError("gamma/beta must be per-channel vectors")
+
+
+def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple, eps: float):
+    """Standardize x with its own statistics over ``axes``.
+
+    Returns (mu, var, xhat, vjp), the statistics with ``axes`` kept. The
+    variance is the mean of the squared deviations, the same sums
+    ``np.var`` forms, and the VJP works in place in the textbook order.
+    """
+    mu = np.mean(x.values, axis=axes, keepdims=True)
+    xhat = x.values - mu
+    var = np.mean(xhat * xhat, axis=axes, keepdims=True)
+    sigma = np.sqrt(var + eps)
+    xhat /= sigma
+    m = math.prod(x.values.shape[a] for a in axes)
+
+    def vjp(g):
+        gg = g * gamma.values[None, :, None]
+        gx = None
+        if x.requires_grad:
+            mean_g = np.sum(gg, axis=axes, keepdims=True) / m
+            gx = gg * xhat
+            mean_gx = np.sum(gx, axis=axes, keepdims=True) / m
+            # gx = (gg - mean_g - xhat * mean_gx) / sigma
+            np.multiply(xhat, mean_gx, out=gx)
+            gg -= mean_g
+            np.subtract(gg, gx, out=gx)
+            gx /= sigma
+        ggamma = np.sum(g * xhat, axis=(0, 2)) if gamma.requires_grad else None
+        gbeta = np.sum(g, axis=(0, 2)) if beta.requires_grad else None
+        return gx, ggamma, gbeta
+
+    return mu, var, xhat, vjp
+
+
+def _affine(x: Tensor, gamma: Tensor, beta: Tensor, xhat: np.ndarray, vjp) -> Tensor:
+    v = gamma.values[None, :, None] * xhat
+    v += beta.values[None, :, None]
+    return _make(v.astype(x.values.dtype, copy=False), (x, gamma, beta), vjp)
 
 
 def batch_norm(
@@ -333,35 +388,15 @@ def batch_norm(
     frozen running statistics.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    if x.values.ndim != 3:
-        raise ValueError(f"batch_norm expects (B, C, T), got {x.values.shape}")
-    c = x.values.shape[1]
-    if gamma.values.shape != (c,) or beta.values.shape != (c,):
-        raise ValueError("gamma/beta must be per-channel vectors")
-
+    _check_norm_args("batch_norm", x, gamma, beta)
     if training:
-        mu = np.mean(x.values, axis=(0, 2))
-        var = np.var(x.values, axis=(0, 2))
-        running_mean.values[...] = momentum * running_mean.values + (1.0 - momentum) * mu
-        running_var.values[...] = momentum * running_var.values + (1.0 - momentum) * var
-        sigma = np.sqrt(var + eps)
-        xhat = (x.values - mu[None, :, None]) / sigma[None, :, None]
-        m = x.values.shape[0] * x.values.shape[2]
-
-        def vjp(g):
-            gg = g * gamma.values[None, :, None]
-            gx = None
-            if x.requires_grad:
-                mean_g = np.sum(gg, axis=(0, 2), keepdims=True) / m
-                mean_gx = np.sum(gg * xhat, axis=(0, 2), keepdims=True) / m
-                gx = (gg - mean_g - xhat * mean_gx) / sigma[None, :, None]
-            ggamma = np.sum(g * xhat, axis=(0, 2)) if gamma.requires_grad else None
-            gbeta = np.sum(g, axis=(0, 2)) if beta.requires_grad else None
-            return gx, ggamma, gbeta
-
+        mu, var, xhat, vjp = _normalize(x, gamma, beta, (0, 2), eps)
+        running_mean.values[...] = momentum * running_mean.values + (1.0 - momentum) * mu.ravel()
+        running_var.values[...] = momentum * running_var.values + (1.0 - momentum) * var.ravel()
     else:
         sigma = np.sqrt(running_var.values + eps)
-        xhat = (x.values - running_mean.values[None, :, None]) / sigma[None, :, None]
+        xhat = x.values - running_mean.values[None, :, None]
+        xhat /= sigma[None, :, None]
 
         def vjp(g):
             gx = g * (gamma.values / sigma)[None, :, None] if x.requires_grad else None
@@ -369,8 +404,7 @@ def batch_norm(
             gbeta = np.sum(g, axis=(0, 2)) if beta.requires_grad else None
             return gx, ggamma, gbeta
 
-    v = gamma.values[None, :, None] * xhat + beta.values[None, :, None]
-    return _make(v.astype(x.values.dtype, copy=False), (x, gamma, beta), vjp)
+    return _affine(x, gamma, beta, xhat, vjp)
 
 
 def global_layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
@@ -379,30 +413,9 @@ def global_layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     Stateless alternative to batch_norm for batch-size-1 training.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    if x.values.ndim != 3:
-        raise ValueError(f"global_layer_norm expects (B, C, T), got {x.values.shape}")
-    c = x.values.shape[1]
-    if gamma.values.shape != (c,) or beta.values.shape != (c,):
-        raise ValueError("gamma/beta must be per-channel vectors")
-    mu = np.mean(x.values, axis=(1, 2), keepdims=True)
-    var = np.var(x.values, axis=(1, 2), keepdims=True)
-    sigma = np.sqrt(var + eps)
-    xhat = (x.values - mu) / sigma
-    m = x.values.shape[1] * x.values.shape[2]
-
-    def vjp(g):
-        gg = g * gamma.values[None, :, None]
-        gx = None
-        if x.requires_grad:
-            mean_g = np.sum(gg, axis=(1, 2), keepdims=True) / m
-            mean_gx = np.sum(gg * xhat, axis=(1, 2), keepdims=True) / m
-            gx = (gg - mean_g - xhat * mean_gx) / sigma
-        ggamma = np.sum(g * xhat, axis=(0, 2)) if gamma.requires_grad else None
-        gbeta = np.sum(g, axis=(0, 2)) if beta.requires_grad else None
-        return gx, ggamma, gbeta
-
-    v = gamma.values[None, :, None] * xhat + beta.values[None, :, None]
-    return _make(v.astype(x.values.dtype, copy=False), (x, gamma, beta), vjp)
+    _check_norm_args("global_layer_norm", x, gamma, beta)
+    _mu, _var, xhat, vjp = _normalize(x, gamma, beta, (1, 2), eps)
+    return _affine(x, gamma, beta, xhat, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -451,25 +464,37 @@ def conv1d_depthwise_dilated(x, kernel, bias, dilation: int) -> Tensor:
     if k % 2 != 1 or dilation < 1:
         raise ValueError("kernel size must be odd and dilation positive")
     pad = dilation * (k - 1) // 2
-    xpad = np.zeros((batch, c, t + 2 * pad), dtype=x.values.dtype)
-    xpad[:, :, pad : pad + t] = x.values
-    v = np.zeros((batch, c, t), dtype=x.values.dtype)
+    # Tap j reads input frame tau + off for output frame tau, so only output
+    # frames [lo, hi) read real input; a tap with lo >= hi sees only padding.
+    taps = []
     for j in range(k):
-        v += kernel.values[None, :, j : j + 1] * xpad[:, :, j * dilation : j * dilation + t]
+        off = j * dilation - pad
+        lo, hi = max(0, -off), min(t, t - off)
+        if lo < hi:
+            taps.append((j, off, lo, hi))
+    xv = x.values
+    v = np.zeros((batch, c, t), dtype=xv.dtype)
+    for j, off, lo, hi in taps:
+        v[:, :, lo:hi] += kernel.values[None, :, j : j + 1] * xv[:, :, lo + off : hi + off]
     v += bias.values[None, :, None]
 
     def vjp(g):
         gx = None
         if x.requires_grad:
-            gpad = np.zeros_like(xpad)
-            for j in range(k):
-                gpad[:, :, j * dilation : j * dilation + t] += kernel.values[None, :, j : j + 1] * g
-            gx = gpad[:, :, pad : pad + t]
+            gx = np.zeros((batch, c, t), dtype=xv.dtype)
+            for j, off, lo, hi in taps:
+                gx[:, :, lo + off : hi + off] += kernel.values[None, :, j : j + 1] * g[:, :, lo:hi]
         gk = None
         if kernel.requires_grad:
-            gk = np.empty_like(kernel.values)
-            for j in range(k):
-                gk[:, j] = np.sum(g * xpad[:, :, j * dilation : j * dilation + t], axis=(0, 2))
+            # Each column sums a full-length product that is zero outside
+            # [lo, hi): the same reduction order as over a padded input.
+            gk = np.zeros_like(kernel.values)
+            prod = np.empty(g.shape, dtype=np.result_type(g, xv))
+            for j, off, lo, hi in taps:
+                np.multiply(g[:, :, lo:hi], xv[:, :, lo + off : hi + off], out=prod[:, :, lo:hi])
+                prod[:, :, :lo] = 0
+                prod[:, :, hi:] = 0
+                gk[:, j] = np.sum(prod, axis=(0, 2))
         gb = np.sum(g, axis=(0, 2)) if bias.requires_grad else None
         return gx, gk, gb
 
@@ -669,15 +694,29 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
+        # The update runs in place and in two buffers per parameter, with the
+        # operations in the textbook order, so it rounds as that formula does.
         for name, t in self.params.items():
             g = t.grad
             m = self.m[name]
             v = self.v[name]
-            m[...] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[...] = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            mhat = m / bc1
-            vhat = v / bc2
-            t.values[...] = t.values - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            a, b = np.empty_like(m), np.empty_like(m)
+            # m = beta1 * m + (1 - beta1) * g
+            m *= self.beta1
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
+            # v = beta2 * v + (1 - beta2) * (g * g)
+            v *= self.beta2
+            np.multiply(g, g, out=a)
+            a *= 1.0 - self.beta2
+            v += a
+            # values -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(m, bc1, out=a)
+            a *= self.lr
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            t.values -= a
             t.grad = None
 
     def state_arrays(self) -> dict:
@@ -735,9 +774,8 @@ def save_checkpoint(path, arrays: dict, header: dict) -> None:
             fh.write(struct.pack("<BB", code, arr.ndim))
             for d in arr.shape:
                 fh.write(struct.pack("<Q", d))
-            raw = data.tobytes()
-            fh.write(struct.pack("<Q", len(raw)))
-            fh.write(raw)
+            fh.write(struct.pack("<Q", data.nbytes))
+            fh.write(memoryview(data))
 
 
 class CheckpointError(ValueError):
@@ -751,6 +789,8 @@ def load_checkpoint(path):
         CheckpointError: bad magic, unknown version or dtype, a short read,
             or an array whose byte count disagrees with its shape.
     """
+    if os.path.isdir(path):
+        raise CheckpointError(f"{path}: is a directory, not a checkpoint file")
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 

@@ -92,10 +92,22 @@ def save_run_checkpoint(
 
 
 def load_run_checkpoint(path):
-    """Returns (cfg, quant, params, optimizer_arrays, step)."""
+    """Returns (cfg, quant, params, optimizer_arrays, step).
+
+    Raises:
+        CheckpointError: the file is not a checkpoint, or its header lacks
+            valid model, quantizer and step entries.
+    """
     arrays, header = dc.load_checkpoint(path)
-    cfg = ModelConfig.from_dict(header["model"])
-    quant = QuantizerConfig(**header["quantizer"])
+    missing = [key for key in ("model", "quantizer", "step") if key not in header]
+    if missing:
+        raise dc.CheckpointError(f"{path}: checkpoint header has no {', '.join(missing)}")
+    try:
+        cfg = ModelConfig.from_dict(header["model"])
+        quant = QuantizerConfig(**header["quantizer"])
+        step = int(header["step"])
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise dc.CheckpointError(f"{path}: invalid run settings in checkpoint header: {exc}") from exc
     params: dict[str, dc.Tensor] = {}
     opt_arrays: dict[str, np.ndarray] = {}
     for name, arr in arrays.items():
@@ -104,7 +116,7 @@ def load_run_checkpoint(path):
         else:
             trainable = not (".run_mean" in name or ".run_var" in name)
             params[name] = dc.Tensor(arr, requires_grad=trainable)
-    return cfg, quant, params, opt_arrays, int(header["step"])
+    return cfg, quant, params, opt_arrays, step
 
 
 def _batch_crops(entries, crop, rng, batch_size):

@@ -482,6 +482,29 @@ class TestBadInputs:
     def test_wav_as_checkpoint(self, wav, capsys):
         self.assert_data_error(["predict", "--checkpoint", wav, wav], capsys, "not a checkpoint file")
 
+    def test_directory_as_checkpoint(self, wav, tmp_path, capsys):
+        self.assert_data_error(["predict", "--checkpoint", tmp_path, wav], capsys, "is a directory")
+
+    @pytest.mark.parametrize(
+        "header, expected",
+        [
+            ({"step": 3}, "has no model, quantizer"),
+            ({"model": {}, "quantizer": {"n_classes": 10}}, "has no step"),
+            ({"model": {"kernel_size": 4}, "quantizer": {"n_classes": 10}, "step": 0}, "kernel size must be odd"),
+            ({"model": {"colour": 1}, "quantizer": {"n_classes": 10}, "step": 0}, "unexpected keyword"),
+            ({"model": {"stft": 1}, "quantizer": {"n_classes": 10}, "step": 0}, "invalid run settings"),
+            ({"model": {}, "quantizer": {"n_classes": 0}, "step": 0}, "need at least one class"),
+            ({"model": {}, "quantizer": {"n_classes": 10}, "step": "last"}, "invalid literal"),
+        ],
+        ids=["no-model", "no-step", "bad-model-value", "unknown-model-key", "bad-stft", "bad-quantizer", "bad-step"],
+    )
+    def test_checkpoint_without_valid_run_settings(self, wav, tmp_path, capsys, header, expected):
+        from speechq import diffcore as dc
+
+        ckpt = tmp_path / "foreign.ckpt"
+        dc.save_checkpoint(ckpt, {"w": np.zeros(3, dtype=np.float32)}, header)
+        self.assert_data_error(["predict", "--checkpoint", ckpt, wav], capsys, expected)
+
 
 class TestUsageErrors:
     def test_unknown_command_is_config_error(self, capsys):

@@ -1,9 +1,11 @@
-"""Pins the BLAS pointwise conv and the loop-free overlap-add to plain references.
+"""Pins the rewritten kernels to plain references.
 
 The references are the einsum contraction and the per-frame loops that
-the kernels replace. The overlap-add adds the same two terms per sample
-as the loops, so it must match them exactly; the GEMMs sum in another
-order, so they match einsum to a dtype-dependent tolerance.
+the BLAS pointwise conv and the overlap-add replace, and the select-,
+padding- and temporary-based forms of PReLU, the norms, the depthwise
+conv and Adam. Kernels that keep every operation and reduction order
+must match their reference exactly; the GEMMs sum in another order, so
+they match einsum to a dtype-dependent tolerance.
 """
 
 import numpy as np
@@ -146,3 +148,172 @@ class TestOverlapAdd:
             ref = loop_synthesize_adjoint(g[b], n_frames, cfg)
             assert np.array_equal(grad[0, b], ref.real)
             assert np.array_equal(grad[1, b], ref.imag)
+
+
+# Copies of the select-, padding- and temporary-based kernels that prelu,
+# the norms, the depthwise conv and Adam replaced. The rewrites keep every
+# operation and reduction order, so they must match these bit for bit.
+
+
+def ref_prelu(x, a, g):
+    pos = x > 0
+    a = a[None, :, None]
+    v = np.where(pos, x, a * x)
+    gx = np.where(pos, g, a * g)
+    gs = np.sum(np.where(pos, 0.0, g * x), axis=(0, 2))
+    return v, gx, gs
+
+
+def ref_norm_vjp(g, gamma, xhat, sigma, m, axes):
+    gg = g * gamma[None, :, None]
+    mean_g = np.sum(gg, axis=axes, keepdims=True) / m
+    mean_gx = np.sum(gg * xhat, axis=axes, keepdims=True) / m
+    gx = (gg - mean_g - xhat * mean_gx) / sigma
+    return gx, np.sum(g * xhat, axis=(0, 2)), np.sum(g, axis=(0, 2))
+
+
+def ref_batch_norm(x, gamma, beta, run_mean, run_var, training, g, momentum=0.99, eps=1e-5):
+    """Returns (value, gx, ggamma, gbeta) and updates the running buffers in place."""
+    if training:
+        mu = np.mean(x, axis=(0, 2))
+        var = np.var(x, axis=(0, 2))
+        run_mean[...] = momentum * run_mean + (1.0 - momentum) * mu
+        run_var[...] = momentum * run_var + (1.0 - momentum) * var
+        sigma = np.sqrt(var + eps)
+        xhat = (x - mu[None, :, None]) / sigma[None, :, None]
+        grads = ref_norm_vjp(g, gamma, xhat, sigma[None, :, None], x.shape[0] * x.shape[2], (0, 2))
+    else:
+        sigma = np.sqrt(run_var + eps)
+        xhat = (x - run_mean[None, :, None]) / sigma[None, :, None]
+        grads = (g * (gamma / sigma)[None, :, None], np.sum(g * xhat, axis=(0, 2)), np.sum(g, axis=(0, 2)))
+    v = gamma[None, :, None] * xhat + beta[None, :, None]
+    return (v.astype(x.dtype, copy=False), *grads)
+
+
+def ref_global_layer_norm(x, gamma, beta, g, eps=1e-5):
+    mu = np.mean(x, axis=(1, 2), keepdims=True)
+    var = np.var(x, axis=(1, 2), keepdims=True)
+    sigma = np.sqrt(var + eps)
+    xhat = (x - mu) / sigma
+    grads = ref_norm_vjp(g, gamma, xhat, sigma, x.shape[1] * x.shape[2], (1, 2))
+    v = gamma[None, :, None] * xhat + beta[None, :, None]
+    return (v.astype(x.dtype, copy=False), *grads)
+
+
+def ref_depthwise(x, kernel, bias, dilation, g):
+    batch, c, t = x.shape
+    k = kernel.shape[1]
+    pad = dilation * (k - 1) // 2
+    xpad = np.zeros((batch, c, t + 2 * pad), dtype=x.dtype)
+    xpad[:, :, pad : pad + t] = x
+    v = np.zeros((batch, c, t), dtype=x.dtype)
+    for j in range(k):
+        v += kernel[None, :, j : j + 1] * xpad[:, :, j * dilation : j * dilation + t]
+    v += bias[None, :, None]
+    gpad = np.zeros_like(xpad)
+    for j in range(k):
+        gpad[:, :, j * dilation : j * dilation + t] += kernel[None, :, j : j + 1] * g
+    gk = np.empty_like(kernel)
+    for j in range(k):
+        gk[:, j] = np.sum(g * xpad[:, :, j * dilation : j * dilation + t], axis=(0, 2))
+    return v, gpad[:, :, pad : pad + t], gk, np.sum(g, axis=(0, 2))
+
+
+def ref_adam_step(values, m, v, g, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    m[...] = beta1 * m + (1.0 - beta1) * g
+    v[...] = beta2 * v + (1.0 - beta2) * (g * g)
+    mhat = m / bc1
+    vhat = v / bc2
+    values[...] = values - lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def assert_all_identical(actual, expected):
+    assert len(actual) == len(expected)
+    for a, e in zip(actual, expected):
+        assert_identical(np.asarray(a), np.asarray(e))
+
+
+DTYPES = [np.float32, np.float64]
+
+
+def norm_inputs(rng, dtype, shape=(4, 6, 13)):
+    x = (3.0 * rng.standard_normal(shape) + 1.5).astype(dtype)
+    gamma = rng.uniform(0.5, 1.5, shape[1]).astype(dtype)
+    beta = rng.standard_normal(shape[1]).astype(dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    return x, gamma, beta, g
+
+
+class TestElementwiseKernels:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_prelu_matches_select(self, dtype):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((3, 8, 17)).astype(dtype)
+        x[0, 0, :3] = 0.0  # the kink belongs to the slope branch
+        a = rng.uniform(-0.5, 1.5, 8).astype(dtype)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        out = dc.prelu(dc.parameter(x), dc.parameter(a))
+        assert_all_identical((out.values, *out._vjp(g)), ref_prelu(x, a, g))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_batch_norm_matches_reference(self, dtype, training):
+        rng = np.random.default_rng(12)
+        x, gamma, beta, g = norm_inputs(rng, dtype)
+        run_mean = rng.standard_normal(6).astype(dtype)
+        run_var = rng.uniform(0.5, 2.0, 6).astype(dtype)
+        ref_mean, ref_var = run_mean.copy(), run_var.copy()
+        rm, rv = dc.Tensor(run_mean), dc.Tensor(run_var)
+        out = dc.batch_norm(dc.parameter(x), dc.parameter(gamma), dc.parameter(beta), rm, rv, training)
+        expected = ref_batch_norm(x, gamma, beta, ref_mean, ref_var, training, g)
+        assert_all_identical((out.values, *out._vjp(g)), expected)
+        assert_all_identical((rm.values, rv.values), (ref_mean, ref_var))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_global_layer_norm_matches_reference(self, dtype):
+        rng = np.random.default_rng(13)
+        x, gamma, beta, g = norm_inputs(rng, dtype)
+        out = dc.global_layer_norm(dc.parameter(x), dc.parameter(gamma), dc.parameter(beta))
+        assert_all_identical((out.values, *out._vjp(g)), ref_global_layer_norm(x, gamma, beta, g))
+
+
+class TestDepthwiseKernel:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("t", [1, 7, 61, 250])
+    def test_matches_padded_reference(self, dtype, k, t):
+        # Dilations up to 128 put whole taps in the padding for the shorter
+        # inputs (64 and 128 at T = 61, as in the paper-scale trunk).
+        rng = np.random.default_rng(t * 10 + k)
+        for dilation in [2**i for i in range(8)]:
+            x = rng.standard_normal((2, 5, t)).astype(dtype)
+            kernel = rng.standard_normal((5, k)).astype(dtype)
+            bias = rng.standard_normal(5).astype(dtype)
+            g = rng.standard_normal(x.shape).astype(dtype)
+            out = dc.conv1d_depthwise_dilated(
+                dc.parameter(x), dc.parameter(kernel), dc.parameter(bias), dilation
+            )
+            assert_all_identical((out.values, *out._vjp(g)), ref_depthwise(x, kernel, bias, dilation, g))
+
+
+class TestAdamKernel:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_steps_match_reference(self, dtype):
+        rng = np.random.default_rng(14)
+        shapes = {"w": (7, 5), "b": (7,), "s": (), "t": ()}
+        params = {n: dc.parameter(rng.standard_normal(s).astype(dtype)) for n, s in shapes.items()}
+        opt = dc.Adam(params, lr=3e-3, beta1=0.8, beta2=0.99)
+        ref = {n: (params[n].values.copy(), np.zeros(s, dtype), np.zeros(s, dtype)) for n, s in shapes.items()}
+        for step in range(1, 6):
+            grads = {n: rng.standard_normal(s).astype(dtype) for n, s in shapes.items()}
+            for name, p in params.items():
+                p.grad = grads[name].copy()
+                ref_adam_step(*ref[name], grads[name], step, lr=3e-3, beta1=0.8, beta2=0.99)
+            given = {n: p.grad for n, p in params.items()}
+            opt.step()
+            for name, p in params.items():
+                assert p.grad is None
+                assert np.array_equal(given[name], grads[name])  # gradients are not modified
+                assert_all_identical((p.values, opt.m[name], opt.v[name]), ref[name])
