@@ -30,7 +30,8 @@ print(f"pointwise conv max relative gradient error: {err:.2e}")
 weight = dc.parameter(np.array(0.0))
 opt = dc.Adam({"w": weight}, lr=0.05)
 for step in range(500):
-    loss = dc.mse_reduction(weight, dc.constant(np.array(3.0)))
+    d = dc.sub(weight, dc.constant(np.array(3.0)))
+    loss = dc.sum(dc.mul(d, d))
     dc.backward(loss)
     opt.step()
 print(f"after 500 Adam steps on (w - 3)^2: w = {float(weight.values):.4f}")

@@ -20,7 +20,7 @@ from .data import (
 from .labels import QuantizerConfig, decode_expect, decode_max, one_hot, quantize, soft_label
 from .losses import emd2, joint_loss, rank_loss, td_mse
 from .metrics import EvalReport, evaluate_scores, lcc, mse_metric, srcc
-from .model import ModelConfig, ModelOutput, forward, init_params, predict_quality
+from .model import ModelConfig, forward, forward_graph, init_params
 from .signal import StftConfig, Waveform, WavFormatError, istft, load_wav, lps, save_wav, stft
 
 __version__ = "0.1.0"
@@ -30,7 +30,6 @@ __all__ = [
     "EvalReport",
     "ManifestError",
     "ModelConfig",
-    "ModelOutput",
     "QuantizerConfig",
     "StftConfig",
     "WavFormatError",
@@ -41,6 +40,7 @@ __all__ = [
     "emd2",
     "evaluate_scores",
     "forward",
+    "forward_graph",
     "init_params",
     "istft",
     "joint_loss",
@@ -52,7 +52,6 @@ __all__ = [
     "mse_metric",
     "one_hot",
     "perturb_spectrogram",
-    "predict_quality",
     "proxy_label",
     "quantize",
     "rank_loss",

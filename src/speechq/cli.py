@@ -147,16 +147,16 @@ def cmd_predict(args) -> int:
                 f"{path}: sample rate {wave.sample_rate} does not match model rate {cfg.sample_rate}"
             )
         try:
-            out = mdl.forward(wave, cfg, params, mode="eval")
+            dist = mdl.forward(wave, cfg, params)
         except WavFormatError as exc:
             raise WavFormatError(f"{path}: {exc}") from exc
-        s_e = lb.decode_expect(out.distribution, quant)
-        s_m = lb.decode_max(out.distribution, quant)
+        s_e = lb.decode_expect(dist, quant)
+        s_m = lb.decode_max(dist, quant)
         # Both scores always appear; the selected decoder's comes first.
         first, second = (s_e, s_m) if args.decoder == "expect" else (s_m, s_e)
         line = f"{path}\t{first:.6f}\t{second:.6f}"
         if args.dist:
-            line += "\t" + ",".join(f"{p:.6g}" for p in out.distribution)
+            line += "\t" + ",".join(f"{p:.6g}" for p in dist)
         print(line)
     return EXIT_OK
 

@@ -233,42 +233,6 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
 # elementwise nonlinearities
 
 
-def clip_floor(x, floor: float) -> Tensor:
-    """max(x, floor); the subgradient at the floor is taken as zero."""
-    x = as_tensor(x)
-    keep = x.values > floor
-
-    def vjp(g):
-        return (g * keep,)
-
-    return _make(np.maximum(x.values, floor), (x,), vjp)
-
-
-def log(x) -> Tensor:
-    x = as_tensor(x)
-    # log(0) and log(<0) are reported by the finiteness check in _make.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = np.log(x.values)
-
-    def vjp(g):
-        return (g / x.values,)
-
-    return _make(v, (x,), vjp)
-
-
-def abs_squared(stacked) -> Tensor:
-    """Squared magnitude of a (2, ...) real/imaginary stack, reducing the first axis."""
-    x = as_tensor(stacked)
-    if x.values.shape[0] != 2:
-        raise ValueError("abs_squared expects a leading real/imaginary axis of size 2")
-    v = x.values[0] ** 2 + x.values[1] ** 2
-
-    def vjp(g):
-        return (np.stack([2.0 * x.values[0] * g, 2.0 * x.values[1] * g]),)
-
-    return _make(v, (x,), vjp)
-
-
 def softplus(x) -> Tensor:
     x = as_tensor(x)
     v = np.logaddexp(0.0, x.values)
@@ -555,21 +519,6 @@ def istft_synthesis(spec_stack, cfg: StftConfig) -> Tensor:
         return (grad,)
 
     return _make(out, (x,), vjp)
-
-
-# ---------------------------------------------------------------------------
-# reductions used as losses
-
-
-def mse_reduction(a, b, reduction: str = "sum") -> Tensor:
-    """Squared-difference reduction, composed from the primitives above."""
-    d = sub(a, b)
-    sq = mul(d, d)
-    if reduction == "sum":
-        return sum(sq)
-    if reduction == "mean":
-        return mean(sq)
-    raise ValueError(f"unknown reduction {reduction!r}")
 
 
 # ---------------------------------------------------------------------------

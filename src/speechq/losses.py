@@ -67,9 +67,18 @@ def td_mse(x_hat, x, weights=None, reduction: str = "sum") -> dc.Tensor:
     return _batch_mean(per_item)
 
 
-def joint_loss(x_hat, x, p_hat, p, recon_weight: float = 1.0) -> dc.Tensor:
-    """Reconstruction plus distribution loss: recon_weight * td_mse + emd2."""
-    return dc.add(dc.scale(td_mse(x_hat, x), recon_weight), emd2(p_hat, p))
+def joint_loss(x_hat, x, p_hat, p, recon_weight: float = 1.0, weights=None, reduction: str = "sum"):
+    """The joint objective recon_weight * td_mse + emd2, with its terms.
+
+    Returns (total, td_mse term, emd2 term). ``weights`` and ``reduction``
+    pass through to :func:`td_mse`. Without a reconstruction (``x_hat`` is
+    None) the total is the emd2 term alone and the td_mse term is None.
+    """
+    emd = emd2(p_hat, p)
+    if x_hat is None:
+        return emd, None, emd
+    recon = td_mse(x_hat, x, weights=weights, reduction=reduction)
+    return dc.add(dc.scale(recon, recon_weight), emd), recon, emd
 
 
 def rank_loss(pred_scores, true_scores) -> dc.Tensor:

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffcore as dc
-from . import labels as lb
 from . import signal as sig
 
-__all__ = ["ModelConfig", "ModelOutput", "init_params", "forward", "forward_graph", "predict_quality"]
+__all__ = ["ModelConfig", "param_layout", "init_params", "forward", "forward_graph"]
 
 
 @dataclass
@@ -36,8 +35,14 @@ class ModelConfig:
     stft: sig.StftConfig = field(default=None, repr=False)
 
     def __post_init__(self):
-        for name in ("bottleneck_channels", "conv_channels", "blocks_per_repeat", "repeats", "n_classes"):
-            if getattr(self, name) < 1:
+        for name in (
+            "sample_rate", "bottleneck_channels", "conv_channels", "kernel_size",
+            "blocks_per_repeat", "repeats", "n_classes",
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be positive")
         if self.kernel_size % 2 != 1:
             raise ValueError("kernel size must be odd for same-length padding")
@@ -83,16 +88,6 @@ class ModelConfig:
 
 
 @dataclass
-class ModelOutput:
-    """Forward results for a single utterance."""
-
-    reconstruction: sig.Waveform
-    logits: np.ndarray  # (n_classes, T)
-    pooled: np.ndarray  # (n_classes,)
-    distribution: np.ndarray  # (n_classes,)
-
-
-@dataclass
 class GraphOutput:
     """Graph tensors from a batched forward pass, consumed by the losses."""
 
@@ -103,9 +98,49 @@ class GraphOutput:
     n_frames: int
 
 
-def _uniform(rng, shape, fan_in, dtype):
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+def param_layout(cfg: ModelConfig) -> dict[str, tuple[tuple, int | float]]:
+    """Shape and initializer of every model tensor, in the order init_params draws them.
+
+    The initializer is an ``int`` fan-in for a uniform draw in
+    ±1/sqrt(fan_in), or a ``float`` constant fill. Names ending in
+    ``run_mean`` or ``run_var`` are normalization buffers, not parameters.
+    """
+    f_bins, k = cfg.stft.n_bins, cfg.kernel_size
+    cb, cc = cfg.bottleneck_channels, cfg.conv_channels
+    layout = {"entry.w": ((cb, f_bins), f_bins), "entry.b": ((cb,), f_bins)}
+    for r in range(cfg.repeats):
+        for x in range(cfg.blocks_per_repeat):
+            p = f"block{r}.{x}."
+            layout.update(
+                {
+                    p + "pw1.w": ((cc, cb), cb),
+                    p + "pw1.b": ((cc,), cb),
+                    p + "act1.slope": ((cc,), 0.25),
+                    p + "norm1.gamma": ((cc,), 1.0),
+                    p + "norm1.beta": ((cc,), 0.0),
+                    p + "norm1.run_mean": ((cc,), 0.0),
+                    p + "norm1.run_var": ((cc,), 1.0),
+                    p + "dw.kernel": ((cc, k), k),
+                    p + "dw.b": ((cc,), k),
+                    p + "act2.slope": ((cc,), 0.25),
+                    p + "norm2.gamma": ((cc,), 1.0),
+                    p + "norm2.beta": ((cc,), 0.0),
+                    p + "norm2.run_mean": ((cc,), 0.0),
+                    p + "norm2.run_var": ((cc,), 1.0),
+                    p + "pw2.w": ((cb, cc), cc),
+                    p + "pw2.b": ((cb,), cc),
+                }
+            )
+    for head in ("mask_real", "mask_imag"):
+        layout[head + ".w"] = ((f_bins, cb), cb)
+        layout[head + ".b"] = ((f_bins,), cb)
+    layout["quality.w"] = ((cfg.n_classes, cb), 0.0)
+    layout["quality.b"] = ((cfg.n_classes,), 0.0)
+    return layout
+
+
+def is_buffer(name: str) -> bool:
+    return name.endswith((".run_mean", ".run_var"))
 
 
 def init_params(cfg: ModelConfig, seed: int = 0) -> dict:
@@ -118,42 +153,14 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict:
     """
     rng = np.random.default_rng(seed)
     dt = cfg.np_dtype
-    f_bins = cfg.stft.n_bins
-    cb, cc = cfg.bottleneck_channels, cfg.conv_channels
     params: dict[str, dc.Tensor] = {}
-
-    def param(name, values):
-        params[name] = dc.parameter(values)
-
-    def buffer(name, values):
-        params[name] = dc.Tensor(values, requires_grad=False)
-
-    param("entry.w", _uniform(rng, (cb, f_bins), f_bins, dt))
-    param("entry.b", _uniform(rng, (cb,), f_bins, dt))
-    for r in range(cfg.repeats):
-        for x, _d in enumerate(cfg.dilations):
-            p = f"block{r}.{x}."
-            param(p + "pw1.w", _uniform(rng, (cc, cb), cb, dt))
-            param(p + "pw1.b", _uniform(rng, (cc,), cb, dt))
-            param(p + "act1.slope", np.full(cc, 0.25, dtype=dt))
-            param(p + "norm1.gamma", np.ones(cc, dtype=dt))
-            param(p + "norm1.beta", np.zeros(cc, dtype=dt))
-            buffer(p + "norm1.run_mean", np.zeros(cc, dtype=dt))
-            buffer(p + "norm1.run_var", np.ones(cc, dtype=dt))
-            param(p + "dw.kernel", _uniform(rng, (cc, cfg.kernel_size), cfg.kernel_size, dt))
-            param(p + "dw.b", _uniform(rng, (cc,), cfg.kernel_size, dt))
-            param(p + "act2.slope", np.full(cc, 0.25, dtype=dt))
-            param(p + "norm2.gamma", np.ones(cc, dtype=dt))
-            param(p + "norm2.beta", np.zeros(cc, dtype=dt))
-            buffer(p + "norm2.run_mean", np.zeros(cc, dtype=dt))
-            buffer(p + "norm2.run_var", np.ones(cc, dtype=dt))
-            param(p + "pw2.w", _uniform(rng, (cb, cc), cc, dt))
-            param(p + "pw2.b", _uniform(rng, (cb,), cc, dt))
-    for head in ("mask_real", "mask_imag"):
-        param(head + ".w", _uniform(rng, (f_bins, cb), cb, dt))
-        param(head + ".b", _uniform(rng, (f_bins,), cb, dt))
-    param("quality.w", np.zeros((cfg.n_classes, cb), dtype=dt))
-    param("quality.b", np.zeros(cfg.n_classes, dtype=dt))
+    for name, (shape, init) in param_layout(cfg).items():
+        if isinstance(init, int):
+            bound = 1.0 / np.sqrt(init)
+            values = rng.uniform(-bound, bound, size=shape).astype(dt)
+        else:
+            values = np.full(shape, init, dtype=dt)
+        params[name] = dc.Tensor(values, requires_grad=not is_buffer(name))
     return params
 
 
@@ -232,38 +239,17 @@ def forward_graph(
     return GraphOutput(recon, logits, pooled, distribution, n_frames)
 
 
-def forward(wave: sig.Waveform, cfg: ModelConfig, params: dict, mode: str = "eval") -> ModelOutput:
-    """Single-utterance forward pass."""
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+def forward(wave: sig.Waveform, cfg: ModelConfig, params: dict) -> np.ndarray:
+    """Score one utterance: its (n_classes,) quality distribution.
+
+    Runs eval mode on constant views of the params (no copy), so no graph
+    is recorded, and skips the reconstruction branch, which only training
+    reads.
+    """
     if wave.sample_rate != cfg.sample_rate:
         raise ValueError(
             f"waveform rate {wave.sample_rate} does not match model rate {cfg.sample_rate}"
         )
-    out = forward_graph(wave.samples[None, :], cfg, params, training=(mode == "train"))
-    return ModelOutput(
-        reconstruction=sig.Waveform(out.reconstruction.values[0].astype(np.float64), cfg.sample_rate),
-        logits=out.logits.values[0],
-        pooled=out.pooled.values[0],
-        distribution=out.distribution.values[0],
-    )
-
-
-def predict_quality(
-    wave: sig.Waveform,
-    cfg: ModelConfig,
-    params: dict,
-    quantizer: lb.QuantizerConfig,
-    decoder: str = "expect",
-) -> float:
-    """Decode the predicted class distribution into a score."""
-    if quantizer.n_total != cfg.n_classes:
-        raise ValueError(
-            f"quantizer n_total {quantizer.n_total} does not match model classes {cfg.n_classes}"
-        )
-    dist = forward(wave, cfg, params, mode="eval").distribution
-    if decoder == "expect":
-        return lb.decode_expect(dist, quantizer)
-    if decoder == "max":
-        return lb.decode_max(dist, quantizer)
-    raise ValueError(f"unknown decoder {decoder!r}")
+    frozen = {name: dc.constant(t.values) for name, t in params.items()}
+    out = forward_graph(wave.samples[None, :], cfg, frozen, training=False, compute_reconstruction=False)
+    return out.distribution.values[0]

@@ -95,8 +95,10 @@ def load_run_checkpoint(path):
     """Returns (cfg, quant, params, optimizer_arrays, step).
 
     Raises:
-        CheckpointError: the file is not a checkpoint, or its header lacks
-            valid model, quantizer and step entries.
+        CheckpointError: the file is not a checkpoint, its header lacks
+            valid model, quantizer and step entries, the quantizer's class
+            count differs from the model's, or its arrays do not match the
+            model's parameter names and shapes.
     """
     arrays, header = dc.load_checkpoint(path)
     missing = [key for key in ("model", "quantizer", "step") if key not in header]
@@ -108,14 +110,24 @@ def load_run_checkpoint(path):
         step = int(header["step"])
     except (TypeError, ValueError, AttributeError) as exc:
         raise dc.CheckpointError(f"{path}: invalid run settings in checkpoint header: {exc}") from exc
-    params: dict[str, dc.Tensor] = {}
-    opt_arrays: dict[str, np.ndarray] = {}
-    for name, arr in arrays.items():
-        if name.startswith("opt."):
-            opt_arrays[name] = arr
-        else:
-            trainable = not (".run_mean" in name or ".run_var" in name)
-            params[name] = dc.Tensor(arr, requires_grad=trainable)
+    if quant.n_total != cfg.n_classes:
+        raise dc.CheckpointError(
+            f"{path}: quantizer has {quant.n_total} classes but the model has {cfg.n_classes}"
+        )
+    params = {name: arr for name, arr in arrays.items() if not name.startswith("opt.")}
+    opt_arrays = {name: arr for name, arr in arrays.items() if name.startswith("opt.")}
+    layout = mdl.param_layout(cfg)
+    problems = [f"missing {name}" for name in layout if name not in params]
+    problems += [f"unexpected {name}" for name in params if name not in layout]
+    problems += [
+        f"{name} has shape {arr.shape}, expected {layout[name][0]}"
+        for name, arr in params.items()
+        if name in layout and arr.shape != layout[name][0]
+    ]
+    if problems:
+        shown = "; ".join(problems[:3]) + ("; ..." if len(problems) > 3 else "")
+        raise dc.CheckpointError(f"{path}: arrays do not match the model: {shown}")
+    params = {name: dc.Tensor(arr, requires_grad=not mdl.is_buffer(name)) for name, arr in params.items()}
     return cfg, quant, params, opt_arrays, step
 
 
@@ -139,22 +151,38 @@ def _batch_crops(entries, crop, rng, batch_size):
     return idx, degraded, clean, has_clean
 
 
-def _step_losses(run: RunConfig, params, degraded, clean, has_clean, target_rows, quant, want_recon):
-    tcfg = run.training
+def _objective(run: RunConfig, params, samples, clean, target_rows, training, weights=None):
+    """Forward a (B, L) batch and return (graph output, losses.joint_loss).
+
+    A ``clean`` (B, L) reference turns on the reconstruction branch and its
+    td_mse term; without one the objective is emd2 alone.
+    """
     out = mdl.forward_graph(
-        degraded, run.model, params, training=True, compute_reconstruction=want_recon
+        samples, run.model, params, training=training, compute_reconstruction=clean is not None
     )
-    emd = losses.emd2(out.distribution, dc.constant(target_rows))
-    if want_recon:
+    clean_t = None
+    if clean is not None:
         n_out = out.reconstruction.values.shape[1]
         clean_t = dc.constant(clean[:, :n_out].astype(run.model.np_dtype))
-        recon = losses.td_mse(
-            out.reconstruction, clean_t, weights=has_clean, reduction=tcfg.td_mse_reduction
-        )
-        total = dc.add(dc.scale(recon, tcfg.recon_weight), emd)
-    else:
-        recon = None
-        total = emd
+    terms = losses.joint_loss(
+        out.reconstruction,
+        clean_t,
+        out.distribution,
+        dc.constant(target_rows),
+        run.training.recon_weight,
+        weights=weights,
+        reduction=run.training.td_mse_reduction,
+    )
+    return out, terms
+
+
+def _step_losses(run: RunConfig, params, degraded, clean, has_clean, target_rows, quant, want_recon):
+    tcfg = run.training
+    # With want_recon, a batch without clean rows still runs the mask heads:
+    # its all-zero weights give them exact zero gradients for Adam.
+    out, (total, recon, emd) = _objective(
+        run, params, degraded, clean if want_recon else None, target_rows, training=True, weights=has_clean
+    )
     if tcfg.rank_loss:
         mids = dc.constant(quant.midpoints())
         pred_scores = dc.sum(dc.mul(out.distribution, mids), axis=-1)
@@ -268,46 +296,29 @@ def run_training(
 
 
 def _validation_total(run: RunConfig, params, val_entries, quant) -> float:
-    total = 0.0
+    """Mean joint objective over the validation entries, eval mode, no graph recorded."""
+    frozen = {name: dc.constant(t.values) for name, t in params.items()}
     targets = build_targets(val_entries, quant, run.training.label_kind)
+    total = 0.0
     for entry, row in zip(val_entries, targets):
-        out = mdl.forward_graph(
-            entry.degraded.samples[None, :], run.model, params, training=False,
-            compute_reconstruction=run.training.recon_weight > 0 and entry.clean is not None,
+        use_clean = run.training.recon_weight > 0 and entry.clean is not None
+        clean = entry.clean.samples[None, :] if use_clean else None
+        _out, (loss, _recon, _emd) = _objective(
+            run, frozen, entry.degraded.samples[None, :], clean, row[None, :], training=False
         )
-        loss = losses.emd2(out.distribution, dc.constant(row[None, :]))
-        value = float(loss.values)
-        if out.reconstruction is not None:
-            n_out = out.reconstruction.values.shape[1]
-            clean_t = dc.constant(entry.clean.samples[None, :n_out].astype(run.model.np_dtype))
-            rec = losses.td_mse(out.reconstruction, clean_t, reduction=run.training.td_mse_reduction)
-            value += run.training.recon_weight * float(rec.values)
-        total += value
+        total += float(loss.values)
     return total / len(val_entries)
-
-
-def predict_entries(cfg: ModelConfig, quant: QuantizerConfig, params: dict, entries) -> dict:
-    """Scores for each entry under both decoders."""
-    expect_scores, max_scores, truth = [], [], []
-    for entry in entries:
-        wave = entry.degraded if isinstance(entry, DatasetEntry) else entry
-        dist = mdl.forward(wave, cfg, params, mode="eval").distribution
-        expect_scores.append(lb.decode_expect(dist, quant))
-        max_scores.append(lb.decode_max(dist, quant))
-        if isinstance(entry, DatasetEntry):
-            truth.append(entry.label)
-    return {
-        "expect": np.array(expect_scores),
-        "max": np.array(max_scores),
-        "truth": np.array(truth) if truth else None,
-    }
 
 
 def evaluate_entries(cfg: ModelConfig, quant: QuantizerConfig, params: dict, entries) -> dict:
     """EvalReports keyed by decoder, mirroring the two score readouts."""
-    scores = predict_entries(cfg, quant, params, entries)
-    if scores["truth"] is None:
-        raise ValueError("entries carry no labels to evaluate against")
+    scores = {"expect": [], "max": []}
+    for entry in entries:
+        dist = mdl.forward(entry.degraded, cfg, params)
+        scores["expect"].append(lb.decode_expect(dist, quant))
+        scores["max"].append(lb.decode_max(dist, quant))
+    scores = {name: np.array(values) for name, values in scores.items()}
+    scores["truth"] = np.array([entry.label for entry in entries])
     return {
         "expect": metrics.evaluate_scores(scores["expect"], scores["truth"]),
         "max": metrics.evaluate_scores(scores["max"], scores["truth"]),

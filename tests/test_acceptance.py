@@ -80,15 +80,8 @@ def _primitive_cases(rng):
             lambda mr, mi, yr, yi: dc.complex_mask_apply(mr, mi, yr, yi),
             [rng.standard_normal((b, c, t)) for _ in range(4)],
         ),
-        "log": (lambda x: dc.log(x), [rng.uniform(0.5, 3.0, (c, t))]),
-        "abs_squared": (lambda x: dc.abs_squared(x), [_nudged(rng, (2, c, t))]),
-        "mse_reduction": (
-            lambda x, y: dc.mse_reduction(x, y, reduction="mean"),
-            [rng.standard_normal(t), rng.standard_normal(t)],
-        ),
         "cumsum": (lambda x: dc.cumsum(x), [rng.standard_normal((b, t))]),
         "softplus": (lambda x: dc.softplus(x), [rng.standard_normal(t)]),
-        "clip_floor": (lambda x: dc.clip_floor(x, 0.0), [_nudged(rng, (c, t))]),
         "cast": (lambda x: dc.cast(x, np.float64), [rng.standard_normal(t)]),
         "scale": (lambda x: dc.scale(x, -1.7), [rng.standard_normal(t)]),
         "reshape": (lambda x: dc.reshape(x, (t, c)), [rng.standard_normal((c, t))]),
@@ -131,7 +124,7 @@ def test_gradient_suite():
         n = out.reconstruction.values.shape[1]
         return losses.joint_loss(
             out.reconstruction, dc.constant(clean[None, :n]), out.distribution, dc.constant(target)
-        )
+        )[0]
 
     trainable = [t for t in params.values() if t.requires_grad]
     worst["end_to_end_joint_loss"] = dc.gradient_check(joint_fn, trainable, step=1e-5)

@@ -495,14 +495,57 @@ class TestBadInputs:
             ({"model": {"stft": 1}, "quantizer": {"n_classes": 10}, "step": 0}, "invalid run settings"),
             ({"model": {}, "quantizer": {"n_classes": 0}, "step": 0}, "need at least one class"),
             ({"model": {}, "quantizer": {"n_classes": 10}, "step": "last"}, "invalid literal"),
+            (
+                {"model": {"blocks_per_repeat": 2.0}, "quantizer": {"n_classes": 10}, "step": 0},
+                "blocks_per_repeat must be an integer",
+            ),
+            ({"model": {"repeats": True}, "quantizer": {"n_classes": 10}, "step": 0}, "repeats must be an integer"),
+            (
+                {"model": {"n_classes": 10}, "quantizer": {"n_classes": 9}, "step": 0},
+                "quantizer has 9 classes but the model has 10",
+            ),
+            ({"model": {}, "quantizer": {"n_classes": 100}, "step": 0}, "arrays do not match the model: missing entry.w"),
         ],
-        ids=["no-model", "no-step", "bad-model-value", "unknown-model-key", "bad-stft", "bad-quantizer", "bad-step"],
+        ids=[
+            "no-model",
+            "no-step",
+            "bad-model-value",
+            "unknown-model-key",
+            "bad-stft",
+            "bad-quantizer",
+            "bad-step",
+            "float-model-size",
+            "bool-model-size",
+            "class-count-mismatch",
+            "foreign-arrays",
+        ],
     )
     def test_checkpoint_without_valid_run_settings(self, wav, tmp_path, capsys, header, expected):
         from speechq import diffcore as dc
 
         ckpt = tmp_path / "foreign.ckpt"
         dc.save_checkpoint(ckpt, {"w": np.zeros(3, dtype=np.float32)}, header)
+        self.assert_data_error(["predict", "--checkpoint", ckpt, wav], capsys, expected)
+
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (lambda arrays: arrays.pop("block0.1.dw.kernel"), "missing block0.1.dw.kernel"),
+            (
+                lambda arrays: arrays.update({"quality.w": np.zeros((10, 9), np.float32)}),
+                "quality.w has shape (10, 9), expected (10, 8)",
+            ),
+        ],
+        ids=["missing-array", "wrong-shape"],
+    )
+    def test_checkpoint_arrays_not_matching_model(self, fresh_checkpoint, wav, tmp_path, capsys, edit, expected):
+        from speechq import diffcore as dc
+
+        arrays, header = dc.load_checkpoint(fresh_checkpoint)
+        edit(arrays)
+        ckpt = tmp_path / "edited.ckpt"
+        dc.save_checkpoint(ckpt, arrays, header)
         self.assert_data_error(["predict", "--checkpoint", ckpt, wav], capsys, expected)
 
 

@@ -120,7 +120,7 @@ class TestJointLoss:
         cfg = QuantizerConfig(8)
         x = np.array([0.1, 0.2, -0.1])
         p = one_hot(3, cfg)
-        assert float(losses.joint_loss(x, x, p, p).values) == 0.0
+        assert float(losses.joint_loss(x, x, p, p)[0].values) == 0.0
 
     def test_zero_weight_equals_emd_alone(self):
         cfg = QuantizerConfig(8)
@@ -128,7 +128,7 @@ class TestJointLoss:
         x_hat, x = rng.standard_normal(32), rng.standard_normal(32)
         p_hat = rng.dirichlet(np.ones(8))
         p = one_hot(5, cfg)
-        joint = float(losses.joint_loss(x_hat, x, p_hat, p, recon_weight=0.0).values)
+        joint = float(losses.joint_loss(x_hat, x, p_hat, p, recon_weight=0.0)[0].values)
         assert joint == float(losses.emd2(p_hat, p).values)
 
     def test_weighted_sum(self):
@@ -140,7 +140,7 @@ class TestJointLoss:
         p = one_hot(1, cfg)
         td = float(losses.td_mse(x_hat, x).values)
         em = float(losses.emd2(p_hat, p).values)
-        assert float(losses.joint_loss(x_hat, x, p_hat, p, 1.0).values) == td + em
+        assert float(losses.joint_loss(x_hat, x, p_hat, p, 1.0)[0].values) == td + em
 
 
 class TestRankLoss:
@@ -193,7 +193,7 @@ class TestLossGradients:
         target = dc.constant(np.random.default_rng(9).dirichlet(np.ones(6)))
 
         def fn(a, z):
-            return losses.joint_loss(a, x, dc.softmax(z, axis=-1), target, recon_weight=0.5)
+            return losses.joint_loss(a, x, dc.softmax(z, axis=-1), target, recon_weight=0.5)[0]
 
         assert dc.gradient_check(fn, [x_hat, logits]) < 1e-4
 

@@ -90,25 +90,32 @@ class TestConvBlock:
         assert cfg.receptive_field == 2041
 
 
+def graph(wave, cfg, params):
+    """Eval-mode graph output for one utterance, reconstruction included."""
+    return mdl.forward_graph(wave.samples[None, :], cfg, params)
+
+
 class TestForward:
     def test_shapes_and_distribution(self):
         cfg = tiny_cfg()
         params = mdl.init_params(cfg, seed=5)
-        out = mdl.forward(make_wave(1.0, seed=6), cfg, params)
-        assert out.logits.shape == (10, 61)
-        assert out.pooled.shape == (10,)
-        assert out.distribution.shape == (10,)
-        assert np.all(out.distribution >= 0)
-        assert abs(out.distribution.sum() - 1.0) < 1e-9
-        assert len(out.reconstruction) == 60 * 256 + 512
+        wave = make_wave(1.0, seed=6)
+        out = graph(wave, cfg, params)
+        assert out.logits.values[0].shape == (10, 61)
+        assert out.pooled.values[0].shape == (10,)
+        assert out.reconstruction.values.shape == (1, 60 * 256 + 512)
+        dist = mdl.forward(wave, cfg, params)
+        assert dist.shape == (10,)
+        assert np.all(dist >= 0)
+        assert abs(dist.sum() - 1.0) < 1e-9
 
     def test_distribution_valid_across_inputs(self):
         cfg = tiny_cfg(dtype="float32")
         params = mdl.init_params(cfg, seed=7)
         for seed in range(5):
-            out = mdl.forward(make_wave(0.5, seed=seed), cfg, params)
-            assert np.all(out.distribution >= 0)
-            assert abs(out.distribution.sum() - 1.0) < 1e-9
+            dist = mdl.forward(make_wave(0.5, seed=seed), cfg, params)
+            assert np.all(dist >= 0)
+            assert abs(dist.sum() - 1.0) < 1e-9
 
     def test_identity_mask_reproduces_roundtrip(self):
         from speechq.signal import istft, stft
@@ -121,19 +128,19 @@ class TestForward:
         params["mask_imag.w"].values[...] = 0.0
         params["mask_imag.b"].values[...] = 0.0
         w = make_wave(0.5, seed=9)
-        out = mdl.forward(w, cfg, params)
+        out = graph(w, cfg, params)
         expected = istft(stft(w, cfg.stft), cfg.stft)
-        np.testing.assert_allclose(out.reconstruction.samples, expected.samples, atol=1e-9)
+        np.testing.assert_allclose(out.reconstruction.values[0], expected.samples, atol=1e-9)
 
     def test_eval_forward_bitwise_deterministic(self):
         cfg = tiny_cfg(dtype="float32")
         params = mdl.init_params(cfg, seed=10)
         w = make_wave(0.4, seed=11)
-        a = mdl.forward(w, cfg, params, mode="eval")
-        b = mdl.forward(w, cfg, params, mode="eval")
-        np.testing.assert_array_equal(a.distribution, b.distribution)
-        np.testing.assert_array_equal(a.reconstruction.samples, b.reconstruction.samples)
-        np.testing.assert_array_equal(a.logits, b.logits)
+        np.testing.assert_array_equal(mdl.forward(w, cfg, params), mdl.forward(w, cfg, params))
+        a, b = graph(w, cfg, params), graph(w, cfg, params)
+        np.testing.assert_array_equal(a.distribution.values, b.distribution.values)
+        np.testing.assert_array_equal(a.reconstruction.values, b.reconstruction.values)
+        np.testing.assert_array_equal(a.logits.values, b.logits.values)
 
     def test_too_short_input(self):
         cfg = tiny_cfg()
@@ -148,12 +155,116 @@ class TestForward:
             mdl.forward(Waveform(np.zeros(8000) + 0.01, 8000), cfg, params)
 
 
+class TestScoringForward:
+    """forward is forward_graph's eval-mode distribution, without a graph."""
+
+    @staticmethod
+    def trained_like(cfg, seed):
+        # Random quality head and running statistics, so every layer matters.
+        params = mdl.init_params(cfg, seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        for name, t in params.items():
+            if name.startswith("quality.") or name.endswith(".run_mean"):
+                t.values[...] = rng.standard_normal(t.values.shape) * 0.3
+            elif name.endswith(".run_var"):
+                t.values[...] = rng.uniform(0.5, 2.0, t.values.shape)
+        return params
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("norm", ["batch", "global_layer"])
+    def test_equals_graph_distribution(self, dtype, norm):
+        cfg = tiny_cfg(dtype=dtype, norm=norm)
+        params = self.trained_like(cfg, seed=30)
+        assert all(t.requires_grad for name, t in params.items() if not mdl.is_buffer(name))
+        for n_samples in (512, 768, 1000, 3200, 8123):  # one window and up
+            wave = make_wave(n_samples / 16000, seed=n_samples)
+            expected = graph(wave, cfg, params).distribution.values[0]
+            np.testing.assert_array_equal(mdl.forward(wave, cfg, params), expected)
+
+    def test_records_no_graph_and_leaves_params_alone(self, monkeypatch):
+        cfg = tiny_cfg(dtype="float32")
+        params = self.trained_like(cfg, seed=31)
+        before = {name: t.values.copy() for name, t in params.items()}
+        outputs = []
+        real = mdl.forward_graph
+
+        def spy(*args, **kwargs):
+            outputs.append(real(*args, **kwargs))
+            return outputs[-1]
+
+        monkeypatch.setattr(mdl, "forward_graph", spy)
+        mdl.forward(make_wave(0.5, seed=32), cfg, params)
+        (out,) = outputs
+        assert out.reconstruction is None
+        assert not out.distribution.requires_grad and out.distribution._parents == ()
+        assert all(t.grad is None for t in params.values())
+        for name, t in params.items():
+            np.testing.assert_array_equal(t.values, before[name])
+
+
+class TestParamLayout:
+    @pytest.mark.parametrize("overrides", [{}, {"blocks_per_repeat": 3, "repeats": 2, "kernel_size": 5}])
+    def test_matches_init_params(self, overrides):
+        cfg = tiny_cfg(**overrides)
+        layout = mdl.param_layout(cfg)
+        params = mdl.init_params(cfg, seed=1)
+        assert list(layout) == list(params)
+        for name, (shape, _init) in layout.items():
+            assert params[name].values.shape == shape
+            assert params[name].requires_grad != mdl.is_buffer(name)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_init_draws_unchanged(self, dtype):
+        # In-test copy of the init order before the layout existed: the same
+        # seed must give the same values bit for bit.
+        cfg = tiny_cfg(dtype=dtype, blocks_per_repeat=3, repeats=2)
+        rng = np.random.default_rng(9)
+        dt = cfg.np_dtype
+        f, cb, cc, k = cfg.stft.n_bins, cfg.bottleneck_channels, cfg.conv_channels, cfg.kernel_size
+
+        def uniform(shape, fan_in):
+            bound = 1.0 / np.sqrt(fan_in)
+            return rng.uniform(-bound, bound, size=shape).astype(dt)
+
+        expected = {"entry.w": uniform((cb, f), f), "entry.b": uniform((cb,), f)}
+        for r in range(cfg.repeats):
+            for x in range(cfg.blocks_per_repeat):
+                p = f"block{r}.{x}."
+                expected[p + "pw1.w"] = uniform((cc, cb), cb)
+                expected[p + "pw1.b"] = uniform((cc,), cb)
+                expected[p + "act1.slope"] = np.full(cc, 0.25, dtype=dt)
+                expected[p + "norm1.gamma"] = np.ones(cc, dtype=dt)
+                expected[p + "norm1.beta"] = np.zeros(cc, dtype=dt)
+                expected[p + "norm1.run_mean"] = np.zeros(cc, dtype=dt)
+                expected[p + "norm1.run_var"] = np.ones(cc, dtype=dt)
+                expected[p + "dw.kernel"] = uniform((cc, k), k)
+                expected[p + "dw.b"] = uniform((cc,), k)
+                expected[p + "act2.slope"] = np.full(cc, 0.25, dtype=dt)
+                expected[p + "norm2.gamma"] = np.ones(cc, dtype=dt)
+                expected[p + "norm2.beta"] = np.zeros(cc, dtype=dt)
+                expected[p + "norm2.run_mean"] = np.zeros(cc, dtype=dt)
+                expected[p + "norm2.run_var"] = np.ones(cc, dtype=dt)
+                expected[p + "pw2.w"] = uniform((cb, cc), cc)
+                expected[p + "pw2.b"] = uniform((cb,), cc)
+        for head in ("mask_real", "mask_imag"):
+            expected[head + ".w"] = uniform((f, cb), cb)
+            expected[head + ".b"] = uniform((f,), cb)
+        expected["quality.w"] = np.zeros((cfg.n_classes, cb), dtype=dt)
+        expected["quality.b"] = np.zeros(cfg.n_classes, dtype=dt)
+
+        params = mdl.init_params(cfg, seed=9)
+        assert list(params) == list(expected)
+        for name, values in expected.items():
+            assert params[name].values.dtype == values.dtype
+            np.testing.assert_array_equal(params[name].values, values)
+
+
 class TestPredictQuality:
     def test_fresh_model_scores_center_of_range(self):
         cfg = tiny_cfg()
         params = mdl.init_params(cfg, seed=14)  # zero-initialized quality head
         quant = lb.QuantizerConfig(10)
-        score = mdl.predict_quality(make_wave(0.5, seed=15), cfg, params, quant)
+        score = lb.decode_expect(mdl.forward(make_wave(0.5, seed=15), cfg, params), quant)
         assert score == pytest.approx(2.0, abs=1e-9)
 
     def test_decoder_invariance_to_logit_shift(self):
@@ -164,17 +275,22 @@ class TestPredictQuality:
         params["quality.b"].values[...] = rng.standard_normal(10)
         quant = lb.QuantizerConfig(10)
         w = make_wave(0.5, seed=18)
-        base_e = mdl.predict_quality(w, cfg, params, quant, "expect")
-        base_m = mdl.predict_quality(w, cfg, params, quant, "max")
+        base = mdl.forward(w, cfg, params)
+        base_e, base_m = lb.decode_expect(base, quant), lb.decode_max(base, quant)
         params["quality.b"].values[...] += 7.3  # shifts every pooled logit by 7.3
-        assert mdl.predict_quality(w, cfg, params, quant, "expect") == pytest.approx(base_e, abs=1e-9)
-        assert mdl.predict_quality(w, cfg, params, quant, "max") == pytest.approx(base_m, abs=1e-9)
+        shifted = mdl.forward(w, cfg, params)
+        assert lb.decode_expect(shifted, quant) == pytest.approx(base_e, abs=1e-9)
+        assert lb.decode_max(shifted, quant) == pytest.approx(base_m, abs=1e-9)
 
-    def test_quantizer_model_mismatch(self):
+    def test_quantizer_model_mismatch(self, tmp_path):
+        # The class-count check runs where a model meets its quantizer: on load.
+        from speechq import train as tr
+
         cfg = tiny_cfg()
-        params = mdl.init_params(cfg, seed=19)
-        with pytest.raises(ValueError, match="does not match model classes"):
-            mdl.predict_quality(make_wave(0.5, seed=20), cfg, params, lb.QuantizerConfig(99))
+        ckpt = tmp_path / "mismatch.ckpt"
+        tr.save_run_checkpoint(ckpt, cfg, lb.QuantizerConfig(99), mdl.init_params(cfg, seed=19))
+        with pytest.raises(dc.CheckpointError, match="quantizer has 99 classes but the model has 10"):
+            tr.load_run_checkpoint(ckpt)
 
 
 class TestVariableLength:
@@ -182,9 +298,9 @@ class TestVariableLength:
         cfg = tiny_cfg()
         params = mdl.init_params(cfg, seed=21)
         w = make_wave(512 / 16000, seed=22)  # exactly one window
-        out = mdl.forward(w, cfg, params)
-        assert out.logits.shape[1] == 1
-        assert abs(out.distribution.sum() - 1.0) < 1e-9
+        out = graph(w, cfg, params)
+        assert out.logits.values.shape[2] == 1
+        assert abs(mdl.forward(w, cfg, params).sum() - 1.0) < 1e-9
 
     def test_doubling_periodic_input_only_moves_edge_frames(self):
         cfg = tiny_cfg(blocks_per_repeat=3)  # receptive field 1 + 2*(1+2+4) = 15 frames
@@ -193,21 +309,22 @@ class TestVariableLength:
         chunk = rng.standard_normal(cfg.stft.hop_len) * 0.1
         w1 = Waveform(np.tile(chunk, 60), 16000)
         w2 = Waveform(np.tile(chunk, 120), 16000)
-        out1 = mdl.forward(w1, cfg, params)
-        out2 = mdl.forward(w2, cfg, params)
-        t1, t2 = out1.logits.shape[1], out2.logits.shape[1]
+        out1, out2 = graph(w1, cfg, params), graph(w2, cfg, params)
+        logits1, logits2 = out1.logits.values[0], out2.logits.values[0]
+        pooled1, pooled2 = out1.pooled.values[0], out2.pooled.values[0]
+        t1, t2 = logits1.shape[1], logits2.shape[1]
         margin = cfg.receptive_field // 2
         np.testing.assert_allclose(
-            out1.logits[:, margin : t1 - margin],
-            out2.logits[:, margin : t1 - margin],
+            logits1[:, margin : t1 - margin],
+            logits2[:, margin : t1 - margin],
             atol=1e-10,
         )
         spread = max(
-            np.max(np.abs(out1.logits - out1.pooled[:, None])),
-            np.max(np.abs(out2.logits - out2.pooled[:, None])),
+            np.max(np.abs(logits1 - pooled1[:, None])),
+            np.max(np.abs(logits2 - pooled2[:, None])),
         )
         edge_fraction = 2 * margin / t1 + 2 * margin / t2
-        assert np.max(np.abs(out1.pooled - out2.pooled)) <= edge_fraction * spread + 1e-9
+        assert np.max(np.abs(pooled1 - pooled2)) <= edge_fraction * spread + 1e-9
 
 
 class TestEndToEndGradient:
@@ -229,7 +346,7 @@ class TestEndToEndGradient:
             n = out.reconstruction.values.shape[1]
             return losses.joint_loss(
                 out.reconstruction, dc.constant(clean[None, :n]), out.distribution, dc.constant(target)
-            )
+            )[0]
 
         trainable = [t for t in params.values() if t.requires_grad]
         # Keep the module test quick: check a stratified subset of tensors.
