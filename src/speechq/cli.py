@@ -68,12 +68,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def cmd_simulate(args) -> int:
-    run = RunConfig.from_file(args.config, overrides={"seed": args.seed, "out": args.out})
-    sim = run.simulate
+def _load_run(args) -> RunConfig:
+    """The run configuration of ``--config`` with the ``--seed`` and ``--out`` flags applied."""
+    run = RunConfig.from_file(args.config)
     if args.seed is not None:
-        sim.seed = args.seed
-    out_dir = args.out or run.out_dir
+        run.training.seed = run.simulate.seed = args.seed
+    if args.out is not None:
+        run.out_dir = args.out
+    return run
+
+
+def cmd_simulate(args) -> int:
+    run = _load_run(args)
+    sim = run.simulate
+    out_dir = run.out_dir
     wav_dir = os.path.join(out_dir, "wavs")
     os.makedirs(wav_dir, exist_ok=True)
     rate = run.model.sample_rate
@@ -116,7 +124,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    run = RunConfig.from_file(args.config, overrides={"seed": args.seed, "out": args.out})
+    run = _load_run(args)
     if run.manifest is None:
         raise ConfigError("training requires [data] manifest")
     entries = dt.load_manifest(run.manifest, sample_rate=run.model.sample_rate)
@@ -129,7 +137,6 @@ def cmd_train(args) -> int:
         run,
         entries,
         val_entries=val_entries,
-        out_dir=args.out or run.out_dir,
         resume_from=args.checkpoint,
         log_stream=print,
     )

@@ -2,15 +2,32 @@
 
 A run is described by an INI-style text file with [model], [quantizer],
 [training], [data], [simulate] and [output] sections of key = value
-pairs. Validation is exhaustive and happens before any work starts; an
-invalid configuration never produces partial output.
+pairs. The keys of [model], [quantizer], [training] and [simulate] are
+the init field names of ModelConfig, QuantizerConfig, TrainingConfig and
+SimulateConfig. Each value parses to its field's annotated type (bool
+through configparser's getboolean, float only when finite) and defaults
+to the field's default. The exceptions:
+
+- [quantizer] n_classes defaults to 100;
+- [quantizer] pad defaults from [training] label_kind (0 for one-hot,
+  2 for soft) and must agree with it;
+- [model] n_classes defaults to, and must equal, the quantizer's classes
+  plus padding;
+- [simulate] rir_paths is a comma-separated list;
+- [data] manifest and val_manifest and [output] dir are paths, resolved
+  against the config file's directory.
+
+Validation is exhaustive and happens before any work starts; an invalid
+configuration never produces partial output.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
 from .labels import QuantizerConfig
 from .model import ModelConfig
@@ -51,6 +68,52 @@ class SimulateConfig:
     rir_paths: list = field(default_factory=list)
 
 
+def _field_types(cls) -> dict:
+    # Annotations are strings under `from __future__ import annotations`.
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.init}
+
+
+# Section -> key -> parse type. [data] and [output] hold the RunConfig paths.
+_SECTIONS = {
+    "model": _field_types(ModelConfig),
+    "quantizer": _field_types(QuantizerConfig),
+    "training": _field_types(TrainingConfig),
+    "simulate": _field_types(SimulateConfig),
+    "data": {"manifest": str, "val_manifest": str},
+    "output": {"dir": str},
+}
+
+
+def _parse(parser, section: str, key: str, kind):
+    if kind is bool:
+        return parser.getboolean(section, key)
+    raw = parser.get(section, key)
+    if kind is list:
+        return [p.strip() for p in raw.split(",") if p.strip()]
+    value = kind(raw)
+    if kind is float and not math.isfinite(value):
+        raise ValueError("not finite")
+    return value
+
+
+def _read_section(parser, section: str, types: dict, errors: list) -> dict:
+    """The section's valid values by key; unknown keys and bad values go to ``errors``."""
+    values = {}
+    if not parser.has_section(section):
+        return values
+    for key in parser.options(section):
+        if key not in types:
+            errors.append(f"unknown key {key!r} in section [{section}]")
+            continue
+        try:
+            values[key] = _parse(parser, section, key, types[key])
+        except ValueError:
+            raw = parser.get(section, key)
+            errors.append(f"[{section}] {key} = {raw!r} is not a valid {types[key].__name__}")
+    return values
+
+
 @dataclass
 class RunConfig:
     model: ModelConfig
@@ -62,8 +125,8 @@ class RunConfig:
     out_dir: str = "runs/out"
 
     @classmethod
-    def from_file(cls, path, overrides: dict | None = None) -> "RunConfig":
-        """Parse and validate a config file, applying flag overrides."""
+    def from_file(cls, path) -> "RunConfig":
+        """Parse and validate a config file."""
         path = os.fspath(path)
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
@@ -72,155 +135,47 @@ class RunConfig:
             parser.read(path)
         except configparser.Error as exc:
             raise ConfigError(f"{path}: cannot parse config: {exc}") from exc
-        return cls.from_parser(parser, base=os.path.dirname(os.path.abspath(path)), overrides=overrides)
+        return cls.from_parser(parser, base=os.path.dirname(os.path.abspath(path)))
 
     @classmethod
-    def from_parser(cls, parser, base: str = ".", overrides: dict | None = None) -> "RunConfig":
-        errors: list[str] = []
-        known_sections = {"model", "quantizer", "training", "data", "simulate", "output"}
-        for section in parser.sections():
-            if section not in known_sections:
-                errors.append(f"unknown section [{section}]")
+    def from_parser(cls, parser, base: str = ".") -> "RunConfig":
+        errors = [f"unknown section [{s}]" for s in parser.sections() if s not in _SECTIONS]
+        given = {section: _read_section(parser, section, types, errors) for section, types in _SECTIONS.items()}
 
-        def read(section, key, kind, default):
-            if not parser.has_option(section, key):
-                return default
-            raw = parser.get(section, key)
-            try:
-                if kind is bool:
-                    return parser.getboolean(section, key)
-                return kind(raw)
-            except ValueError:
-                errors.append(f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}")
-                return default
-
-        def check_keys(section, allowed):
-            if parser.has_section(section):
-                for key in parser.options(section):
-                    if key not in allowed:
-                        errors.append(f"unknown key {key!r} in section [{section}]")
-
-        check_keys(
-            "model",
-            {
-                "sample_rate",
-                "bottleneck_channels",
-                "conv_channels",
-                "kernel_size",
-                "blocks_per_repeat",
-                "repeats",
-                "n_classes",
-                "norm",
-                "dtype",
-            },
-        )
-        check_keys("quantizer", {"n_classes", "pad"})
-        check_keys(
-            "training",
-            {
-                "lr",
-                "beta1",
-                "beta2",
-                "batch_size",
-                "crop_seconds",
-                "max_steps",
-                "seed",
-                "recon_weight",
-                "rank_loss",
-                "rank_weight",
-                "label_kind",
-                "td_mse_reduction",
-                "val_every",
-            },
-        )
-        check_keys("data", {"manifest", "val_manifest"})
-        check_keys(
-            "simulate",
-            {"count", "holdout_count", "duration_seconds", "seed", "snr_lo", "snr_hi", "perturb_prob", "rir_paths"},
-        )
-        check_keys("output", {"dir"})
-
-        training = TrainingConfig(
-            lr=read("training", "lr", float, 1e-3),
-            beta1=read("training", "beta1", float, 0.9),
-            beta2=read("training", "beta2", float, 0.999),
-            batch_size=read("training", "batch_size", int, 4),
-            crop_seconds=read("training", "crop_seconds", float, 1.0),
-            max_steps=read("training", "max_steps", int, 1000),
-            seed=read("training", "seed", int, 0),
-            recon_weight=read("training", "recon_weight", float, 1.0),
-            rank_loss=read("training", "rank_loss", bool, False),
-            rank_weight=read("training", "rank_weight", float, 1.0),
-            label_kind=read("training", "label_kind", str, "one-hot"),
-            td_mse_reduction=read("training", "td_mse_reduction", str, "sum"),
-            val_every=read("training", "val_every", int, 0),
-        )
-        if overrides and overrides.get("seed") is not None:
-            training.seed = int(overrides["seed"])
-
-        n_classes = read("quantizer", "n_classes", int, 100)
-        pad_raw = read("quantizer", "pad", int, -1)
+        training = TrainingConfig(**given["training"])
         if training.label_kind not in ("one-hot", "soft"):
             errors.append(f"label_kind must be one-hot or soft, got {training.label_kind!r}")
             training.label_kind = "one-hot"
         expected_pad = 2 if training.label_kind == "soft" else 0
-        pad = expected_pad if pad_raw < 0 else pad_raw
+        pad = given["quantizer"].get("pad", expected_pad)
         if pad != expected_pad:
             errors.append(
                 f"quantizer pad = {pad} is inconsistent with label_kind = {training.label_kind}"
                 f" (expected {expected_pad})"
             )
+        quant_defaults = {"n_classes": 100, "pad": expected_pad}
         try:
-            quantizer = QuantizerConfig(n_classes=n_classes, pad=max(pad, 0))
+            quantizer = QuantizerConfig(**{**quant_defaults, **given["quantizer"]})
         except ValueError as exc:
             errors.append(str(exc))
-            quantizer = QuantizerConfig(n_classes=100, pad=expected_pad)
+            quantizer = QuantizerConfig(**quant_defaults)
 
-        model_classes = read("model", "n_classes", int, quantizer.n_total)
+        model_values = {**given["model"], "n_classes": quantizer.n_total}
+        model_classes = given["model"].get("n_classes", quantizer.n_total)
         if model_classes != quantizer.n_total:
             errors.append(
                 f"model n_classes = {model_classes} must equal quantizer classes + padding"
                 f" = {quantizer.n_total}"
             )
         try:
-            model = ModelConfig(
-                sample_rate=read("model", "sample_rate", int, 16000),
-                bottleneck_channels=read("model", "bottleneck_channels", int, 256),
-                conv_channels=read("model", "conv_channels", int, 512),
-                kernel_size=read("model", "kernel_size", int, 3),
-                blocks_per_repeat=read("model", "blocks_per_repeat", int, 8),
-                repeats=read("model", "repeats", int, 4),
-                n_classes=quantizer.n_total,
-                norm=read("model", "norm", str, "batch"),
-                dtype=read("model", "dtype", str, "float32"),
-            )
+            model = ModelConfig(**model_values)
         except ValueError as exc:
             errors.append(str(exc))
-            model = ModelConfig(n_classes=quantizer.n_total)
+            model = None
 
-        simulate = SimulateConfig(
-            count=read("simulate", "count", int, 20),
-            holdout_count=read("simulate", "holdout_count", int, 0),
-            duration_seconds=read("simulate", "duration_seconds", float, 1.0),
-            seed=read("simulate", "seed", int, 0),
-            snr_lo=read("simulate", "snr_lo", float, -12.0),
-            snr_hi=read("simulate", "snr_hi", float, 30.0),
-            perturb_prob=read("simulate", "perturb_prob", float, 0.0),
-            rir_paths=[
-                p.strip()
-                for p in read("simulate", "rir_paths", str, "").split(",")
-                if p.strip()
-            ],
-        )
-
-        def resolve(p):
-            return p if (p is None or os.path.isabs(p)) else os.path.join(base, p)
-
-        manifest = resolve(read("data", "manifest", str, None))
-        val_manifest = resolve(read("data", "val_manifest", str, None))
-        out_dir = resolve(read("output", "dir", str, "runs/out"))
-        if overrides and overrides.get("out") is not None:
-            out_dir = overrides["out"]
+        simulate = SimulateConfig(**given["simulate"])
+        paths = {**given["data"], "out_dir": given["output"].get("dir", cls.out_dir)}
+        paths = {name: p if os.path.isabs(p) else os.path.join(base, p) for name, p in paths.items()}
 
         for name, value in (
             ("lr", training.lr),
@@ -247,12 +202,4 @@ class RunConfig:
 
         if errors:
             raise ConfigError("invalid configuration:\n" + "\n".join(f"  - {e}" for e in errors))
-        return cls(
-            model=model,
-            quantizer=quantizer,
-            training=training,
-            simulate=simulate,
-            manifest=manifest,
-            val_manifest=val_manifest,
-            out_dir=out_dir,
-        )
+        return cls(model=model, quantizer=quantizer, training=training, simulate=simulate, **paths)

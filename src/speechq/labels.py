@@ -40,6 +40,10 @@ class QuantizerConfig:
     pad: int = 0
 
     def __post_init__(self):
+        for name in ("n_classes", "pad"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_classes < 1:
             raise ValueError("need at least one class")
         if self.pad < 0:

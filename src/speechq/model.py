@@ -11,7 +11,7 @@ applies a softmax to obtain a distribution over score classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,7 +32,7 @@ class ModelConfig:
     n_classes: int = 100  # total classes, padding included
     norm: str = "batch"  # "batch" | "global_layer"
     dtype: str = "float32"
-    stft: sig.StftConfig = field(default=None, repr=False)
+    stft: sig.StftConfig = field(init=False, repr=False, compare=False)  # derived from sample_rate
 
     def __post_init__(self):
         for name in (
@@ -50,10 +50,7 @@ class ModelConfig:
             raise ValueError(f"unknown norm kind {self.norm!r}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
-        if self.stft is None:
-            self.stft = sig.StftConfig.for_sample_rate(self.sample_rate)
-        elif self.stft.sample_rate != self.sample_rate:
-            raise ValueError("stft config sample rate disagrees with model sample rate")
+        self.stft = sig.StftConfig.for_sample_rate(self.sample_rate)
 
     @property
     def np_dtype(self):
@@ -70,21 +67,8 @@ class ModelConfig:
         return 1 + per_block * self.repeats * (2**self.blocks_per_repeat - 1)
 
     def to_dict(self) -> dict:
-        return {
-            "sample_rate": self.sample_rate,
-            "bottleneck_channels": self.bottleneck_channels,
-            "conv_channels": self.conv_channels,
-            "kernel_size": self.kernel_size,
-            "blocks_per_repeat": self.blocks_per_repeat,
-            "repeats": self.repeats,
-            "n_classes": self.n_classes,
-            "norm": self.norm,
-            "dtype": self.dtype,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+        """The constructor arguments; ``ModelConfig(**cfg.to_dict())`` rebuilds ``cfg``."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
 
 @dataclass

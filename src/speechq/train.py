@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -84,7 +84,7 @@ def save_run_checkpoint(
         arrays.update(optimizer.state_arrays())
     header = {
         "model": cfg.to_dict(),
-        "quantizer": {"n_classes": quant.n_classes, "pad": quant.pad},
+        "quantizer": asdict(quant),
         "step": int(step),
         "has_optimizer": optimizer is not None,
     }
@@ -98,14 +98,14 @@ def load_run_checkpoint(path):
         CheckpointError: the file is not a checkpoint, its header lacks
             valid model, quantizer and step entries, the quantizer's class
             count differs from the model's, or its arrays do not match the
-            model's parameter names and shapes.
+            model's parameter names, shapes and dtype.
     """
     arrays, header = dc.load_checkpoint(path)
     missing = [key for key in ("model", "quantizer", "step") if key not in header]
     if missing:
         raise dc.CheckpointError(f"{path}: checkpoint header has no {', '.join(missing)}")
     try:
-        cfg = ModelConfig.from_dict(header["model"])
+        cfg = ModelConfig(**header["model"])
         quant = QuantizerConfig(**header["quantizer"])
         step = int(header["step"])
     except (TypeError, ValueError, AttributeError) as exc:
@@ -123,6 +123,11 @@ def load_run_checkpoint(path):
         f"{name} has shape {arr.shape}, expected {layout[name][0]}"
         for name, arr in params.items()
         if name in layout and arr.shape != layout[name][0]
+    ]
+    problems += [
+        f"{name} has dtype {arr.dtype}, expected {cfg.dtype}"
+        for name, arr in params.items()
+        if arr.dtype != cfg.np_dtype
     ]
     if problems:
         shown = "; ".join(problems[:3]) + ("; ..." if len(problems) > 3 else "")
@@ -223,10 +228,7 @@ def run_training(
 
     if resume_from is not None:
         cfg, ck_quant, params, opt_arrays, start_step = load_run_checkpoint(resume_from)
-        if cfg.to_dict() != run.model.to_dict() or (ck_quant.n_classes, ck_quant.pad) != (
-            quant.n_classes,
-            quant.pad,
-        ):
+        if cfg != run.model or ck_quant != quant:
             raise ValueError("checkpoint configuration does not match the run configuration")
         optimizer = dc.Adam(optimizer_params(params), lr=tcfg.lr, beta1=tcfg.beta1, beta2=tcfg.beta2)
         if opt_arrays:

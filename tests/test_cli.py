@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 
 import numpy as np
 import pytest
@@ -505,6 +506,11 @@ class TestBadInputs:
                 "quantizer has 9 classes but the model has 10",
             ),
             ({"model": {}, "quantizer": {"n_classes": 100}, "step": 0}, "arrays do not match the model: missing entry.w"),
+            (
+                {"model": {"n_classes": 15}, "quantizer": {"n_classes": 10, "pad": 2.5}, "step": 0},
+                "pad must be an integer",
+            ),
+            ({"model": {"n_classes": 1}, "quantizer": {"n_classes": True}, "step": 0}, "n_classes must be an integer"),
         ],
         ids=[
             "no-model",
@@ -518,6 +524,8 @@ class TestBadInputs:
             "bool-model-size",
             "class-count-mismatch",
             "foreign-arrays",
+            "float-quantizer-pad",
+            "bool-quantizer-classes",
         ],
     )
     def test_checkpoint_without_valid_run_settings(self, wav, tmp_path, capsys, header, expected):
@@ -536,8 +544,12 @@ class TestBadInputs:
                 lambda arrays: arrays.update({"quality.w": np.zeros((10, 9), np.float32)}),
                 "quality.w has shape (10, 9), expected (10, 8)",
             ),
+            (
+                lambda arrays: arrays.update({"entry.w": arrays["entry.w"].astype(np.float64)}),
+                "entry.w has dtype float64, expected float32",
+            ),
         ],
-        ids=["missing-array", "wrong-shape"],
+        ids=["missing-array", "wrong-shape", "wrong-dtype"],
     )
     def test_checkpoint_arrays_not_matching_model(self, fresh_checkpoint, wav, tmp_path, capsys, edit, expected):
         from speechq import diffcore as dc
@@ -561,3 +573,30 @@ class TestUsageErrors:
     def test_nonexistent_config(self, tmp_path, capsys):
         assert cli.main(["train", "--config", str(tmp_path / "nope.ini")]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("train", "training", "crop_seconds", "nan"),
+            ("train", "training", "crop_seconds", "inf"),
+            ("train", "training", "recon_weight", "nan"),
+            ("simulate", "simulate", "duration_seconds", "inf"),
+            ("simulate", "simulate", "snr_lo", "nan"),
+        ],
+    )
+    def test_non_finite_float_is_config_error(self, tmp_path, capsys, command, section, key, value):
+        data_dir = simulate_dataset(tmp_path, count=2, seed=19)
+        out = tmp_path / "never_created"
+        text = TINY_MODEL.format(steps=2) + SIMULATE.format(count=2, holdout=0, seed=1, out=out)
+        text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+        config = write_config(tmp_path, text + f"\n[data]\nmanifest = {data_dir / 'manifest.tsv'}\n", name="nf.ini")
+        capsys.readouterr()
+        assert cli.main([command, "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("configuration error") == 1
+        assert [line for line in err.splitlines() if line.startswith("  - ")] == [
+            f"  - [{section}] {key} = '{value}' is not a valid float"
+        ]
+        assert "Traceback" not in err
+        assert not out.exists()
