@@ -15,7 +15,10 @@ to the field's default. The exceptions:
   plus padding;
 - [simulate] rir_paths is a comma-separated list;
 - [data] manifest and val_manifest and [output] dir are paths, resolved
-  against the config file's directory.
+  against the config file's directory;
+- [training] crop_seconds and [simulate] duration_seconds are at most
+  MAX_SECONDS (one hour, ample for utterances of a few seconds), so their
+  sample counts stay representable.
 
 Validation is exhaustive and happens before any work starts; an invalid
 configuration never produces partial output.
@@ -33,6 +36,9 @@ from .labels import QuantizerConfig
 from .model import ModelConfig
 
 __all__ = ["ConfigError", "TrainingConfig", "SimulateConfig", "RunConfig"]
+
+# Upper bound on the seconds-valued keys crop_seconds and duration_seconds.
+MAX_SECONDS = 3600.0
 
 
 class ConfigError(ValueError):
@@ -195,6 +201,12 @@ class RunConfig:
             errors.append("simulate counts must be non-negative")
         if simulate.duration_seconds < 0.2:
             errors.append("simulate duration_seconds must be at least 0.2")
+        for name, value in (
+            ("training crop_seconds", training.crop_seconds),
+            ("simulate duration_seconds", simulate.duration_seconds),
+        ):
+            if value > MAX_SECONDS:
+                errors.append(f"{name} must be at most {MAX_SECONDS:g}, got {value:g}")
         if not (0.0 <= simulate.perturb_prob <= 1.0):
             errors.append("perturb_prob must lie in [0, 1]")
         if simulate.snr_hi < simulate.snr_lo:

@@ -4,7 +4,11 @@ Supplies exactly the operations the quality model needs, each with a
 hand-coded vector-Jacobian product that is verified against central
 finite differences (see :func:`gradient_check`). Tensors wrap numpy
 arrays; the graph is recorded eagerly and walked once by
-:func:`backward`. float64 is the verification precision, float32 the
+:func:`backward`, which frees it as it goes: an op node drops its VJP
+closure, its parents and its gradient as soon as its VJP has run. Only
+leaves (parameters and other tensors no op produced) keep ``grad``, and
+``backward`` runs once per forward; a second call on a released graph
+raises ``ValueError``. float64 is the verification precision, float32 the
 training default; every op preserves the dtype of its inputs.
 
 A computation graph instance is single-threaded. Distinct graphs may run
@@ -41,7 +45,7 @@ class Tensor:
     """A value node in the computation graph.
 
     ``values`` is the forward result, ``grad`` is filled by
-    :func:`backward` for every node with ``requires_grad``.
+    :func:`backward` for every leaf with ``requires_grad``.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_vjp")
@@ -525,8 +529,21 @@ def istft_synthesis(spec_stack, cfg: StftConfig) -> Tensor:
 # backward pass
 
 
+def _released(g):
+    """Stands in for the VJP of an op node that :func:`backward` has consumed."""
+    raise ValueError("backward through a graph that was already released by backward")
+
+
 def backward(loss: Tensor) -> None:
-    """Fill ``grad`` on every reachable tensor with d(loss)/d(tensor)."""
+    """Accumulate d(loss)/d(leaf) into ``grad`` of every reachable leaf.
+
+    The graph is freed as it is walked: each op node drops its VJP, its
+    parents and its gradient once the VJP has run, so only leaves (tensors
+    no op produced, such as parameters) keep ``grad`` and ``values`` are
+    all that is left of an op node. ``backward`` therefore runs once per
+    forward; a second call through a released node raises ``ValueError``
+    before any gradient changes.
+    """
     if loss.values.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.values.shape}")
     if not loss.requires_grad:
@@ -541,19 +558,28 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._vjp is _released:
+            _released(None)  # raises before any gradient changes
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.values)
-    for node in reversed(topo):
-        if node._vjp is None or node.grad is None:
+    # Reverse topological order; popping lets each node go as soon as its
+    # VJP has consumed it.
+    while topo:
+        node = topo.pop()
+        vjp, parents, g = node._vjp, node._parents, node.grad
+        if vjp is None:
             continue
-        for parent, g in zip(node._parents, node._vjp(node.grad)):
-            if g is None or not parent.requires_grad:
+        node._vjp, node._parents, node.grad = _released, (), None
+        if g is None:
+            continue
+        for parent, pg in zip(parents, vjp(g)):
+            if pg is None or not parent.requires_grad:
                 continue
-            parent.grad = g if parent.grad is None else parent.grad + g
+            parent.grad = pg if parent.grad is None else parent.grad + pg
 
 
 def zero_grads(tensors: Iterable[Tensor]) -> None:
@@ -743,11 +769,14 @@ def load_checkpoint(path):
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
-        def read(n: int) -> bytes:
-            # Checked against the file size first, so a corrupt length field
-            # cannot make read() allocate an arbitrarily large buffer.
+        def check_left(n: int) -> None:
+            # Checked against the file size before reading, so a corrupt length
+            # field cannot make a read allocate an arbitrarily large buffer.
             if n > size - fh.tell():
                 raise CheckpointError(f"{path}: truncated checkpoint")
+
+        def read(n: int) -> bytes:
+            check_left(n)
             return fh.read(n)
 
         def unpack(fmt: str):
@@ -784,6 +813,8 @@ def load_checkpoint(path):
                     f"{path}: array {name!r} holds {nbytes} bytes, shape {shape} needs "
                     f"{math.prod(shape) * dtype.itemsize}"
                 )
-            raw = read(nbytes)
-            arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            check_left(nbytes)
+            arr = np.empty(shape, dtype=dtype)
+            fh.readinto(arr)
+            arrays[name] = arr
         return arrays, header

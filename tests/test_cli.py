@@ -1,6 +1,8 @@
 import hashlib
 import os
+import platform
 import re
+import resource
 
 import numpy as np
 import pytest
@@ -147,6 +149,26 @@ class TestTrain:
         log_lines = (run_dir / "train_log.txt").read_text().splitlines()
         assert len(log_lines) == 12
         assert log_lines[0].startswith("step=1 td_mse=")
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator settings are glibc-only")
+    def test_repeated_train_reuses_freed_pages(self, tmp_path, capsys):
+        # The perfbench train-small model: backward frees each step's graph,
+        # and main keeps the freed pages, so a second command faults almost none.
+        data_dir = tmp_path / "data"
+        small = (
+            "[model]\nbottleneck_channels = 32\nconv_channels = 64\nblocks_per_repeat = 4\n"
+            "repeats = 1\nn_classes = 20\n[quantizer]\nn_classes = 20\n"
+            "[training]\nbatch_size = 8\ncrop_seconds = 0.5\nmax_steps = 10\nval_every = 5\n"
+            f"[simulate]\ncount = 16\nduration_seconds = 0.5\n[data]\nmanifest = {data_dir / 'manifest.tsv'}\n"
+        )
+        config = write_config(tmp_path, small)
+        assert cli.main(["simulate", "--config", config, "--out", str(data_dir)]) == 0
+        assert cli.main(["train", "--config", config, "--out", str(tmp_path / "first")]) == 0
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert cli.main(["train", "--config", config, "--out", str(tmp_path / "second")]) == 0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        capsys.readouterr()
+        assert faults < 1000, faults
 
     def test_resume_is_bitwise_identical(self, tmp_path, capsys):
         data_dir = simulate_dataset(tmp_path, count=4, seed=17)

@@ -7,7 +7,7 @@ import os
 import pytest
 
 from speechq import cli
-from speechq.config import ConfigError, RunConfig
+from speechq.config import MAX_SECONDS, ConfigError, RunConfig
 
 DEFAULTS = {
     "model": {
@@ -356,6 +356,38 @@ path = y
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and "max_steps must be positive" in err
+        assert not never.exists()
+
+    @pytest.mark.parametrize("value", ["3600.5", "1e308"])
+    @pytest.mark.parametrize("section, key", [("training", "crop_seconds"), ("simulate", "duration_seconds")])
+    def test_seconds_keys_are_bounded(self, tmp_path, section, key, value):
+        errors = config_errors(tmp_path, TINY.format(seed=1).replace(f"{key} = 0.5", f"{key} = {value}"))
+        assert errors == {f"{section} {key} must be at most 3600, got {float(value):g}"}
+
+    def test_one_hour_is_allowed(self, tmp_path):
+        text = TINY.format(seed=1).replace("crop_seconds = 0.5", "crop_seconds = 3600")
+        run = load(tmp_path, text.replace("duration_seconds = 0.5", "duration_seconds = 3600"))
+        assert run.training.crop_seconds == run.simulate.duration_seconds == MAX_SECONDS == 3600
+
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    @pytest.mark.parametrize("section, key", [("training", "crop_seconds"), ("simulate", "duration_seconds")])
+    def test_huge_seconds_exit_1_and_write_nothing(self, tmp_path, capsys, command, section, key):
+        # A real manifest, so train would otherwise reach the crop-length conversion.
+        data = tmp_path / "data"
+        (tmp_path / "sim.ini").write_text(TINY.format(seed=1) + f"\n[output]\ndir = {data}\n")
+        assert cli.main(["simulate", "--config", str(tmp_path / "sim.ini")]) == 0
+        never = tmp_path / "never_created"
+        text = TINY.format(seed=1).replace(f"{key} = 0.5", f"{key} = 1e308")
+        text += f"\n[data]\nmanifest = {data / 'manifest.tsv'}\n[output]\ndir = {never}\n"
+        path = tmp_path / "huge.ini"
+        path.write_text(text)
+        capsys.readouterr()
+        assert cli.main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("configuration error") == 1
+        assert [line for line in err.splitlines() if line.startswith("  - ")] == [
+            f"  - {section} {key} must be at most 3600, got 1e+308"
+        ]
         assert not never.exists()
 
 

@@ -1,9 +1,12 @@
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
 from speechq import diffcore as dc
+from speechq import losses
+from speechq import model as mdl
 from speechq.signal import StftConfig
 
 
@@ -92,6 +95,93 @@ class TestBackwardExamples:
         loss = dc.add(dc.mul(x, x), dc.scale(x, 3.0))  # x^2 + 3x -> 2x + 3 = 7
         dc.backward(loss)
         assert x.grad == pytest.approx(7.0)
+
+
+def graph_nodes(loss):
+    """Every op node reachable from ``loss``, the loss included."""
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._vjp is None:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
+
+
+def retaining_backward(loss):
+    """In-test copy of the walk before backward freed the graph."""
+    topo, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents if p.requires_grad and id(p) not in seen)
+    loss.grad = np.ones_like(loss.values)
+    for node in reversed(topo):
+        if node._vjp is None or node.grad is None:
+            continue
+        for parent, g in zip(node._parents, node._vjp(node.grad)):
+            if g is not None and parent.requires_grad:
+                parent.grad = g if parent.grad is None else parent.grad + g
+
+
+class TestGraphRelease:
+    """backward frees the graph as it walks it; only leaves keep gradients."""
+
+    CFG = mdl.ModelConfig(bottleneck_channels=8, conv_channels=16, blocks_per_repeat=2, repeats=1, n_classes=10)
+
+    def step(self):
+        """A tiny joint-objective training step up to its loss: (params, graph output, total)."""
+        params = mdl.init_params(self.CFG, seed=1)
+        rng = np.random.default_rng(2)
+        wave = 0.1 * rng.standard_normal((2, 4000))
+        out = mdl.forward_graph(wave, self.CFG, params, training=True)
+        clean = dc.constant((0.5 * wave[:, : out.reconstruction.shape[1]]).astype(np.float32))
+        target = dc.constant(np.eye(10)[[2, 7]])
+        total, _recon, _emd = losses.joint_loss(out.reconstruction, clean, out.distribution, target)
+        return params, out, total
+
+    def test_intermediates_die_with_the_callers_outputs(self):
+        params, out, total = self.step()
+        # Tensor has __slots__ and no weakref slot; its values array stands in.
+        inner = [weakref.ref(node.values) for node in graph_nodes(total) if node is not total]
+        assert len(inner) > 30
+        dc.backward(total)
+        del out
+        assert [ref for ref in inner if ref() is not None] == []
+        assert total._parents == ()
+
+    def test_leaves_keep_bit_identical_gradients(self):
+        params, _out, total = self.step()
+        ref_params, _ref_out, ref_total = self.step()
+        before = float(total.values)
+        dc.backward(total)
+        retaining_backward(ref_total)
+        assert float(total.values) == before == float(ref_total.values)
+        for name, t in params.items():
+            if not t.requires_grad:
+                continue
+            assert t.grad is not None, name
+            np.testing.assert_array_equal(t.grad, ref_params[name].grad, err_msg=name)
+        assert total.grad is None
+
+    def test_second_backward_raises_and_changes_nothing(self):
+        params, out, total = self.step()
+        dc.backward(total)
+        grads = {name: t.grad for name, t in params.items()}
+        with pytest.raises(ValueError, match="already released"):
+            dc.backward(total)
+        # A new loss that reaches into the released graph is refused too.
+        with pytest.raises(ValueError, match="already released"):
+            dc.backward(dc.add(dc.sum(params["quality.b"]), dc.sum(out.distribution)))
+        assert all(t.grad is grads[name] for name, t in params.items())
 
 
 class TestGradientChecks:
