@@ -11,6 +11,24 @@ leaves (parameters and other tensors no op produced) keep ``grad``, and
 raises ``ValueError``. float64 is the verification precision, float32 the
 training default; every op preserves the dtype of its inputs.
 
+Graph edges point at value-free nodes, not at op outputs, and each VJP
+closure keeps only the arrays it reads. Between forward and backward a
+training step therefore keeps resident the parameters, Adam's two
+moments and, per op, only:
+
+- prelu: its input;
+- batch_norm, global_layer_norm: ``xhat`` and ``sigma``;
+- conv1d_pointwise: its input (for the weight gradient);
+- conv1d_depthwise_dilated: its input (for the kernel gradient);
+- mul, softplus: their inputs; softmax: its output;
+- complex_mask_apply: the inputs the other side's gradient reads (the
+  spectrogram, when only the mask needs gradients);
+- add, sub, scale, sum, mean, reshape, cast, cumsum, istft_synthesis:
+  shapes and dtypes only.
+
+An op output that no VJP reads (a PReLU output, the last 1x1 conv of a
+residual block, the mask heads) is freed as soon as the caller drops it.
+
 A computation graph instance is single-threaded. Distinct graphs may run
 on distinct threads.
 """
@@ -42,20 +60,34 @@ __all__ = [
 
 
 class Tensor:
-    """A value node in the computation graph.
+    """A value in the computation graph.
 
     ``values`` is the forward result, ``grad`` is filled by
-    :func:`backward` for every leaf with ``requires_grad``.
+    :func:`backward` for every leaf with ``requires_grad``. An op output
+    that requires gradients records its VJP and its inputs on a
+    :class:`_Node`; ``_vjp`` and ``_parents`` read (and ``_vjp`` writes)
+    that node, and are ``None`` and ``()`` on a leaf.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("values", "grad", "requires_grad", "_node")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents: tuple = ()
-        self._vjp = None
+        self._node = None
+
+    @property
+    def _vjp(self):
+        return None if self._node is None else self._node._vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp):
+        self._node._vjp = vjp
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
 
     @property
     def shape(self):
@@ -76,6 +108,22 @@ class Tensor:
         return f"Tensor(shape={self.values.shape}, dtype={self.values.dtype}, requires_grad={self.requires_grad})"
 
 
+class _Node:
+    """The graph record of one op output, without the output's values.
+
+    ``_parents`` holds, per op input, the input's node, the input itself
+    for a leaf that requires gradients, or ``None``; ``grad`` is the
+    gradient accumulated during :func:`backward`.
+    """
+
+    __slots__ = ("grad", "_vjp", "_parents")
+
+    def __init__(self, vjp: Callable, parents: tuple):
+        self.grad = None
+        self._vjp = vjp
+        self._parents = parents
+
+
 def parameter(values) -> Tensor:
     """A trainable leaf tensor."""
     return Tensor(np.array(values), requires_grad=True)
@@ -90,14 +138,20 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
 
 
+def _graph_ref(t: Tensor):
+    """What the graph records for input ``t``: its node, itself (a leaf) or None."""
+    if not t.requires_grad:
+        return None
+    return t if t._node is None else t._node
+
+
 def _make(values: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
     if not np.all(np.isfinite(values)):
         raise FloatingPointError("op produced non-finite values")
     out = Tensor(values)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._vjp = vjp
+        out._node = _Node(vjp, tuple([_graph_ref(p) for p in parents]))
     return out
 
 
@@ -116,15 +170,21 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
+#
+# Each VJP closure captures only the arrays, shapes and requires_grad flags
+# it reads, never an input Tensor, so an op output that no VJP reads is
+# freed as soon as the caller drops it.
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     v = a.values + b.values
+    a_shape = a.values.shape if a.requires_grad else None
+    b_shape = b.values.shape if b.requires_grad else None
 
     def vjp(g):
-        ga = _unbroadcast(g, a.values.shape) if a.requires_grad else None
-        gb = _unbroadcast(g, b.values.shape) if b.requires_grad else None
+        ga = _unbroadcast(g, a_shape) if a_shape is not None else None
+        gb = _unbroadcast(g, b_shape) if b_shape is not None else None
         return ga, gb
 
     return _make(v, (a, b), vjp)
@@ -133,10 +193,12 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     v = a.values - b.values
+    a_shape = a.values.shape if a.requires_grad else None
+    b_shape = b.values.shape if b.requires_grad else None
 
     def vjp(g):
-        ga = _unbroadcast(g, a.values.shape) if a.requires_grad else None
-        gb = -_unbroadcast(g, b.values.shape) if b.requires_grad else None
+        ga = _unbroadcast(g, a_shape) if a_shape is not None else None
+        gb = -_unbroadcast(g, b_shape) if b_shape is not None else None
         return ga, gb
 
     return _make(v, (a, b), vjp)
@@ -145,10 +207,14 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     v = a.values * b.values
+    a_shape, b_shape = a.values.shape, b.values.shape
+    # Each side's gradient reads the other side's values.
+    saved_b = b.values if a.requires_grad else None
+    saved_a = a.values if b.requires_grad else None
 
     def vjp(g):
-        ga = _unbroadcast(g * b.values, a.values.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.values, b.values.shape) if b.requires_grad else None
+        ga = _unbroadcast(g * saved_b, a_shape) if saved_b is not None else None
+        gb = _unbroadcast(g * saved_a, b_shape) if saved_a is not None else None
         return ga, gb
 
     return _make(v, (a, b), vjp)
@@ -205,12 +271,13 @@ def cumsum(x) -> Tensor:
 def sum(x, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001 - numpy-style name
     x = as_tensor(x)
     v = np.sum(x.values, axis=axis, keepdims=keepdims)
+    shape, dtype = x.values.shape, x.values.dtype
 
     def vjp(g):
         if axis is None:
-            return (np.broadcast_to(g, x.values.shape).astype(x.values.dtype, copy=True),)
+            return (np.broadcast_to(g, shape).astype(dtype, copy=True),)
         g2 = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g2, x.values.shape).astype(x.values.dtype, copy=True),)
+        return (np.broadcast_to(g2, shape).astype(dtype, copy=True),)
 
     return _make(v, (x,), vjp)
 
@@ -218,17 +285,18 @@ def sum(x, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001 - numpy-s
 def mean(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     v = np.mean(x.values, axis=axis, keepdims=keepdims)
+    shape, dtype = x.values.shape, x.values.dtype
     count = x.values.size if axis is None else np.prod(
-        [x.values.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
+        [shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
     )
 
     def vjp(g):
         if axis is None:
-            full = np.broadcast_to(g, x.values.shape)
+            full = np.broadcast_to(g, shape)
         else:
             g2 = g if keepdims else np.expand_dims(g, axis)
-            full = np.broadcast_to(g2, x.values.shape)
-        return ((full / count).astype(x.values.dtype, copy=False),)
+            full = np.broadcast_to(g2, shape)
+        return ((full / count).astype(dtype, copy=False),)
 
     return _make(v, (x,), vjp)
 
@@ -239,10 +307,11 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
 
 def softplus(x) -> Tensor:
     x = as_tensor(x)
-    v = np.logaddexp(0.0, x.values)
+    xv = x.values
+    v = np.logaddexp(0.0, xv)
 
     def vjp(g):
-        sig = 0.5 * (1.0 + np.tanh(0.5 * x.values))
+        sig = 0.5 * (1.0 + np.tanh(0.5 * xv))
         return (g * sig,)
 
     return _make(v, (x,), vjp)
@@ -268,24 +337,26 @@ def prelu(x, slope) -> Tensor:
         raise ValueError(
             f"prelu expects (B, C, T) input and per-channel slope, got {x.values.shape} / {slope.values.shape}"
         )
+    xv, sv = x.values, slope.values
+    x_grad, slope_grad = x.requires_grad, slope.requires_grad
 
     def times_factor(y):
         # The factor is exactly 1 where x > 0 and exactly the slope elsewhere,
         # so the product equals a two-branch select bit for bit, without one.
-        m = (x.values > 0).astype(x.values.dtype)
+        m = (xv > 0).astype(xv.dtype)
         s = 1 - m
-        s *= slope.values[None, :, None]
+        s *= sv[None, :, None]
         s += m
         s *= y
         return s
 
     def vjp(g):
-        gx = times_factor(g) if x.requires_grad else None
+        gx = times_factor(g) if x_grad else None
         # Only x <= 0 contributes to the slope gradient: g * min(x, 0).
-        gs = np.sum(g * np.minimum(x.values, 0), axis=(0, 2)) if slope.requires_grad else None
+        gs = np.sum(g * np.minimum(xv, 0), axis=(0, 2)) if slope_grad else None
         return gx, gs
 
-    return _make(times_factor(x.values), (x, slope), vjp)
+    return _make(times_factor(xv), (x, slope), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +384,13 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple, eps: float):
     sigma = np.sqrt(var + eps)
     xhat /= sigma
     m = math.prod(x.values.shape[a] for a in axes)
+    gv = gamma.values
+    x_grad, gamma_grad, beta_grad = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
     def vjp(g):
-        gg = g * gamma.values[None, :, None]
+        gg = g * gv[None, :, None]
         gx = None
-        if x.requires_grad:
+        if x_grad:
             mean_g = np.sum(gg, axis=axes, keepdims=True) / m
             gx = gg * xhat
             mean_gx = np.sum(gx, axis=axes, keepdims=True) / m
@@ -326,8 +399,8 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple, eps: float):
             gg -= mean_g
             np.subtract(gg, gx, out=gx)
             gx /= sigma
-        ggamma = np.sum(g * xhat, axis=(0, 2)) if gamma.requires_grad else None
-        gbeta = np.sum(g, axis=(0, 2)) if beta.requires_grad else None
+        ggamma = np.sum(g * xhat, axis=(0, 2)) if gamma_grad else None
+        gbeta = np.sum(g, axis=(0, 2)) if beta_grad else None
         return gx, ggamma, gbeta
 
     return mu, var, xhat, vjp
@@ -365,11 +438,13 @@ def batch_norm(
         sigma = np.sqrt(running_var.values + eps)
         xhat = x.values - running_mean.values[None, :, None]
         xhat /= sigma[None, :, None]
+        gv = gamma.values
+        x_grad, gamma_grad, beta_grad = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
         def vjp(g):
-            gx = g * (gamma.values / sigma)[None, :, None] if x.requires_grad else None
-            ggamma = np.sum(g * xhat, axis=(0, 2)) if gamma.requires_grad else None
-            gbeta = np.sum(g, axis=(0, 2)) if beta.requires_grad else None
+            gx = g * (gv / sigma)[None, :, None] if x_grad else None
+            ggamma = np.sum(g * xhat, axis=(0, 2)) if gamma_grad else None
+            gbeta = np.sum(g, axis=(0, 2)) if beta_grad else None
             return gx, ggamma, gbeta
 
     return _affine(x, gamma, beta, xhat, vjp)
@@ -406,11 +481,15 @@ def conv1d_pointwise(x, w, b) -> Tensor:
         raise ValueError("bias must match output channels")
     v = np.matmul(w.values, x.values)
     v += b.values[None, :, None]
+    # The input gradient reads w, the weight gradient reads x.
+    saved_w = w.values if x.requires_grad else None
+    saved_x = x.values if w.requires_grad else None
+    b_grad = b.requires_grad
 
     def vjp(g):
-        gx = np.matmul(w.values.T, g) if x.requires_grad else None
-        gw = np.tensordot(g, x.values, axes=([0, 2], [0, 2])) if w.requires_grad else None
-        gb = np.sum(g, axis=(0, 2)) if b.requires_grad else None
+        gx = np.matmul(saved_w.T, g) if saved_w is not None else None
+        gw = np.tensordot(g, saved_x, axes=([0, 2], [0, 2])) if saved_x is not None else None
+        gb = np.sum(g, axis=(0, 2)) if b_grad else None
         return gx, gw, gb
 
     return _make(v, (x, w, b), vjp)
@@ -440,30 +519,34 @@ def conv1d_depthwise_dilated(x, kernel, bias, dilation: int) -> Tensor:
         lo, hi = max(0, -off), min(t, t - off)
         if lo < hi:
             taps.append((j, off, lo, hi))
-    xv = x.values
+    xv, kv = x.values, kernel.values
     v = np.zeros((batch, c, t), dtype=xv.dtype)
     for j, off, lo, hi in taps:
-        v[:, :, lo:hi] += kernel.values[None, :, j : j + 1] * xv[:, :, lo + off : hi + off]
+        v[:, :, lo:hi] += kv[None, :, j : j + 1] * xv[:, :, lo + off : hi + off]
     v += bias.values[None, :, None]
+    x_dtype = xv.dtype
+    x_grad, bias_grad = x.requires_grad, bias.requires_grad
+    # Only the kernel gradient reads x.
+    saved_x = xv if kernel.requires_grad else None
 
     def vjp(g):
         gx = None
-        if x.requires_grad:
-            gx = np.zeros((batch, c, t), dtype=xv.dtype)
+        if x_grad:
+            gx = np.zeros((batch, c, t), dtype=x_dtype)
             for j, off, lo, hi in taps:
-                gx[:, :, lo + off : hi + off] += kernel.values[None, :, j : j + 1] * g[:, :, lo:hi]
+                gx[:, :, lo + off : hi + off] += kv[None, :, j : j + 1] * g[:, :, lo:hi]
         gk = None
-        if kernel.requires_grad:
+        if saved_x is not None:
             # Each column sums a full-length product that is zero outside
             # [lo, hi): the same reduction order as over a padded input.
-            gk = np.zeros_like(kernel.values)
-            prod = np.empty(g.shape, dtype=np.result_type(g, xv))
+            gk = np.zeros_like(kv)
+            prod = np.empty(g.shape, dtype=np.result_type(g, saved_x))
             for j, off, lo, hi in taps:
-                np.multiply(g[:, :, lo:hi], xv[:, :, lo + off : hi + off], out=prod[:, :, lo:hi])
+                np.multiply(g[:, :, lo:hi], saved_x[:, :, lo + off : hi + off], out=prod[:, :, lo:hi])
                 prod[:, :, :lo] = 0
                 prod[:, :, hi:] = 0
                 gk[:, j] = np.sum(prod, axis=(0, 2))
-        gb = np.sum(g, axis=(0, 2)) if bias.requires_grad else None
+        gb = np.sum(g, axis=(0, 2)) if bias_grad else None
         return gx, gk, gb
 
     return _make(v, (x, kernel, bias), vjp)
@@ -487,13 +570,17 @@ def complex_mask_apply(mask_real, mask_imag, spec_real, spec_imag) -> Tensor:
             raise ValueError("mask/spectrogram shapes must all match")
     out_r = mr.values * yr.values - mi.values * yi.values
     out_i = mr.values * yi.values + mi.values * yr.values
+    mr_grad, mi_grad, yr_grad, yi_grad = (t.requires_grad for t in (mr, mi, yr, yi))
+    # The mask gradients read the spectrogram and the other way round.
+    mrv, miv = (mr.values, mi.values) if yr_grad or yi_grad else (None, None)
+    yrv, yiv = (yr.values, yi.values) if mr_grad or mi_grad else (None, None)
 
     def vjp(g):
         g0, g1 = g[0], g[1]
-        gmr = g0 * yr.values + g1 * yi.values if mr.requires_grad else None
-        gmi = -g0 * yi.values + g1 * yr.values if mi.requires_grad else None
-        gyr = g0 * mr.values + g1 * mi.values if yr.requires_grad else None
-        gyi = -g0 * mi.values + g1 * mr.values if yi.requires_grad else None
+        gmr = g0 * yrv + g1 * yiv if mr_grad else None
+        gmi = -g0 * yiv + g1 * yrv if mi_grad else None
+        gyr = g0 * mrv + g1 * miv if yr_grad else None
+        gyi = -g0 * miv + g1 * mrv if yi_grad else None
         return gmr, gmi, gyr, gyi
 
     return _make(np.stack([out_r, out_i]), (mr, mi, yr, yi), vjp)
@@ -508,8 +595,9 @@ def istft_synthesis(spec_stack, cfg: StftConfig) -> Tensor:
     x = as_tensor(spec_stack)
     if x.values.ndim != 4 or x.values.shape[0] != 2 or x.values.shape[2] != cfg.n_bins:
         raise ValueError(f"expected (2, B, {cfg.n_bins}, T) stack, got {x.values.shape}")
-    n_frames = x.values.shape[3]
-    cdtype = np.complex64 if x.values.dtype == np.float32 else np.complex128
+    shape, dtype = x.values.shape, x.values.dtype
+    n_frames = shape[3]
+    cdtype = np.complex64 if dtype == np.float32 else np.complex128
     spec = (x.values[0] + 1j * x.values[1]).astype(cdtype)
     out = _synthesize(spec, cfg)
 
@@ -517,7 +605,7 @@ def istft_synthesis(spec_stack, cfg: StftConfig) -> Tensor:
         # Filled into a C-ordered array: the reductions downstream sum in
         # memory order, so a transposed layout would change their rounding.
         sg = _synthesize_adjoint(g, n_frames, cfg)
-        grad = np.empty_like(x.values)
+        grad = np.empty(shape, dtype=dtype)
         grad[0] = sg.real
         grad[1] = sg.imag
         return (grad,)
@@ -539,18 +627,20 @@ def backward(loss: Tensor) -> None:
 
     The graph is freed as it is walked: each op node drops its VJP, its
     parents and its gradient once the VJP has run, so only leaves (tensors
-    no op produced, such as parameters) keep ``grad`` and ``values`` are
-    all that is left of an op node. ``backward`` therefore runs once per
-    forward; a second call through a released node raises ``ValueError``
-    before any gradient changes.
+    no op produced, such as parameters) keep ``grad``. ``backward``
+    therefore runs once per forward; a second call through a released node
+    raises ``ValueError`` before any gradient changes.
     """
     if loss.values.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.values.shape}")
     if not loss.requires_grad:
         raise ValueError("loss is not connected to any tensor that requires gradients")
-    topo: list[Tensor] = []
+    # The walk visits op nodes and the leaves they record; a leaf reads as a
+    # node with no VJP and no parents.
+    root = _graph_ref(loss)
+    topo: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[object, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -563,9 +653,9 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+            if p is not None and id(p) not in seen:
                 stack.append((p, False))
-    loss.grad = np.ones_like(loss.values)
+    root.grad = np.ones_like(loss.values)
     # Reverse topological order; popping lets each node go as soon as its
     # VJP has consumed it.
     while topo:
@@ -577,7 +667,7 @@ def backward(loss: Tensor) -> None:
         if g is None:
             continue
         for parent, pg in zip(parents, vjp(g)):
-            if pg is None or not parent.requires_grad:
+            if pg is None or parent is None:
                 continue
             parent.grad = pg if parent.grad is None else parent.grad + pg
 
@@ -725,32 +815,51 @@ _DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
 def save_checkpoint(path, arrays: dict, header: dict) -> None:
-    """Write named float arrays plus a JSON header to a single file."""
+    """Write named float arrays plus a JSON header to a single file.
+
+    The file is written under a temporary name in the target's directory
+    and renamed over ``path`` once complete, so ``path`` holds its old
+    contents or the whole new checkpoint, never a partial one; on an error
+    the temporary file is removed. This protects against a process crash,
+    not against a power loss: nothing is flushed to disk (no fsync).
+    """
     head = dict(header)
     head["format_version"] = _FORMAT_VERSION
     blob = json.dumps(head, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            arr = np.asarray(arr)
-            if arr.dtype == np.float32:
-                code, data = 0, np.ascontiguousarray(arr, dtype="<f4")
-            elif arr.dtype == np.float64:
-                code, data = 1, np.ascontiguousarray(arr, dtype="<f8")
-            else:
-                raise ValueError(f"checkpoint arrays must be float32/float64, got {arr.dtype} for {name!r}")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<BB", code, arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<Q", d))
-            fh.write(struct.pack("<Q", data.nbytes))
-            fh.write(memoryview(data))
+    path = os.fspath(path)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            _write_checkpoint(fh, blob, arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
+def _write_checkpoint(fh, blob: bytes, arrays: dict) -> None:
+    fh.write(_MAGIC)
+    fh.write(struct.pack("<I", _FORMAT_VERSION))
+    fh.write(struct.pack("<Q", len(blob)))
+    fh.write(blob)
+    fh.write(struct.pack("<I", len(arrays)))
+    for name, arr in arrays.items():
+        arr = np.asarray(arr)
+        if arr.dtype == np.float32:
+            code, data = 0, np.ascontiguousarray(arr, dtype="<f4")
+        elif arr.dtype == np.float64:
+            code, data = 1, np.ascontiguousarray(arr, dtype="<f8")
+        else:
+            raise ValueError(f"checkpoint arrays must be float32/float64, got {arr.dtype} for {name!r}")
+        encoded = name.encode("utf-8")
+        fh.write(struct.pack("<H", len(encoded)))
+        fh.write(encoded)
+        fh.write(struct.pack("<BB", code, arr.ndim))
+        for d in arr.shape:
+            fh.write(struct.pack("<Q", d))
+        fh.write(struct.pack("<Q", data.nbytes))
+        fh.write(memoryview(data))
 
 
 class CheckpointError(ValueError):

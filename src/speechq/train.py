@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -98,7 +98,10 @@ def load_run_checkpoint(path):
         CheckpointError: the file is not a checkpoint, its header lacks
             valid model, quantizer and step entries, the quantizer's class
             count differs from the model's, or its arrays do not match the
-            model's parameter names, shapes and dtype.
+            model's parameter names, shapes and dtype. Optimizer state is
+            optional, but each ``opt.m.<p>`` needs its ``opt.v.<p>`` (and the
+            reverse) for a trainable parameter ``p``, with ``p``'s shape
+            and dtype.
     """
     arrays, header = dc.load_checkpoint(path)
     missing = [key for key in ("model", "quantizer", "step") if key not in header]
@@ -114,26 +117,42 @@ def load_run_checkpoint(path):
         raise dc.CheckpointError(
             f"{path}: quantizer has {quant.n_total} classes but the model has {cfg.n_classes}"
         )
-    params = {name: arr for name, arr in arrays.items() if not name.startswith("opt.")}
-    opt_arrays = {name: arr for name, arr in arrays.items() if name.startswith("opt.")}
     layout = mdl.param_layout(cfg)
-    problems = [f"missing {name}" for name in layout if name not in params]
-    problems += [f"unexpected {name}" for name in params if name not in layout]
+    shapes = {name: shape for name, (shape, _init) in layout.items()}
+    moments = {f"opt.{k}.{name}": shape for name, shape in shapes.items() if not mdl.is_buffer(name) for k in "mv"}
+    # Adam's moments are optional, but a parameter has both or neither.
+    paired = [f"opt.{k}.{name[len('opt.m.'):]}" for name in arrays if name in moments for k in "mv"]
+    shapes.update(moments)
+    required = dict.fromkeys([*layout, *paired])
+    problems = [f"missing {name}" for name in required if name not in arrays]
+    problems += [f"unexpected {name}" for name in arrays if name not in shapes]
     problems += [
-        f"{name} has shape {arr.shape}, expected {layout[name][0]}"
-        for name, arr in params.items()
-        if name in layout and arr.shape != layout[name][0]
+        f"{name} has shape {arr.shape}, expected {shapes[name]}"
+        for name, arr in arrays.items()
+        if name in shapes and arr.shape != shapes[name]
     ]
     problems += [
         f"{name} has dtype {arr.dtype}, expected {cfg.dtype}"
-        for name, arr in params.items()
+        for name, arr in arrays.items()
         if arr.dtype != cfg.np_dtype
     ]
     if problems:
         shown = "; ".join(problems[:3]) + ("; ..." if len(problems) > 3 else "")
         raise dc.CheckpointError(f"{path}: arrays do not match the model: {shown}")
-    params = {name: dc.Tensor(arr, requires_grad=not mdl.is_buffer(name)) for name, arr in params.items()}
+    params = {
+        name: dc.Tensor(arr, requires_grad=not mdl.is_buffer(name)) for name, arr in arrays.items() if name in layout
+    }
+    opt_arrays = {name: arr for name, arr in arrays.items() if name not in layout}
     return cfg, quant, params, opt_arrays, step
+
+
+def _config_mismatch(saved, wanted, section: str) -> str | None:
+    """The first compared field where two config dataclasses differ, described."""
+    for f in fields(saved):
+        ours, theirs = getattr(saved, f.name), getattr(wanted, f.name)
+        if f.compare and ours != theirs:
+            return f"[{section}] {f.name} is {ours!r} in the checkpoint but {theirs!r} in the configuration"
+    return None
 
 
 def _batch_crops(entries, crop, rng, batch_size):
@@ -208,7 +227,8 @@ def run_training(
 
     Writes an append-only training log plus `final.ckpt` and `best.ckpt`
     under ``out_dir``. ``resume_from`` continues a checkpointed run; the
-    configuration must match the one stored in the checkpoint.
+    model and quantizer settings must match the ones stored in the
+    checkpoint, or ``CheckpointError`` names the first that differs.
     """
     if not entries:
         raise ValueError("no training entries")
@@ -228,8 +248,11 @@ def run_training(
 
     if resume_from is not None:
         cfg, ck_quant, params, opt_arrays, start_step = load_run_checkpoint(resume_from)
-        if cfg != run.model or ck_quant != quant:
-            raise ValueError("checkpoint configuration does not match the run configuration")
+        mismatch = _config_mismatch(cfg, run.model, "model") or _config_mismatch(ck_quant, quant, "quantizer")
+        if mismatch:
+            raise dc.CheckpointError(
+                f"{resume_from}: checkpoint does not match the run configuration: {mismatch}"
+            )
         optimizer = dc.Adam(optimizer_params(params), lr=tcfg.lr, beta1=tcfg.beta1, beta2=tcfg.beta2)
         if opt_arrays:
             optimizer.load_state(opt_arrays, start_step)

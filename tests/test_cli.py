@@ -583,6 +583,59 @@ class TestBadInputs:
         self.assert_data_error(["predict", "--checkpoint", ckpt, wav], capsys, expected)
 
 
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (lambda arrays: arrays.pop("opt.v.entry.w"), "missing opt.v.entry.w"),
+            (
+                lambda arrays: arrays.update({"opt.m.entry.w": np.zeros((3, 3), np.float32)}),
+                "opt.m.entry.w has shape (3, 3), expected (8, ",
+            ),
+            (
+                lambda arrays: arrays.update({"opt.m.entry.w": arrays["opt.m.entry.w"].astype(np.float64)}),
+                "opt.m.entry.w has dtype float64, expected float32",
+            ),
+            (lambda arrays: arrays.update({"opt.m.bogus": np.zeros(3, np.float32)}), "unexpected opt.m.bogus"),
+        ],
+        ids=["missing-moment", "wrong-shape-moment", "wrong-dtype-moment", "unknown-moment"],
+    )
+    def test_optimizer_state_not_matching_model(
+        self, trained_checkpoint, wav, tmp_path, capsys, command, edit, expected
+    ):
+        from speechq import diffcore as dc
+
+        ckpt, data_dir = trained_checkpoint
+        arrays, header = dc.load_checkpoint(ckpt)
+        edit(arrays)
+        edited = tmp_path / "edited.ckpt"
+        dc.save_checkpoint(edited, arrays, header)
+        if command == "predict":
+            argv = ["predict", "--checkpoint", edited, wav]
+        else:
+            config = write_config(
+                tmp_path,
+                TINY_MODEL.format(steps=10)
+                + f"\n[data]\nmanifest = {data_dir / 'manifest.tsv'}\n[output]\ndir = {tmp_path / 'run'}\n",
+            )
+            argv = ["train", "--config", config, "--checkpoint", edited]
+        self.assert_data_error(argv, capsys, expected)
+        assert not (tmp_path / "run" / "final.ckpt").exists()
+
+    def test_resume_under_another_configuration(self, trained_checkpoint, tmp_path, capsys):
+        ckpt, data_dir = trained_checkpoint
+        config = write_config(
+            tmp_path,
+            TINY_MODEL.format(steps=10).replace("conv_channels = 16", "conv_channels = 32")
+            + f"\n[data]\nmanifest = {data_dir / 'manifest.tsv'}\n[output]\ndir = {tmp_path / 'run'}\n",
+        )
+        self.assert_data_error(
+            ["train", "--config", config, "--checkpoint", ckpt],
+            capsys,
+            "[model] conv_channels is 16 in the checkpoint but 32 in the configuration",
+        )
+
+
 class TestUsageErrors:
     def test_unknown_command_is_config_error(self, capsys):
         assert cli.main(["frobnicate"]) == 1

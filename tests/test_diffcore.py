@@ -1,3 +1,4 @@
+import os
 import struct
 import weakref
 
@@ -97,22 +98,28 @@ class TestBackwardExamples:
         assert x.grad == pytest.approx(7.0)
 
 
-def graph_nodes(loss):
-    """Every op node reachable from ``loss``, the loss included."""
-    nodes, stack, seen = [], [loss], set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen or node._vjp is None:
-            continue
-        seen.add(id(node))
-        nodes.append(node)
-        stack.extend(node._parents)
-    return nodes
+def record_op_outputs(monkeypatch):
+    """Weak references to the values of every op output made from now on.
+
+    Graph nodes hold no values, so the outputs are caught where ``_make``
+    builds them.
+    """
+    refs = []
+    make = dc._make
+
+    def spy(values, parents, vjp):
+        out = make(values, parents, vjp)
+        refs.append(weakref.ref(out.values))
+        return out
+
+    monkeypatch.setattr(dc, "_make", spy)
+    return refs
 
 
 def retaining_backward(loss):
     """In-test copy of the walk before backward freed the graph."""
-    topo, seen, stack = [], set(), [(loss, False)]
+    root = loss._node
+    topo, seen, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -122,13 +129,13 @@ def retaining_backward(loss):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        stack.extend((p, False) for p in node._parents if p.requires_grad and id(p) not in seen)
-    loss.grad = np.ones_like(loss.values)
+        stack.extend((p, False) for p in node._parents if p is not None and id(p) not in seen)
+    root.grad = np.ones_like(loss.values)
     for node in reversed(topo):
         if node._vjp is None or node.grad is None:
             continue
         for parent, g in zip(node._parents, node._vjp(node.grad)):
-            if g is not None and parent.requires_grad:
+            if g is not None and parent is not None:
                 parent.grad = g if parent.grad is None else parent.grad + g
 
 
@@ -148,15 +155,55 @@ class TestGraphRelease:
         total, _recon, _emd = losses.joint_loss(out.reconstruction, clean, out.distribution, target)
         return params, out, total
 
-    def test_intermediates_die_with_the_callers_outputs(self):
+    def test_intermediates_die_with_the_callers_outputs(self, monkeypatch):
+        refs = record_op_outputs(monkeypatch)
         params, out, total = self.step()
         # Tensor has __slots__ and no weakref slot; its values array stands in.
-        inner = [weakref.ref(node.values) for node in graph_nodes(total) if node is not total]
+        inner = [ref for ref in refs if ref() is not total.values]
         assert len(inner) > 30
         dc.backward(total)
         del out
         assert [ref for ref in inner if ref() is not None] == []
         assert total._parents == ()
+
+    def test_outputs_no_vjp_reads_die_before_backward(self, monkeypatch):
+        # The caller holds only the loss and the params. PReLU outputs (the
+        # norms' VJPs read xhat and sigma), pw2 outputs (the residual add reads
+        # shapes) and the mask heads (the spectrogram is constant) are then
+        # gone; pw1 outputs, which the PReLU VJP reads, are not.
+        prelu_refs, pointwise_refs = [], []
+        prelu, pointwise = dc.prelu, dc.conv1d_pointwise
+
+        def prelu_spy(x, slope):
+            out = prelu(x, slope)
+            prelu_refs.append(weakref.ref(out.values))
+            return out
+
+        def pointwise_spy(x, w, b):
+            out = pointwise(x, w, b)
+            pointwise_refs.append((id(w), weakref.ref(out.values)))
+            return out
+
+        monkeypatch.setattr(dc, "prelu", prelu_spy)
+        monkeypatch.setattr(dc, "conv1d_pointwise", pointwise_spy)
+        params, out, total = self.step()
+        del out
+        names = {id(t): name for name, t in params.items()}
+        by_layer = [(names[wid], ref) for wid, ref in pointwise_refs]
+        dead = prelu_refs + [ref for name, ref in by_layer if name.endswith("pw2.w") or name.startswith("mask_")]
+        read = [ref for name, ref in by_layer if name.endswith("pw1.w")]
+        assert (len(dead), len(read)) == (4 + 2 + 2, 2)
+        assert [ref for ref in dead if ref() is not None] == []
+        assert all(ref() is not None for ref in read)
+
+        monkeypatch.undo()
+        ref_params, _ref_out, ref_total = self.step()
+        dc.backward(total)
+        retaining_backward(ref_total)
+        assert all(ref() is None for ref in read)
+        for name, t in params.items():
+            if t.requires_grad:
+                np.testing.assert_array_equal(t.grad, ref_params[name].grad, err_msg=name)
 
     def test_leaves_keep_bit_identical_gradients(self):
         params, _out, total = self.step()
@@ -325,6 +372,17 @@ class TestCheckpoint:
             + np.array([1.5, -2.0], dtype="<f4").tobytes()
         )
         assert path.read_bytes() == expected
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        dc.save_checkpoint(path, {"w": np.ones(3)}, {"step": 1})
+        old = path.read_bytes()
+        # The int32 array is refused after the float arrays before it were written.
+        bad = {"w": np.zeros(4), "b": np.ones(2, np.float32), "ids": np.arange(3, dtype=np.int32)}
+        with pytest.raises(ValueError, match="float32/float64"):
+            dc.save_checkpoint(path, bad, {"step": 2})
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["model.ckpt"]
 
     def test_every_truncation_is_a_checkpoint_error(self, tmp_path):
         path = tmp_path / "full.ckpt"
