@@ -1,5 +1,12 @@
 """Audio I/O and STFT analysis/synthesis.
 
+WAV files are read and written by a small RIFF codec on ``struct`` and
+numpy. It reads little-endian RIFF files whose samples are 16-bit PCM or
+32-bit IEEE float, named either by their own format tag or by the
+subformat GUID of a WAVE_FORMAT_EXTENSIBLE header; RF64, big-endian RIFX
+and every other sample encoding are rejected. It writes mono files of
+either encoding, byte for byte as ``scipy.io.wavfile.write`` does.
+
 The analysis and synthesis transforms share a square-root Hann window at
 50% overlap. That pair satisfies the constant-overlap-add condition
 exactly (sin^2 + cos^2 = 1), so overlap-add resynthesis inverts the
@@ -18,11 +25,11 @@ helpers take any leading batch axes.
 from __future__ import annotations
 
 import os
+import struct
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.io import wavfile
 
 __all__ = [
     "Waveform",
@@ -139,50 +146,159 @@ class StftConfig:
         return (n_frames - 1) * self.hop_len + self.window_len
 
 
+# Format tags of the two sample encodings load_wav reads, the tag that defers
+# to a subformat GUID, and the fixed tail of such a GUID (RFC 2361).
+_WAVE_PCM, _WAVE_FLOAT, _WAVE_EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+_GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+class _UnsupportedWav(ValueError):
+    """A readable WAV file in a container or sample encoding load_wav does not take."""
+
+
+def _read_wav(buf: bytes):
+    """Decode a RIFF/WAVE byte string into (sample rate, samples).
+
+    The chunk walk is scipy.io.wavfile.read's: it stops at the RIFF-declared
+    size, needs ``fmt `` before ``data``, skips other chunks with their pad
+    byte and, in a truncated data chunk, keeps the whole frames. Samples are
+    ``<i2`` or ``<f4``, shaped (frames, channels) for more than one channel.
+
+    Raises:
+        _UnsupportedWav: RIFX/RF64, or samples other than 16-bit PCM and 32-bit float.
+        ValueError: anything malformed.
+    """
+    if buf[:4] in (b"RIFX", b"RF64"):
+        raise _UnsupportedWav(f"{buf[:4].decode()} container")
+    if buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
+        raise ValueError("not a RIFF/WAVE file")
+    end = int.from_bytes(buf[4:8], "little") + 8
+    pos, fmt, data = 12, None, None
+    while pos < end:
+        chunk_id, size_field = buf[pos : pos + 4], buf[pos + 4 : pos + 8]
+        if len(chunk_id) < 4 or (not size_field and chunk_id not in (b"fmt ", b"data")):
+            if data is not None:  # a clipped tail after the samples is ignored
+                break
+            raise ValueError("unexpected end of file")
+        if len(size_field) < 4:
+            raise ValueError(f"truncated {chunk_id!r} chunk header")
+        size = int.from_bytes(size_field, "little")
+        body, used = pos + 8, 0
+        if chunk_id == b"fmt ":
+            fields = buf[body : body + 16]
+            if size < 16 or len(fields) < 16:
+                raise ValueError("fmt chunk shorter than 16 bytes")
+            tag, channels, rate, byte_rate, block_align, bits = struct.unpack("<HHIIHH", fields)
+            used = 16
+            if tag == _WAVE_EXTENSIBLE and size >= 18:
+                ext = buf[body + 16 : body + 40]
+                if len(ext) < 2 or int.from_bytes(ext[:2], "little") < 22:
+                    raise ValueError("WAVE_FORMAT_EXTENSIBLE fmt chunk without a subformat")
+                used = 40
+                if ext[8:24].endswith(_GUID_TAIL):
+                    tag = int.from_bytes(ext[8:12], "little")
+            if tag not in (_WAVE_PCM, _WAVE_FLOAT):
+                raise ValueError(f"unknown wave format tag {tag:#06x}")
+            if tag == _WAVE_PCM and byte_rate != rate * block_align:
+                raise ValueError(
+                    f"nAvgBytesPerSec {byte_rate} is not nSamplesPerSec {rate} * nBlockAlign {block_align}"
+                )
+            fmt = (tag, channels, rate, block_align, bits)
+        elif chunk_id == b"data":
+            if fmt is None:
+                raise ValueError("data chunk before the fmt chunk")
+            tag, channels, rate, block_align, bits = fmt
+            if channels == 0 or block_align < channels:
+                raise ValueError(f"block align {block_align} cannot hold {channels} channels")
+            width = block_align // channels
+            if tag == _WAVE_PCM and width == 2 and (bits == 0 or 8 < bits <= 64):
+                dtype = "<i2"
+            elif tag == _WAVE_FLOAT and width == 4 and bits in (32, 64):
+                dtype = "<f4"
+            else:
+                kind = "PCM" if tag == _WAVE_PCM else "float"
+                raise _UnsupportedWav(f"sample encoding {bits}-bit {kind} in {width}-byte containers")
+            frames = min(size, len(buf) - body) // (width * channels)
+            data = np.frombuffer(buf, dtype, frames * channels, body)
+            if channels > 1:
+                data = data.reshape(frames, channels)
+        # An EXTENSIBLE fmt chunk is read to its end even where the declared
+        # size is shorter, as scipy does, and the walk resumes after it.
+        pos = body + max(size, used) + size % 2
+    if data is None:
+        raise ValueError("no data chunk")
+    return fmt[2], data
+
+
+def _write_wav(path, rate: int, data: np.ndarray) -> None:
+    """Write mono ``<i2`` or ``<f4`` samples as the bytes scipy.io.wavfile.write gives.
+
+    PCM gets a 16-byte ``fmt `` chunk; float gets an 18-byte one (with a zero
+    cbSize) and a ``fact`` chunk holding the sample count.
+    """
+    width = data.dtype.itemsize
+    is_float = data.dtype.kind == "f"
+    fmt = struct.pack("<HHIIHH", _WAVE_FLOAT if is_float else _WAVE_PCM, 1, rate, rate * width, width, 8 * width)
+    fact = b""
+    if is_float:
+        fmt += b"\x00\x00"
+        fact = b"fact" + struct.pack("<II", 4, data.size)
+    head = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + fact + b"data" + struct.pack("<I", data.nbytes)
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", len(head) + data.nbytes) + head)
+        fh.write(data.tobytes())
+
+
 def load_wav(path) -> Waveform:
     """Read a mono RIFF WAV file into a Waveform.
 
-    Accepts 16-bit PCM (rescaled by 1/32768) or 32-bit float samples.
-    Multi-channel files keep the first channel and emit a warning.
+    Accepts little-endian RIFF files holding 16-bit PCM (rescaled by
+    1/32768) or 32-bit IEEE float samples, given either by their own format
+    tag or by a WAVE_FORMAT_EXTENSIBLE subformat. RF64 and big-endian RIFX
+    files, and every other sample encoding, are rejected. Multi-channel
+    files keep the first channel and emit a warning.
 
     Raises:
         FileNotFoundError: the file does not exist.
-        WavFormatError: unreadable header or unsupported sample encoding.
+        WavFormatError: unreadable or malformed file, unsupported container
+            or sample encoding, or samples that do not form a Waveform
+            (non-finite values, a zero sample rate).
     """
     path = os.fspath(path)
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such audio file: {path}")
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # scipy chunk warnings; errors still raise
-            rate, data = wavfile.read(path)
+        with open(path, "rb") as fh:
+            rate, data = _read_wav(fh.read())
     except FileNotFoundError:
         raise
-    except Exception as exc:
+    except _UnsupportedWav as exc:
+        raise WavFormatError(
+            f"{path}: unsupported {exc}; expected 16-bit PCM or 32-bit float in little-endian RIFF"
+        ) from exc
+    except (OSError, ValueError) as exc:
         raise WavFormatError(f"{path}: malformed or unreadable WAV: {exc}") from exc
     if data.ndim == 2:
         warnings.warn(f"{path}: {data.shape[1]} channels, keeping the first", stacklevel=2)
         data = data[:, 0]
     if data.size == 0:
         raise WavFormatError(f"{path}: WAV file contains no samples")
+    samples = data.astype(np.float64)
     if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    else:
-        raise WavFormatError(
-            f"{path}: unsupported sample encoding {data.dtype}; expected 16-bit PCM or 32-bit float"
-        )
-    return Waveform(samples, int(rate))
+        samples /= 32768.0
+    try:
+        return Waveform(samples, rate)
+    except ValueError as exc:
+        raise WavFormatError(f"{path}: {exc}") from exc
 
 
 def save_wav(path, wave: Waveform, encoding: str = "float32") -> None:
     """Write a Waveform as mono RIFF WAV (32-bit float or 16-bit PCM)."""
     if encoding == "float32":
-        wavfile.write(os.fspath(path), wave.sample_rate, wave.samples.astype("<f4"))
+        _write_wav(os.fspath(path), wave.sample_rate, wave.samples.astype("<f4"))
     elif encoding == "pcm16":
         clipped = np.clip(wave.samples, -1.0, 32767.0 / 32768.0)
-        wavfile.write(os.fspath(path), wave.sample_rate, np.round(clipped * 32768.0).astype("<i2"))
+        _write_wav(os.fspath(path), wave.sample_rate, np.round(clipped * 32768.0).astype("<i2"))
     else:
         raise ValueError(f"unknown encoding {encoding!r}")
 

@@ -1,11 +1,18 @@
+import contextlib
 import hashlib
+import io
 import os
 import platform
 import re
 import resource
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speechq import cli
 from speechq import data as dt
@@ -634,6 +641,114 @@ class TestBadInputs:
             capsys,
             "[model] conv_channels is 16 in the checkpoint but 32 in the configuration",
         )
+
+    @pytest.mark.parametrize(
+        "samples, rate, expected",
+        [
+            (np.array([0.1, np.nan]), 16000, "waveform contains non-finite samples"),
+            (np.array([np.inf, 0.1]), 16000, "waveform contains non-finite samples"),
+            (np.zeros(2), 0, "sample rate must be positive"),
+        ],
+        ids=["nan", "inf", "zero-rate"],
+    )
+    def test_wav_that_is_no_waveform(self, fresh_checkpoint, tmp_path, capsys, samples, rate, expected):
+        from scipy.io import wavfile
+
+        path = tmp_path / "odd.wav"
+        wavfile.write(path, rate, np.tile(samples, 400).astype(np.float32))
+        self.assert_data_error(["predict", "--checkpoint", fresh_checkpoint, path], capsys, f"{path}: {expected}")
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A fresh tiny checkpoint and one 0.1 s WAV per encoding for the header fuzz."""
+    from speechq.labels import QuantizerConfig
+    from speechq.model import ModelConfig, init_params
+    from speechq.signal import Waveform, save_wav
+
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    cfg = ModelConfig(bottleneck_channels=8, conv_channels=16, blocks_per_repeat=2, repeats=1, n_classes=10)
+    ckpt = tmp_path / "fresh.ckpt"
+    tr.save_run_checkpoint(ckpt, cfg, QuantizerConfig(10), init_params(cfg, seed=2))
+    wave = Waveform(0.3 * np.sin(np.arange(1600) * 0.05), 16000)
+    bases = []
+    for encoding in ("float32", "pcm16"):
+        save_wav(tmp_path / "base.wav", wave, encoding=encoding)
+        bases.append((tmp_path / "base.wav").read_bytes())
+    return ckpt, bases, tmp_path / "fuzz.wav"
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_predict_on_mutated_wav_headers(fuzz_inputs, data):
+    """A damaged header scores the file (exit 0) or ends in one data error line (exit 2)."""
+    ckpt, bases, path = fuzz_inputs
+    blob = bytearray(data.draw(st.sampled_from(bases)))
+    for _ in range(data.draw(st.integers(1, 4))):
+        blob[data.draw(st.integers(0, 59))] = data.draw(st.integers(0, 255))
+    path.write_bytes(blob[: data.draw(st.integers(0, len(blob)))] if data.draw(st.booleans()) else blob)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli.main(["predict", "--checkpoint", str(ckpt), str(path)])
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == "" and len(out.getvalue().splitlines()) == 1
+    else:
+        assert code == 2
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("data error: ")
+
+
+# Runs in a fresh interpreter where every scipy import fails.
+SCIPY_BLOCKED_PIPELINE = """
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"import of {name} is blocked")
+        return None
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+
+sys.meta_path.insert(0, BlockScipy())
+import speechq.cli as cli
+
+print("after import", scipy_modules())
+config, out = sys.argv[1:]
+ckpt, data = out + "/run/final.ckpt", out + "/data"
+codes = [
+    cli.main(["simulate", "--config", config, "--out", data]),
+    cli.main(["train", "--config", config, "--out", out + "/run"]),
+    cli.main(["predict", "--checkpoint", ckpt, data + "/wavs/entry_00000_degraded.wav"]),
+    cli.main(["eval", "--checkpoint", ckpt, "--manifest", data + "/manifest.tsv"]),
+]
+print("exit codes", codes)
+print("at exit", scipy_modules())
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    config = write_config(
+        tmp_path,
+        TINY_MODEL.format(steps=2)
+        + SIMULATE.format(count=4, holdout=0, seed=3, out=tmp_path / "data")
+        + f"\n[data]\nmanifest = {tmp_path / 'data' / 'manifest.tsv'}\n",
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_BLOCKED_PIPELINE, config, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "after import []" in proc.stdout
+    assert "exit codes [0, 0, 0, 0]" in proc.stdout, proc.stdout + proc.stderr
+    assert "at exit []" in proc.stdout
 
 
 class TestUsageErrors:

@@ -1,12 +1,64 @@
+import struct
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from speechq import signal as sig
 
+# scipy.io.wavfile is the oracle for the package's own RIFF codec.
+
+GUID_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
 
 def write_pcm16(path, samples, rate=16000):
     wavfile.write(path, rate, np.asarray(samples, dtype=np.int16))
+
+
+def riff(*chunks):
+    """A RIFF/WAVE file from (chunk id, payload) pairs, odd payloads padded."""
+    body = b"WAVE" + b"".join(cid + struct.pack("<I", len(p)) + p + b"\x00" * (len(p) % 2) for cid, p in chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def fmt_chunk(tag, channels, rate, bits, extensible=False):
+    """A ``fmt `` chunk; ``extensible`` names ``tag`` by a WAVE_FORMAT_EXTENSIBLE subformat GUID."""
+    align = channels * bits // 8
+    payload = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels, rate, rate * align, align, bits)
+    if extensible:
+        payload += struct.pack("<HHI", 22, bits, 0) + struct.pack("<I", tag) + GUID_TAIL
+    return b"fmt ", payload
+
+
+def scipy_load(path):
+    """What load_wav returned when it decoded through scipy: (rate, samples), or None for a rejected file."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rate, data = wavfile.read(path)
+    except Exception:
+        return None
+    if data.ndim == 2:
+        data = data[:, 0]
+    if data.size == 0 or data.dtype not in (np.int16, np.float32) or rate == 0:
+        return None
+    samples = data.astype(np.float64) / (32768.0 if data.dtype == np.int16 else 1.0)
+    if not np.all(np.isfinite(samples)):
+        return None
+    return rate, samples
+
+
+def assert_decodes_like_scipy(path):
+    expected = scipy_load(path)
+    assert expected is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        w = sig.load_wav(path)
+    assert w.sample_rate == expected[0]
+    np.testing.assert_array_equal(w.samples, expected[1])
 
 
 @pytest.fixture
@@ -67,6 +119,186 @@ class TestLoadWav:
         sig.save_wav(path, w)
         back = sig.load_wav(path)
         np.testing.assert_allclose(back.samples, w.samples, atol=1e-7)
+
+
+class TestWavCodecAgainstScipy:
+    @pytest.mark.parametrize("n, rate", [(1, 8000), (7, 16000), (1600, 16000), (4001, 44100)])
+    @pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+    def test_save_writes_scipy_bytes(self, tmp_path, encoding, n, rate):
+        ints = np.random.default_rng(n).integers(-32768, 32768, n).astype(np.int16)
+        w = sig.Waveform(ints / 32768.0, rate)
+        sig.save_wav(tmp_path / "ours.wav", w, encoding=encoding)
+        oracle = ints if encoding == "pcm16" else w.samples.astype(np.float32)
+        wavfile.write(tmp_path / "scipy.wav", rate, oracle)
+        assert (tmp_path / "ours.wav").read_bytes() == (tmp_path / "scipy.wav").read_bytes()
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.int16, np.float32])
+    def test_load_matches_scipy(self, tmp_path, dtype, channels):
+        rng = np.random.default_rng(channels)
+        data = rng.integers(-32768, 32768, (300, channels)) if dtype == np.int16 else rng.uniform(-1, 1, (300, channels))
+        data = data.astype(dtype)
+        path = tmp_path / "x.wav"
+        wavfile.write(path, 22050, data[:, 0] if channels == 1 else data)
+        assert_decodes_like_scipy(path)
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("tag, dtype", [(1, "<i2"), (3, "<f4")])
+    def test_extensible_matches_scipy(self, tmp_path, tag, dtype, channels):
+        values = np.arange(200 * channels) - 100
+        samples = (values if tag == 1 else values / 128).astype(dtype)
+        path = tmp_path / "ext.wav"
+        bits = 8 * np.dtype(dtype).itemsize
+        path.write_bytes(riff(fmt_chunk(tag, channels, 16000, bits, extensible=True), (b"data", samples.tobytes())))
+        assert_decodes_like_scipy(path)
+
+    def test_odd_list_chunks_are_skipped_like_scipy(self, tmp_path):
+        samples = np.arange(-50, 50, dtype="<i2")
+        path = tmp_path / "list.wav"
+        path.write_bytes(
+            riff((b"LIST", b"INFOodd"), fmt_chunk(1, 1, 16000, 16), (b"JUNK", b"x"), (b"data", samples.tobytes()))
+        )
+        assert_decodes_like_scipy(path)
+        np.testing.assert_array_equal(sig.load_wav(path).samples, samples / 32768.0)
+
+    @pytest.mark.parametrize("cut", [1, 2, 3, 199, 398])
+    def test_truncated_data_chunk_matches_scipy(self, tmp_path, cut):
+        full = tmp_path / "full.wav"
+        write_pcm16(full, np.arange(-100, 100))
+        path = tmp_path / "cut.wav"
+        path.write_bytes(full.read_bytes()[:-cut])
+        assert_decodes_like_scipy(path)
+
+    @pytest.mark.parametrize("tail", [b"", b"LI"], ids=["eof", "clipped-chunk-id"])
+    def test_riff_size_past_the_end_is_read_like_scipy(self, tmp_path, tail):
+        # Streaming writers leave the RIFF size at its maximum.
+        blob = riff(fmt_chunk(1, 1, 16000, 16), (b"data", np.arange(50, dtype="<i2").tobytes())) + tail
+        path = tmp_path / "stream.wav"
+        path.write_bytes(blob[:4] + b"\xff\xff\xff\xff" + blob[8:])
+        assert_decodes_like_scipy(path)
+
+    def test_chunks_past_the_riff_size_are_ignored(self, tmp_path):
+        first = np.arange(50, dtype="<i2")
+        path = tmp_path / "trailing.wav"
+        path.write_bytes(riff(fmt_chunk(1, 1, 16000, 16), (b"data", first.tobytes())) + b"data\x04\x00\x00\x00\x01\x00\x02\x00")
+        assert_decodes_like_scipy(path)
+        np.testing.assert_array_equal(sig.load_wav(path).samples, first / 32768.0)
+
+    def test_truncated_stereo_keeps_whole_frames(self, tmp_path):
+        full = tmp_path / "full.wav"
+        wavfile.write(full, 16000, np.arange(400, dtype=np.float32).reshape(200, 2))
+        whole, partial = tmp_path / "whole.wav", tmp_path / "partial.wav"
+        whole.write_bytes(full.read_bytes()[:-80])  # drops 10 frames
+        partial.write_bytes(full.read_bytes()[:-84])  # and half of one more
+        assert_decodes_like_scipy(whole)
+        with pytest.warns(UserWarning, match="channels"):
+            w = sig.load_wav(partial)
+        np.testing.assert_array_equal(w.samples, np.arange(0, 378, 2))
+
+    @pytest.mark.parametrize("magic", [b"RIFX", b"RF64"])
+    def test_rifx_and_rf64_are_unsupported(self, tmp_path, magic):
+        full = tmp_path / "full.wav"
+        write_pcm16(full, np.zeros(100))
+        path = tmp_path / "other.wav"
+        path.write_bytes(magic + full.read_bytes()[4:])
+        with pytest.raises(sig.WavFormatError, match=f"unsupported {magic.decode()} container"):
+            sig.load_wav(path)
+
+    @pytest.mark.parametrize(
+        "chunks, expected",
+        [
+            ([fmt_chunk(6, 1, 8000, 8), (b"data", b"\x00" * 8)], "unknown wave format tag 0x0006"),
+            ([(b"fmt ", struct.pack("<HHIIHH", 1, 1, 16000, 1, 2, 16)), (b"data", b"\x00" * 8)], "nAvgBytesPerSec"),
+            ([(b"data", b"\x00" * 8), fmt_chunk(1, 1, 16000, 16)], "data chunk before the fmt chunk"),
+            ([fmt_chunk(1, 1, 16000, 16)], "no data chunk"),
+            ([(b"fmt ", b"\x01\x00" * 6), (b"data", b"\x00" * 8)], "fmt chunk shorter than 16 bytes"),
+            ([fmt_chunk(1, 0, 16000, 16), (b"data", b"\x00" * 8)], "cannot hold 0 channels"),
+        ],
+        ids=["a-law", "byte-rate", "data-first", "no-data", "short-fmt", "no-channels"],
+    )
+    def test_malformed_headers(self, tmp_path, chunks, expected):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(riff(*chunks))
+        assert scipy_load(path) is None
+        with pytest.raises(sig.WavFormatError, match="malformed") as info:
+            sig.load_wav(path)
+        assert expected in str(info.value)
+
+    @pytest.mark.parametrize(
+        "fmt, expected",
+        [
+            (fmt_chunk(1, 1, 16000, 8), "8-bit PCM in 1-byte"),
+            ((b"fmt ", struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 8)), "8-bit PCM in 2-byte"),
+            (fmt_chunk(1, 1, 16000, 24), "24-bit PCM in 3-byte"),
+            (fmt_chunk(1, 1, 16000, 32), "32-bit PCM in 4-byte"),
+            (fmt_chunk(3, 1, 16000, 64), "64-bit float in 8-byte"),
+        ],
+    )
+    def test_other_encodings_are_unsupported(self, tmp_path, fmt, expected):
+        path = tmp_path / "enc.wav"
+        path.write_bytes(riff(fmt, (b"data", b"\x00" * 24)))
+        assert scipy_load(path) is None
+        with pytest.raises(sig.WavFormatError, match=f"unsupported sample encoding {expected}"):
+            sig.load_wav(path)
+
+    @pytest.mark.parametrize(
+        "chunks, expected",
+        [
+            ([fmt_chunk(3, 1, 16000, 32), (b"data", np.array([0.5, np.nan], "<f4").tobytes())], "non-finite"),
+            ([fmt_chunk(3, 1, 16000, 32), (b"data", np.array([0.5, -np.inf], "<f4").tobytes())], "non-finite"),
+            ([(b"fmt ", struct.pack("<HHIIHH", 1, 1, 0, 0, 2, 16)), (b"data", b"\x00" * 8)], "sample rate"),
+        ],
+        ids=["nan", "inf", "zero-rate"],
+    )
+    def test_samples_that_are_no_waveform_name_the_file(self, tmp_path, chunks, expected):
+        path = tmp_path / "odd.wav"
+        path.write_bytes(riff(*chunks))
+        with pytest.raises(sig.WavFormatError, match=expected) as info:
+            sig.load_wav(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+
+def _fuzz_bases():
+    rng = np.random.default_rng(0)
+    pcm = rng.integers(-3000, 3000, 40).astype("<i2")
+    stereo = rng.uniform(-0.5, 0.5, (20, 2)).astype("<f4")
+    return [
+        riff(fmt_chunk(1, 1, 16000, 16), (b"data", pcm.tobytes())),
+        riff(fmt_chunk(3, 2, 8000, 32), (b"fact", struct.pack("<I", 20)), (b"data", stereo.tobytes())),
+        riff(fmt_chunk(1, 1, 16000, 16, extensible=True), (b"LIST", b"INFOabc"), (b"data", pcm.tobytes())),
+        riff(fmt_chunk(3, 1, 16000, 32, extensible=True), (b"data", stereo.tobytes())),
+    ]
+
+
+FUZZ_BASES = _fuzz_bases()
+
+
+@st.composite
+def mutated_wavs(draw):
+    """A base file with a few header bytes overwritten and possibly truncated."""
+    blob = bytearray(draw(st.sampled_from(FUZZ_BASES)))
+    for _ in range(draw(st.integers(0, 4))):
+        blob[draw(st.integers(0, 79))] = draw(st.integers(0, 255))
+    return bytes(blob[: draw(st.integers(0, len(blob)))]) if draw(st.booleans()) else bytes(blob)
+
+
+class TestWavFuzz:
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(blob=mutated_wavs())
+    def test_load_returns_a_waveform_or_raises_wav_format_error(self, tmp_path_factory, blob):
+        path = tmp_path_factory.getbasetemp() / "fuzz.wav"
+        path.write_bytes(blob)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                w = sig.load_wav(path)
+        except sig.WavFormatError:
+            return
+        assert isinstance(w, sig.Waveform)
+        expected = scipy_load(path)
+        if expected is not None:  # both decoded: the same samples
+            assert w.sample_rate == expected[0]
+            np.testing.assert_array_equal(w.samples, expected[1])
 
 
 class TestWaveform:
