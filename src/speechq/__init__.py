@@ -18,7 +18,7 @@ from .data import (
     synth_noise,
 )
 from .labels import QuantizerConfig, decode_expect, decode_max, one_hot, quantize, soft_label
-from .losses import emd2, joint_loss, rank_loss, td_mse
+from .losses import emd2, joint_loss, td_mse
 from .metrics import EvalReport, evaluate_scores, lcc, mse_metric, srcc
 from .model import ModelConfig, forward, forward_graph, init_params
 from .signal import StftConfig, Waveform, WavFormatError, istft, load_wav, lps, save_wav, stft
@@ -54,7 +54,6 @@ __all__ = [
     "perturb_spectrogram",
     "proxy_label",
     "quantize",
-    "rank_loss",
     "save_wav",
     "soft_label",
     "srcc",

@@ -1,7 +1,8 @@
 """Command-line entry point: simulate, train, predict, eval.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data error,
-3 numerical failure.
+3 numerical failure. A Python warning raised while a command runs is
+printed as one ``warning: <message>`` line on stderr.
 
 ``main`` owns the process, so it also tunes the C allocator through
 glibc's ``mallopt``: blocks up to 32 MiB come from the heap instead of
@@ -17,6 +18,7 @@ import argparse
 import ctypes
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -208,27 +210,33 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     _keep_freed_pages()
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        handler = {
-            "simulate": cmd_simulate,
-            "train": cmd_train,
-            "predict": cmd_predict,
-            "eval": cmd_eval,
-        }[args.command]
-        return handler(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ManifestError, WavFormatError, CheckpointError, FileNotFoundError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (NumericalDivergence, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            args = parser.parse_args(argv)
+            handler = {
+                "simulate": cmd_simulate,
+                "train": cmd_train,
+                "predict": cmd_predict,
+                "eval": cmd_eval,
+            }[args.command]
+            return handler(args)
+        except ConfigError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except (ManifestError, WavFormatError, CheckpointError, FileNotFoundError) as exc:
+            print(f"data error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except (NumericalDivergence, FloatingPointError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -4,9 +4,8 @@ A run is described by an INI-style text file with [model], [quantizer],
 [training], [data], [simulate] and [output] sections of key = value
 pairs. The keys of [model], [quantizer], [training] and [simulate] are
 the init field names of ModelConfig, QuantizerConfig, TrainingConfig and
-SimulateConfig. Each value parses to its field's annotated type (bool
-through configparser's getboolean, float only when finite) and defaults
-to the field's default. The exceptions:
+SimulateConfig. Each value parses to its field's annotated type (float
+only when finite) and defaults to the field's default. The exceptions:
 
 - [quantizer] n_classes defaults to 100;
 - [quantizer] pad defaults from [training] label_kind (0 for one-hot,
@@ -18,7 +17,10 @@ to the field's default. The exceptions:
   against the config file's directory;
 - [training] crop_seconds and [simulate] duration_seconds are at most
   MAX_SECONDS (one hour, ample for utterances of a few seconds), so their
-  sample counts stay representable.
+  sample counts stay representable;
+- [simulate] snr_lo and snr_hi lie in [-MAX_SNR_DB, MAX_SNR_DB] (300 dB,
+  far past any audible difference), so the noise gain stays finite and
+  nonzero.
 
 Validation is exhaustive and happens before any work starts; an invalid
 configuration never produces partial output.
@@ -39,6 +41,8 @@ __all__ = ["ConfigError", "TrainingConfig", "SimulateConfig", "RunConfig"]
 
 # Upper bound on the seconds-valued keys crop_seconds and duration_seconds.
 MAX_SECONDS = 3600.0
+# Bound on the magnitude of the SNR keys snr_lo and snr_hi.
+MAX_SNR_DB = 300.0
 
 
 class ConfigError(ValueError):
@@ -55,8 +59,6 @@ class TrainingConfig:
     max_steps: int = 1000
     seed: int = 0
     recon_weight: float = 1.0  # weight on the reconstruction term; 0 trains quality only
-    rank_loss: bool = False
-    rank_weight: float = 1.0
     label_kind: str = "one-hot"  # "one-hot" | "soft"
     td_mse_reduction: str = "sum"  # "sum" (plain squared norm) | "mean" (length-normalized)
     val_every: int = 0  # 0: validate only at the end
@@ -92,8 +94,6 @@ _SECTIONS = {
 
 
 def _parse(parser, section: str, key: str, kind):
-    if kind is bool:
-        return parser.getboolean(section, key)
     raw = parser.get(section, key)
     if kind is list:
         return [p.strip() for p in raw.split(",") if p.strip()]
@@ -209,6 +209,10 @@ class RunConfig:
                 errors.append(f"{name} must be at most {MAX_SECONDS:g}, got {value:g}")
         if not (0.0 <= simulate.perturb_prob <= 1.0):
             errors.append("perturb_prob must lie in [0, 1]")
+        for name in ("snr_lo", "snr_hi"):
+            value = getattr(simulate, name)
+            if abs(value) > MAX_SNR_DB:
+                errors.append(f"simulate {name} must lie in [-{MAX_SNR_DB:g}, {MAX_SNR_DB:g}] dB, got {value:g}")
         if simulate.snr_hi < simulate.snr_lo:
             errors.append("snr_hi must be >= snr_lo")
 

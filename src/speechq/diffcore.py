@@ -17,13 +17,13 @@ training step therefore keeps resident the parameters, Adam's two
 moments and, per op, only:
 
 - prelu: its input;
-- batch_norm, global_layer_norm: ``xhat`` and ``sigma``;
+- batch_norm: ``xhat`` and ``sigma``;
 - conv1d_pointwise: its input (for the weight gradient);
 - conv1d_depthwise_dilated: its input (for the kernel gradient);
-- mul, softplus: their inputs; softmax: its output;
+- mul: its inputs; softmax: its output;
 - complex_mask_apply: the inputs the other side's gradient reads (the
   spectrogram, when only the mask needs gradients);
-- add, sub, scale, sum, mean, reshape, cast, cumsum, istft_synthesis:
+- add, sub, scale, sum, mean, cast, cumsum, istft_synthesis:
   shapes and dtypes only.
 
 An op output that no VJP reads (a PReLU output, the last 1x1 conv of a
@@ -235,16 +235,6 @@ def scale(x, c: float) -> Tensor:
 # shape and reduction ops
 
 
-def reshape(x, shape) -> Tensor:
-    x = as_tensor(x)
-    old = x.values.shape
-
-    def vjp(g):
-        return (g.reshape(old),)
-
-    return _make(x.values.reshape(shape), (x,), vjp)
-
-
 def cast(x, dtype) -> Tensor:
     """Change precision; the gradient is cast back to the input dtype."""
     x = as_tensor(x)
@@ -305,18 +295,6 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
 # elementwise nonlinearities
 
 
-def softplus(x) -> Tensor:
-    x = as_tensor(x)
-    xv = x.values
-    v = np.logaddexp(0.0, xv)
-
-    def vjp(g):
-        sig = 0.5 * (1.0 + np.tanh(0.5 * xv))
-        return (g * sig,)
-
-    return _make(v, (x,), vjp)
-
-
 def softmax(x, axis: int = -1) -> Tensor:
     x = as_tensor(x)
     shifted = x.values - np.max(x.values, axis=axis, keepdims=True)
@@ -363,55 +341,6 @@ def prelu(x, slope) -> Tensor:
 # normalization
 
 
-def _check_norm_args(op: str, x: Tensor, gamma: Tensor, beta: Tensor) -> None:
-    if x.values.ndim != 3:
-        raise ValueError(f"{op} expects (B, C, T), got {x.values.shape}")
-    c = x.values.shape[1]
-    if gamma.values.shape != (c,) or beta.values.shape != (c,):
-        raise ValueError("gamma/beta must be per-channel vectors")
-
-
-def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple, eps: float):
-    """Standardize x with its own statistics over ``axes``.
-
-    Returns (mu, var, xhat, vjp), the statistics with ``axes`` kept. The
-    variance is the mean of the squared deviations, the same sums
-    ``np.var`` forms, and the VJP works in place in the textbook order.
-    """
-    mu = np.mean(x.values, axis=axes, keepdims=True)
-    xhat = x.values - mu
-    var = np.mean(xhat * xhat, axis=axes, keepdims=True)
-    sigma = np.sqrt(var + eps)
-    xhat /= sigma
-    m = math.prod(x.values.shape[a] for a in axes)
-    gv = gamma.values
-    x_grad, gamma_grad, beta_grad = x.requires_grad, gamma.requires_grad, beta.requires_grad
-
-    def vjp(g):
-        gg = g * gv[None, :, None]
-        gx = None
-        if x_grad:
-            mean_g = np.sum(gg, axis=axes, keepdims=True) / m
-            gx = gg * xhat
-            mean_gx = np.sum(gx, axis=axes, keepdims=True) / m
-            # gx = (gg - mean_g - xhat * mean_gx) / sigma
-            np.multiply(xhat, mean_gx, out=gx)
-            gg -= mean_g
-            np.subtract(gg, gx, out=gx)
-            gx /= sigma
-        ggamma = np.sum(g * xhat, axis=(0, 2)) if gamma_grad else None
-        gbeta = np.sum(g, axis=(0, 2)) if beta_grad else None
-        return gx, ggamma, gbeta
-
-    return mu, var, xhat, vjp
-
-
-def _affine(x: Tensor, gamma: Tensor, beta: Tensor, xhat: np.ndarray, vjp) -> Tensor:
-    v = gamma.values[None, :, None] * xhat
-    v += beta.values[None, :, None]
-    return _make(v.astype(x.values.dtype, copy=False), (x, gamma, beta), vjp)
-
-
 def batch_norm(
     x,
     gamma,
@@ -426,39 +355,57 @@ def batch_norm(
 
     Train mode normalizes with batch statistics and updates the running
     buffers in place; eval mode is a deterministic affine map using the
-    frozen running statistics.
+    frozen running statistics. The train variance is the mean of the
+    squared deviations, the same sums ``np.var`` forms, and its VJP works
+    in place in the textbook order.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    _check_norm_args("batch_norm", x, gamma, beta)
+    if x.values.ndim != 3:
+        raise ValueError(f"batch_norm expects (B, C, T), got {x.values.shape}")
+    c = x.values.shape[1]
+    if gamma.values.shape != (c,) or beta.values.shape != (c,):
+        raise ValueError("gamma/beta must be per-channel vectors")
+    gv = gamma.values
+    x_grad, gamma_grad, beta_grad = x.requires_grad, gamma.requires_grad, beta.requires_grad
     if training:
-        mu, var, xhat, vjp = _normalize(x, gamma, beta, (0, 2), eps)
+        mu = np.mean(x.values, axis=(0, 2), keepdims=True)
+        xhat = x.values - mu
+        var = np.mean(xhat * xhat, axis=(0, 2), keepdims=True)
+        sigma = np.sqrt(var + eps)
+        xhat /= sigma
         running_mean.values[...] = momentum * running_mean.values + (1.0 - momentum) * mu.ravel()
         running_var.values[...] = momentum * running_var.values + (1.0 - momentum) * var.ravel()
+        m = x.values.shape[0] * x.values.shape[2]
+
+        def grad_x(g):
+            gg = g * gv[None, :, None]
+            mean_g = np.sum(gg, axis=(0, 2), keepdims=True) / m
+            gx = gg * xhat
+            mean_gx = np.sum(gx, axis=(0, 2), keepdims=True) / m
+            # gx = (gg - mean_g - xhat * mean_gx) / sigma
+            np.multiply(xhat, mean_gx, out=gx)
+            gg -= mean_g
+            np.subtract(gg, gx, out=gx)
+            gx /= sigma
+            return gx
+
     else:
         sigma = np.sqrt(running_var.values + eps)
         xhat = x.values - running_mean.values[None, :, None]
         xhat /= sigma[None, :, None]
-        gv = gamma.values
-        x_grad, gamma_grad, beta_grad = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
-        def vjp(g):
-            gx = g * (gv / sigma)[None, :, None] if x_grad else None
-            ggamma = np.sum(g * xhat, axis=(0, 2)) if gamma_grad else None
-            gbeta = np.sum(g, axis=(0, 2)) if beta_grad else None
-            return gx, ggamma, gbeta
+        def grad_x(g):
+            return g * (gv / sigma)[None, :, None]
 
-    return _affine(x, gamma, beta, xhat, vjp)
+    def vjp(g):
+        gx = grad_x(g) if x_grad else None
+        ggamma = np.sum(g * xhat, axis=(0, 2)) if gamma_grad else None
+        gbeta = np.sum(g, axis=(0, 2)) if beta_grad else None
+        return gx, ggamma, gbeta
 
-
-def global_layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize each batch item over all (channel, time) positions.
-
-    Stateless alternative to batch_norm for batch-size-1 training.
-    """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    _check_norm_args("global_layer_norm", x, gamma, beta)
-    _mu, _var, xhat, vjp = _normalize(x, gamma, beta, (1, 2), eps)
-    return _affine(x, gamma, beta, xhat, vjp)
+    v = gv[None, :, None] * xhat
+    v += beta.values[None, :, None]
+    return _make(v.astype(x.values.dtype, copy=False), (x, gamma, beta), vjp)
 
 
 # ---------------------------------------------------------------------------

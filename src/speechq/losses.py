@@ -12,7 +12,7 @@ import numpy as np
 
 from . import diffcore as dc
 
-__all__ = ["emd2", "td_mse", "joint_loss", "rank_loss"]
+__all__ = ["emd2", "td_mse", "joint_loss"]
 
 
 def _batch_mean(per_item: dc.Tensor) -> dc.Tensor:
@@ -79,28 +79,3 @@ def joint_loss(x_hat, x, p_hat, p, recon_weight: float = 1.0, weights=None, redu
         return emd, None, emd
     recon = td_mse(x_hat, x, weights=weights, reduction=reduction)
     return dc.add(dc.scale(recon, recon_weight), emd), recon, emd
-
-
-def rank_loss(pred_scores, true_scores) -> dc.Tensor:
-    """Pairwise ranking surrogate over a batch of scores (off by default in training).
-
-    For every ordered pair with true_i > true_j the penalty is
-    softplus(-(pred_i - pred_j)); the loss is the mean over such pairs.
-    """
-    pred = dc.as_tensor(pred_scores)
-    truth = np.asarray(
-        true_scores.values if isinstance(true_scores, dc.Tensor) else true_scores,
-        dtype=np.float64,
-    )
-    if pred.values.ndim != 1 or truth.shape != pred.values.shape:
-        raise ValueError("rank loss expects matching 1-D score vectors")
-    n = truth.size
-    if n < 2:
-        raise ValueError("rank loss needs at least two items")
-    pair_mask = (truth[:, None] > truth[None, :]).astype(pred.values.dtype)
-    n_pairs = float(np.sum(pair_mask))
-    if n_pairs == 0.0:
-        return dc.scale(dc.sum(pred), 0.0)
-    diffs = dc.sub(dc.reshape(pred, (n, 1)), dc.reshape(pred, (1, n)))
-    penalties = dc.softplus(dc.scale(diffs, -1.0))
-    return dc.scale(dc.sum(dc.mul(penalties, dc.constant(pair_mask))), 1.0 / n_pairs)

@@ -30,7 +30,6 @@ class ModelConfig:
     blocks_per_repeat: int = 8
     repeats: int = 4
     n_classes: int = 100  # total classes, padding included
-    norm: str = "batch"  # "batch" | "global_layer"
     dtype: str = "float32"
     stft: sig.StftConfig = field(init=False, repr=False, compare=False)  # derived from sample_rate
 
@@ -46,8 +45,6 @@ class ModelConfig:
                 raise ValueError(f"{name} must be positive")
         if self.kernel_size % 2 != 1:
             raise ValueError("kernel size must be odd for same-length padding")
-        if self.norm not in ("batch", "global_layer"):
-            raise ValueError(f"unknown norm kind {self.norm!r}")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
         self.stft = sig.StftConfig.for_sample_rate(self.sample_rate)
@@ -148,29 +145,20 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict:
     return params
 
 
-def _norm(cfg, params, prefix, x, training):
-    if cfg.norm == "batch":
-        return dc.batch_norm(
-            x,
-            params[prefix + "gamma"],
-            params[prefix + "beta"],
-            params[prefix + "run_mean"],
-            params[prefix + "run_var"],
-            training=training,
-        )
-    return dc.global_layer_norm(x, params[prefix + "gamma"], params[prefix + "beta"])
+# batch_norm's per-channel tensors in its argument order.
+_NORM_TENSORS = ("gamma", "beta", "run_mean", "run_var")
 
 
 def conv_block(x, cfg: ModelConfig, params: dict, repeat: int, block: int, training: bool) -> dc.Tensor:
-    """One residual block: 1x1 expand, PReLU, norm, dilated depthwise, PReLU, norm, 1x1 project."""
+    """One residual block: 1x1 expand, PReLU, batch norm, dilated depthwise, PReLU, batch norm, 1x1 project."""
     p = f"block{repeat}.{block}."
     dilation = cfg.dilations[block]
     u = dc.conv1d_pointwise(x, params[p + "pw1.w"], params[p + "pw1.b"])
     u = dc.prelu(u, params[p + "act1.slope"])
-    u = _norm(cfg, params, p + "norm1.", u, training)
+    u = dc.batch_norm(u, *[params[p + "norm1." + k] for k in _NORM_TENSORS], training=training)
     u = dc.conv1d_depthwise_dilated(u, params[p + "dw.kernel"], params[p + "dw.b"], dilation)
     u = dc.prelu(u, params[p + "act2.slope"])
-    u = _norm(cfg, params, p + "norm2.", u, training)
+    u = dc.batch_norm(u, *[params[p + "norm2." + k] for k in _NORM_TENSORS], training=training)
     u = dc.conv1d_pointwise(u, params[p + "pw2.w"], params[p + "pw2.b"])
     return dc.add(x, u)
 

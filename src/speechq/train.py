@@ -96,7 +96,8 @@ def load_run_checkpoint(path):
 
     Raises:
         CheckpointError: the file is not a checkpoint, its header lacks
-            valid model, quantizer and step entries, the quantizer's class
+            valid model, quantizer and step entries (a model ``norm`` entry,
+            which older headers carry, must be ``"batch"``), the quantizer's class
             count differs from the model's, or its arrays do not match the
             model's parameter names, shapes and dtype. Optimizer state is
             optional, but each ``opt.m.<p>`` needs its ``opt.v.<p>`` (and the
@@ -108,7 +109,12 @@ def load_run_checkpoint(path):
     if missing:
         raise dc.CheckpointError(f"{path}: checkpoint header has no {', '.join(missing)}")
     try:
-        cfg = ModelConfig(**header["model"])
+        model_fields = dict(header["model"])
+        # Older headers name the normalization; batch norm is the only one left.
+        norm = model_fields.pop("norm", "batch")
+        if norm != "batch":
+            raise ValueError(f"norm {norm!r} is not supported, only batch norm")
+        cfg = ModelConfig(**model_fields)
         quant = QuantizerConfig(**header["quantizer"])
         step = int(header["step"])
     except (TypeError, ValueError, AttributeError) as exc:
@@ -200,21 +206,6 @@ def _objective(run: RunConfig, params, samples, clean, target_rows, training, we
     return out, terms
 
 
-def _step_losses(run: RunConfig, params, degraded, clean, has_clean, target_rows, quant, want_recon):
-    tcfg = run.training
-    # With want_recon, a batch without clean rows still runs the mask heads:
-    # its all-zero weights give them exact zero gradients for Adam.
-    out, (total, recon, emd) = _objective(
-        run, params, degraded, clean if want_recon else None, target_rows, training=True, weights=has_clean
-    )
-    if tcfg.rank_loss:
-        mids = dc.constant(quant.midpoints())
-        pred_scores = dc.sum(dc.mul(out.distribution, mids), axis=-1)
-        true_scores = np.array([lb.decode_expect(row, quant) for row in target_rows])
-        total = dc.add(total, dc.scale(losses.rank_loss(pred_scores, true_scores), tcfg.rank_weight))
-    return recon, emd, total
-
-
 def run_training(
     run: RunConfig,
     entries: list[DatasetEntry],
@@ -284,9 +275,12 @@ def run_training(
             )
             target_rows = targets[_idx]
             try:
-                recon, emd, total = _step_losses(
-                    run, params, degraded, clean, has_clean, target_rows, quant, use_recon
-                )
+                # With use_recon, a batch without clean rows still runs the mask
+                # heads: its all-zero weights give them exact zero gradients for Adam.
+                total, recon, emd = _objective(
+                    run, params, degraded, clean if use_recon else None, target_rows,
+                    training=True, weights=has_clean,
+                )[1]
                 dc.backward(total)
                 optimizer.step()
             except FloatingPointError as exc:

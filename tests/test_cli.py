@@ -5,6 +5,7 @@ import os
 import platform
 import re
 import resource
+import shutil
 import subprocess
 import sys
 import warnings
@@ -292,19 +293,6 @@ dir = {run_dir}
         assert quant.pad == 2
         assert cfg.n_classes == 14  # 10 classes + 2 pads per side
 
-    def test_rank_loss_training_smoke(self, tmp_path, capsys):
-        data_dir = simulate_dataset(tmp_path, count=4, seed=27)
-        run_dir = tmp_path / "rank_run"
-        config = write_config(
-            tmp_path,
-            TINY_MODEL.format(steps=6)
-            + f"rank_loss = true\n\n[data]\nmanifest = {data_dir / 'manifest.tsv'}\n[output]\ndir = {run_dir}\n",
-            name="rank.ini",
-        )
-        assert cli.main(["train", "--config", config]) == 0
-        out = capsys.readouterr().out
-        assert "final total loss" in out
-
     def test_divergence_reports_numerical_failure(self, tmp_path, capsys):
         data_dir = simulate_dataset(tmp_path, count=2, seed=23)
         config = write_config(
@@ -385,6 +373,52 @@ class TestPredict:
         max_line = capsys.readouterr().out.strip().split("\t")
         assert default_line[1] == max_line[2] and default_line[2] == max_line[1]
 
+    def test_stereo_wav_warns_in_one_line(self, trained_checkpoint, tmp_path, capsys):
+        from scipy.io import wavfile
+
+        ckpt, _ = trained_checkpoint
+        stereo = tmp_path / "stereo.wav"
+        samples = 0.3 * np.sin(np.arange(8000) * 0.05)
+        wavfile.write(stereo, 16000, np.stack([samples, -samples], axis=1).astype(np.float32))
+        assert cli.main(["predict", "--checkpoint", str(ckpt), str(stereo)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == f"warning: {stereo}: 2 channels, keeping the first\n"
+        assert len(captured.out.splitlines()) == 1
+
+    def test_header_with_batch_norm_key_gives_the_same_results(self, trained_checkpoint, tmp_path, capsys):
+        # Checkpoints written while the normalization was a [model] setting
+        # carry "norm": "batch" in their header.
+        from speechq import diffcore as dc
+
+        ckpt, data_dir = trained_checkpoint
+        arrays, header = dc.load_checkpoint(ckpt)
+        assert "norm" not in header["model"]
+        header["model"]["norm"] = "batch"
+        older = tmp_path / "older.ckpt"
+        dc.save_checkpoint(older, arrays, header)
+        cfg, quant, params, opt_arrays, step = tr.load_run_checkpoint(ckpt)
+        old_cfg, old_quant, old_params, old_opt_arrays, old_step = tr.load_run_checkpoint(older)
+        assert (old_cfg, old_quant, old_step) == (cfg, quant, step)
+        for name, t in params.items():
+            assert old_params[name].values.tobytes() == t.values.tobytes(), name
+        assert old_opt_arrays.keys() == opt_arrays.keys()
+
+        wavs = sorted(str(p) for p in (data_dir / "wavs").glob("*degraded.wav"))
+        config = write_config(
+            tmp_path,
+            TINY_MODEL.format(steps=10) + f"\n[data]\nmanifest = {data_dir / 'manifest.tsv'}\n",
+        )
+        run_dir = tmp_path / "resumed"
+        outputs = {}
+        for name, path in (("new", ckpt), ("old", older)):
+            assert cli.main(["predict", "--checkpoint", str(path), "--dist", *wavs]) == 0
+            assert cli.main(["eval", "--checkpoint", str(path), "--manifest", str(data_dir / "manifest.tsv")]) == 0
+            assert cli.main(["train", "--config", config, "--out", str(run_dir), "--checkpoint", str(path)]) == 0
+            outputs[name] = (capsys.readouterr(), file_digest(run_dir / "final.ckpt"))
+            shutil.rmtree(run_dir)
+        assert outputs["old"] == outputs["new"]
+        assert outputs["old"][0].err == ""
+
     def test_rate_mismatch_is_data_error(self, trained_checkpoint, tmp_path, capsys):
         ckpt, _ = trained_checkpoint
         from speechq.signal import Waveform, save_wav
@@ -419,6 +453,16 @@ class TestEval:
         assert cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(single)]) == 0
         out = capsys.readouterr().out
         assert "lcc=undefined" in out and "srcc=undefined" in out and "n=1" in out
+
+    def test_empty_manifest_warns_in_one_line(self, trained_checkpoint, tmp_path, capsys):
+        ckpt, _ = trained_checkpoint
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(empty)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: manifest {empty} is empty",
+            f"data error: {empty}: no usable entries",
+        ]
 
     def test_report_written_to_file(self, trained_checkpoint, tmp_path, capsys):
         ckpt, data_dir = trained_checkpoint
@@ -540,6 +584,10 @@ class TestBadInputs:
                 "pad must be an integer",
             ),
             ({"model": {"n_classes": 1}, "quantizer": {"n_classes": True}, "step": 0}, "n_classes must be an integer"),
+            (
+                {"model": {"norm": "global_layer"}, "quantizer": {"n_classes": 100}, "step": 0},
+                "norm 'global_layer' is not supported, only batch norm",
+            ),
         ],
         ids=[
             "no-model",
@@ -555,6 +603,7 @@ class TestBadInputs:
             "foreign-arrays",
             "float-quantizer-pad",
             "bool-quantizer-classes",
+            "global-layer-norm",
         ],
     )
     def test_checkpoint_without_valid_run_settings(self, wav, tmp_path, capsys, header, expected):

@@ -7,7 +7,7 @@ import os
 import pytest
 
 from speechq import cli
-from speechq.config import MAX_SECONDS, ConfigError, RunConfig
+from speechq.config import MAX_SECONDS, MAX_SNR_DB, ConfigError, RunConfig
 
 DEFAULTS = {
     "model": {
@@ -18,7 +18,6 @@ DEFAULTS = {
         "blocks_per_repeat": 8,
         "repeats": 4,
         "n_classes": 100,
-        "norm": "batch",
         "dtype": "float32",
     },
     "quantizer": {"n_classes": 100, "pad": 0},
@@ -31,8 +30,6 @@ DEFAULTS = {
         "max_steps": 1000,
         "seed": 0,
         "recon_weight": 1.0,
-        "rank_loss": False,
-        "rank_weight": 1.0,
         "label_kind": "one-hot",
         "td_mse_reduction": "sum",
         "val_every": 0,
@@ -59,7 +56,6 @@ kernel_size = 5
 blocks_per_repeat = 3
 repeats = 2
 n_classes = 24
-norm = global_layer
 dtype = float64
 
 [quantizer]
@@ -75,8 +71,6 @@ crop_seconds = 2
 max_steps = 50
 seed = 9
 recon_weight = 0.5
-rank_loss = yes
-rank_weight = 3
 label_kind = soft
 td_mse_reduction = mean
 val_every = 5
@@ -101,7 +95,6 @@ EVERY_KEY_PARSED = {
         "blocks_per_repeat": 3,
         "repeats": 2,
         "n_classes": 24,
-        "norm": "global_layer",
         "dtype": "float64",
     },
     "quantizer": {"n_classes": 20, "pad": 2},
@@ -114,8 +107,6 @@ EVERY_KEY_PARSED = {
         "max_steps": 50,
         "seed": 9,
         "recon_weight": 0.5,
-        "rank_loss": True,
-        "rank_weight": 3.0,
         "label_kind": "soft",
         "td_mse_reduction": "mean",
         "val_every": 5,
@@ -205,13 +196,6 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "raw, expected",
-        [("yes", True), ("on", True), ("1", True), ("TRUE", True), ("no", False), ("off", False), ("0", False)],
-    )
-    def test_bool_keys_use_getboolean(self, tmp_path, raw, expected):
-        assert load(tmp_path, f"[training]\nrank_loss = {raw}\n").training.rank_loss is expected
-
-    @pytest.mark.parametrize(
-        "raw, expected",
         [("", []), ("one.wav", ["one.wav"]), ("a.wav, b.wav,, c.wav ,", ["a.wav", "b.wav", "c.wav"])],
     )
     def test_rir_paths_split_on_commas(self, tmp_path, raw, expected):
@@ -242,10 +226,6 @@ class TestErrors:
     def test_model_stft_is_not_a_key(self, tmp_path):
         assert config_errors(tmp_path, "[model]\nstft = 1\n") == {"unknown key 'stft' in section [model]"}
 
-    def test_bad_bool(self, tmp_path):
-        errors = config_errors(tmp_path, "[training]\nrank_loss = maybe\n")
-        assert errors == {"[training] rank_loss = 'maybe' is not a valid bool"}
-
     @pytest.mark.parametrize(
         "text, expected",
         [
@@ -264,7 +244,6 @@ pad = 2
 lr = -1
 beta1 = 1.5
 batch_size = 2.5
-rank_loss = maybe
 recon_weight = -0.5
 td_mse_reduction = median
 
@@ -288,7 +267,6 @@ a = 1
                     "unknown key 'bogus' in section [data]",
                     "unknown key 'colour' in section [simulate]",
                     "[training] batch_size = '2.5' is not a valid int",
-                    "[training] rank_loss = 'maybe' is not a valid bool",
                     "quantizer pad = 2 is inconsistent with label_kind = one-hot (expected 0)",
                     "model n_classes = 7 must equal quantizer classes + padding = 14",
                     "[model] sample_rate = 'fast' is not a valid int",
@@ -333,8 +311,8 @@ path = y
                 },
             ),
             (
-                "[quantizer]\nn_classes = ten\n[model]\nnorm = layer\n",
-                {"[quantizer] n_classes = 'ten' is not a valid int", "unknown norm kind 'layer'"},
+                "[quantizer]\nn_classes = ten\n[model]\nkernel_size = 4\n",
+                {"[quantizer] n_classes = 'ten' is not a valid int", "kernel size must be odd for same-length padding"},
             ),
         ],
         ids=["every-section", "fallback-quantizer", "quantizer-parse"],
@@ -387,6 +365,53 @@ path = y
         assert err.startswith("configuration error: ") and err.count("configuration error") == 1
         assert [line for line in err.splitlines() if line.startswith("  - ")] == [
             f"  - {section} {key} must be at most 3600, got 1e+308"
+        ]
+        assert not never.exists()
+
+    @pytest.mark.parametrize("value", ["300.5", "-300.5", "1e308", "-1e308"])
+    def test_snr_keys_are_bounded(self, tmp_path, value):
+        errors = config_errors(tmp_path, f"[simulate]\nsnr_lo = {value}\nsnr_hi = {value}\n")
+        assert errors == {
+            f"simulate {key} must lie in [-300, 300] dB, got {float(value):g}" for key in ("snr_lo", "snr_hi")
+        }
+
+    @pytest.mark.parametrize("value", ["1e308", "-1e308"])
+    def test_huge_snr_exits_1_and_writes_nothing(self, tmp_path, capsys, value):
+        never = tmp_path / "never_created"
+        text = TINY.format(seed=1) + f"snr_lo = {value}\nsnr_hi = {value}\n\n[output]\ndir = {never}\n"
+        path = tmp_path / "loud.ini"
+        path.write_text(text)
+        assert cli.main(["simulate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("  - ")] == [
+            f"  - simulate {key} must lie in [-300, 300] dB, got {float(value):g}" for key in ("snr_lo", "snr_hi")
+        ]
+        assert not never.exists()
+
+    @pytest.mark.parametrize("value", ["-300", "300"])
+    def test_300_db_is_allowed(self, tmp_path, capsys, value):
+        text = TINY.format(seed=1) + f"snr_lo = {value}\nsnr_hi = {value}\n\n[output]\ndir = {tmp_path / 'out'}\n"
+        assert abs(load(tmp_path, text, name="edge.ini").simulate.snr_lo) == MAX_SNR_DB == 300
+        assert cli.main(["simulate", "--config", str(tmp_path / "edge.ini")]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("model", "norm", "batch"), ("training", "rank_loss", "true"), ("training", "rank_weight", "1.0")],
+        ids=["norm", "rank_loss", "rank_weight"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    def test_removed_keys_exit_1_and_write_nothing(self, tmp_path, capsys, command, section, key, value):
+        never = tmp_path / "never_created"
+        text = TINY.format(seed=1).replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+        text += f"\n[data]\nmanifest = m.tsv\n[output]\ndir = {never}\n"
+        path = tmp_path / "old.ini"
+        path.write_text(text)
+        assert cli.main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("  - ")] == [
+            f"  - unknown key {key!r} in section [{section}]"
         ]
         assert not never.exists()
 

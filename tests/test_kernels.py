@@ -164,14 +164,6 @@ def ref_prelu(x, a, g):
     return v, gx, gs
 
 
-def ref_norm_vjp(g, gamma, xhat, sigma, m, axes):
-    gg = g * gamma[None, :, None]
-    mean_g = np.sum(gg, axis=axes, keepdims=True) / m
-    mean_gx = np.sum(gg * xhat, axis=axes, keepdims=True) / m
-    gx = (gg - mean_g - xhat * mean_gx) / sigma
-    return gx, np.sum(g * xhat, axis=(0, 2)), np.sum(g, axis=(0, 2))
-
-
 def ref_batch_norm(x, gamma, beta, run_mean, run_var, training, g, momentum=0.99, eps=1e-5):
     """Returns (value, gx, ggamma, gbeta) and updates the running buffers in place."""
     if training:
@@ -181,21 +173,16 @@ def ref_batch_norm(x, gamma, beta, run_mean, run_var, training, g, momentum=0.99
         run_var[...] = momentum * run_var + (1.0 - momentum) * var
         sigma = np.sqrt(var + eps)
         xhat = (x - mu[None, :, None]) / sigma[None, :, None]
-        grads = ref_norm_vjp(g, gamma, xhat, sigma[None, :, None], x.shape[0] * x.shape[2], (0, 2))
+        m = x.shape[0] * x.shape[2]
+        gg = g * gamma[None, :, None]
+        mean_g = np.sum(gg, axis=(0, 2), keepdims=True) / m
+        mean_gx = np.sum(gg * xhat, axis=(0, 2), keepdims=True) / m
+        gx = (gg - mean_g - xhat * mean_gx) / sigma[None, :, None]
+        grads = (gx, np.sum(g * xhat, axis=(0, 2)), np.sum(g, axis=(0, 2)))
     else:
         sigma = np.sqrt(run_var + eps)
         xhat = (x - run_mean[None, :, None]) / sigma[None, :, None]
         grads = (g * (gamma / sigma)[None, :, None], np.sum(g * xhat, axis=(0, 2)), np.sum(g, axis=(0, 2)))
-    v = gamma[None, :, None] * xhat + beta[None, :, None]
-    return (v.astype(x.dtype, copy=False), *grads)
-
-
-def ref_global_layer_norm(x, gamma, beta, g, eps=1e-5):
-    mu = np.mean(x, axis=(1, 2), keepdims=True)
-    var = np.var(x, axis=(1, 2), keepdims=True)
-    sigma = np.sqrt(var + eps)
-    xhat = (x - mu) / sigma
-    grads = ref_norm_vjp(g, gamma, xhat, sigma, x.shape[1] * x.shape[2], (1, 2))
     v = gamma[None, :, None] * xhat + beta[None, :, None]
     return (v.astype(x.dtype, copy=False), *grads)
 
@@ -270,13 +257,6 @@ class TestElementwiseKernels:
         expected = ref_batch_norm(x, gamma, beta, ref_mean, ref_var, training, g)
         assert_all_identical((out.values, *out._vjp(g)), expected)
         assert_all_identical((rm.values, rv.values), (ref_mean, ref_var))
-
-    @pytest.mark.parametrize("dtype", DTYPES)
-    def test_global_layer_norm_matches_reference(self, dtype):
-        rng = np.random.default_rng(13)
-        x, gamma, beta, g = norm_inputs(rng, dtype)
-        out = dc.global_layer_norm(dc.parameter(x), dc.parameter(gamma), dc.parameter(beta))
-        assert_all_identical((out.values, *out._vjp(g)), ref_global_layer_norm(x, gamma, beta, g))
 
 
 class TestDepthwiseKernel:

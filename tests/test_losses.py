@@ -143,34 +143,6 @@ class TestJointLoss:
         assert float(losses.joint_loss(x_hat, x, p_hat, p, 1.0)[0].values) == td + em
 
 
-class TestRankLoss:
-    def test_well_ordered_with_margin_approaches_zero(self):
-        pred = dc.constant(np.array([30.0, 20.0, 10.0]))
-        truth = np.array([3.0, 2.0, 1.0])
-        assert float(losses.rank_loss(pred, truth).values) < 1e-4
-
-    def test_tied_predictions_cost_log_two(self):
-        pred = dc.constant(np.array([1.0, 1.0]))
-        truth = np.array([2.0, 1.0])
-        assert float(losses.rank_loss(pred, truth).values) == pytest.approx(math.log(2.0))
-
-    def test_fully_reversed_unit_gaps(self):
-        # Oracle: direct evaluation over the 3 discordant pairs. The
-        # extreme pair is two units apart, the adjacent ones one unit.
-        pred = dc.constant(np.array([1.0, 2.0, 3.0]))
-        truth = np.array([3.0, 2.0, 1.0])
-        expected = (2 * math.log(1.0 + math.e) + math.log(1.0 + math.e**2)) / 3
-        assert float(losses.rank_loss(pred, truth).values) == pytest.approx(expected, abs=1e-12)
-
-    def test_needs_two_items(self):
-        with pytest.raises(ValueError, match="two items"):
-            losses.rank_loss(dc.constant(np.array([1.0])), np.array([1.0]))
-
-    def test_constant_truth_gives_zero(self):
-        pred = dc.constant(np.array([1.0, 2.0]))
-        assert float(losses.rank_loss(pred, np.array([1.0, 1.0])).values) == 0.0
-
-
 class TestLossGradients:
     def test_emd2_gradient(self):
         rng = np.random.default_rng(5)
@@ -196,9 +168,3 @@ class TestLossGradients:
             return losses.joint_loss(a, x, dc.softmax(z, axis=-1), target, recon_weight=0.5)[0]
 
         assert dc.gradient_check(fn, [x_hat, logits]) < 1e-4
-
-    def test_rank_loss_gradient(self):
-        rng = np.random.default_rng(10)
-        pred = dc.parameter(rng.standard_normal(5))
-        truth = rng.permutation(5).astype(float)
-        assert dc.gradient_check(lambda p: losses.rank_loss(p, truth), [pred]) < 1e-4

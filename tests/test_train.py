@@ -15,14 +15,18 @@ from speechq.config import RunConfig, SimulateConfig, TrainingConfig
 CLEAN_PATTERNS = {"all": [True, True, True], "none": [False, False, False], "mixed": [True, False, True]}
 
 
-def tiny_run(recon_weight=1.0, reduction="sum", rank_loss=False):
+def tiny_run(recon_weight=1.0, reduction="sum", soft=False):
+    pad = 2 if soft else 0
     return RunConfig(
         model=mdl.ModelConfig(
-            bottleneck_channels=8, conv_channels=16, blocks_per_repeat=2, repeats=1, n_classes=10
+            bottleneck_channels=8, conv_channels=16, blocks_per_repeat=2, repeats=1, n_classes=10 + 2 * pad
         ),
-        quantizer=lb.QuantizerConfig(10),
+        quantizer=lb.QuantizerConfig(10, pad=pad),
         training=TrainingConfig(
-            batch_size=3, recon_weight=recon_weight, td_mse_reduction=reduction, rank_loss=rank_loss
+            batch_size=3,
+            recon_weight=recon_weight,
+            td_mse_reduction=reduction,
+            label_kind="soft" if soft else "one-hot",
         ),
         simulate=SimulateConfig(),
     )
@@ -69,7 +73,15 @@ def old_validation_total(run, params, val_entries, quant):
     return total / len(val_entries)
 
 
-def old_step_losses(run, params, degraded, clean, has_clean, target_rows, quant, want_recon):
+def step_losses(run, params, degraded, clean, has_clean, target_rows, want_recon):
+    """The training step's objective call, as (td_mse term, emd2 term, total)."""
+    total, recon, emd = tr._objective(
+        run, params, degraded, clean if want_recon else None, target_rows, training=True, weights=has_clean
+    )[1]
+    return recon, emd, total
+
+
+def old_step_losses(run, params, degraded, clean, has_clean, target_rows, want_recon):
     """In-test copy of the step's loss assembly before it used losses.joint_loss."""
     tcfg = run.training
     out = mdl.forward_graph(degraded, run.model, params, training=True, compute_reconstruction=want_recon)
@@ -81,11 +93,6 @@ def old_step_losses(run, params, degraded, clean, has_clean, target_rows, quant,
         clean_t = dc.constant(clean[:, :n_out].astype(run.model.np_dtype))
         recon = losses.td_mse(out.reconstruction, clean_t, weights=has_clean, reduction=tcfg.td_mse_reduction)
         total = dc.add(dc.scale(recon, tcfg.recon_weight), emd)
-    if tcfg.rank_loss:
-        mids = dc.constant(quant.midpoints())
-        pred_scores = dc.sum(dc.mul(out.distribution, mids), axis=-1)
-        true_scores = np.array([lb.decode_expect(row, quant) for row in target_rows])
-        total = dc.add(total, dc.scale(losses.rank_loss(pred_scores, true_scores), tcfg.rank_weight))
     return recon, emd, total
 
 
@@ -124,18 +131,16 @@ class TestStepLosses:
         targets = tr.build_targets(entries, run.quantizer, run.training.label_kind)[_idx]
         return degraded, clean, has_clean, targets
 
-    @pytest.mark.parametrize("rank_loss", [False, True])
+    @pytest.mark.parametrize("soft", [False, True])
     @pytest.mark.parametrize("want_recon", [False, True])
     @pytest.mark.parametrize("clean", sorted(CLEAN_PATTERNS))
-    def test_matches_old_assembly(self, clean, want_recon, rank_loss):
-        run = tiny_run(recon_weight=0.7, reduction="mean", rank_loss=rank_loss)
+    def test_matches_old_assembly(self, clean, want_recon, soft):
+        run = tiny_run(recon_weight=0.7, reduction="mean", soft=soft)
         degraded, clean_rows, has_clean, targets = self.batch(run, CLEAN_PATTERNS[clean])
         results = []
-        for step_losses in (tr._step_losses, old_step_losses):
+        for losses_of in (step_losses, old_step_losses):
             params = mdl.init_params(run.model, seed=4)
-            recon, emd, total = step_losses(
-                run, params, degraded, clean_rows, has_clean, targets, run.quantizer, want_recon
-            )
+            recon, emd, total = losses_of(run, params, degraded, clean_rows, has_clean, targets, want_recon)
             dc.backward(total)
             results.append((recon, emd, total, params))
         (recon, emd, total, params), (old_recon, old_emd, old_total, old_params) = results
@@ -153,9 +158,7 @@ class TestStepLosses:
         run = tiny_run()
         degraded, clean_rows, has_clean, targets = self.batch(run, CLEAN_PATTERNS["none"])
         params = mdl.init_params(run.model, seed=4)
-        recon, _emd, total = tr._step_losses(
-            run, params, degraded, clean_rows, has_clean, targets, run.quantizer, want_recon=True
-        )
+        recon, _emd, total = step_losses(run, params, degraded, clean_rows, has_clean, targets, want_recon=True)
         assert float(recon.values) == 0.0
         dc.backward(total)
         for name in ("mask_real.w", "mask_real.b", "mask_imag.w", "mask_imag.b"):
