@@ -107,11 +107,12 @@ def _load_run(args) -> RunConfig:
 def cmd_simulate(args) -> int:
     run = _load_run(args)
     sim = run.simulate
+    # Loaded before anything is written, so a bad impulse response leaves no output.
+    rirs = [load_wav(p) for p in sim.rir_paths]
     out_dir = run.out_dir
     wav_dir = os.path.join(out_dir, "wavs")
     os.makedirs(wav_dir, exist_ok=True)
     rate = run.model.sample_rate
-    rirs = [load_wav(p) for p in sim.rir_paths]
 
     def make_entry(index: int):
         rng = np.random.default_rng([sim.seed, index])

@@ -13,8 +13,8 @@ only when finite) and defaults to the field's default. The exceptions:
 - [model] n_classes defaults to, and must equal, the quantizer's classes
   plus padding;
 - [simulate] rir_paths is a comma-separated list;
-- [data] manifest and val_manifest and [output] dir are paths, resolved
-  against the config file's directory;
+- [simulate] rir_paths, [data] manifest and val_manifest and [output] dir
+  are paths, resolved against the config file's directory;
 - [training] crop_seconds and [simulate] duration_seconds are at most
   MAX_SECONDS (one hour, ample for utterances of a few seconds), so their
   sample counts stay representable;
@@ -179,9 +179,13 @@ class RunConfig:
             errors.append(str(exc))
             model = None
 
+        def resolve(p: str) -> str:
+            return p if os.path.isabs(p) else os.path.join(base, p)
+
         simulate = SimulateConfig(**given["simulate"])
+        simulate.rir_paths = [resolve(p) for p in simulate.rir_paths]
         paths = {**given["data"], "out_dir": given["output"].get("dir", cls.out_dir)}
-        paths = {name: p if os.path.isabs(p) else os.path.join(base, p) for name, p in paths.items()}
+        paths = {name: resolve(p) for name, p in paths.items()}
 
         for name, value in (
             ("lr", training.lr),

@@ -12,14 +12,20 @@ raises ``ValueError``. float64 is the verification precision, float32 the
 training default; every op preserves the dtype of its inputs.
 
 Graph edges point at value-free nodes, not at op outputs, and each VJP
-closure keeps only the arrays it reads. Between forward and backward a
-training step therefore keeps resident the parameters, Adam's two
-moments and, per op, only:
+closure keeps only the arrays it reads. A VJP that reads an input's
+values keeps them through ``_keep``, which keeps a train-mode batch-norm
+output as a recipe instead: the norm's own ``xhat`` and copies of
+``gamma`` and ``beta``, from which the VJP rebuilds the output with the
+forward's operations in the forward's order, bit for bit. Between
+forward and backward a training step therefore keeps resident the
+parameters, Adam's two moments and, per op, only:
 
 - prelu: its input;
 - batch_norm: ``xhat`` and ``sigma``;
-- conv1d_pointwise: its input (for the weight gradient);
-- conv1d_depthwise_dilated: its input (for the kernel gradient);
+- conv1d_pointwise: its input (for the weight gradient), or the recipe
+  of a train-mode batch-norm input;
+- conv1d_depthwise_dilated: its input (for the kernel gradient), or the
+  recipe of a train-mode batch-norm input;
 - mul: its inputs; softmax: its output;
 - complex_mask_apply: the inputs the other side's gradient reads (the
   spectrogram, when only the mask needs gradients);
@@ -27,7 +33,8 @@ moments and, per op, only:
   shapes and dtypes only.
 
 An op output that no VJP reads (a PReLU output, the last 1x1 conv of a
-residual block, the mask heads) is freed as soon as the caller drops it.
+residual block, the mask heads) or that it reads through a recipe (a
+train-mode batch-norm output) is freed as soon as the caller drops it.
 
 A computation graph instance is single-threaded. Distinct graphs may run
 on distinct threads.
@@ -35,6 +42,7 @@ on distinct threads.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -66,16 +74,19 @@ class Tensor:
     :func:`backward` for every leaf with ``requires_grad``. An op output
     that requires gradients records its VJP and its inputs on a
     :class:`_Node`; ``_vjp`` and ``_parents`` read (and ``_vjp`` writes)
-    that node, and are ``None`` and ``()`` on a leaf.
+    that node, and are ``None`` and ``()`` on a leaf. ``_recompute`` is
+    the recipe of a train-mode :func:`batch_norm` output (see
+    :func:`_keep`) and ``None`` on every other tensor.
     """
 
-    __slots__ = ("values", "grad", "requires_grad", "_node")
+    __slots__ = ("values", "grad", "requires_grad", "_node", "_recompute")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values)
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._node = None
+        self._recompute = None
 
     @property
     def _vjp(self):
@@ -155,6 +166,14 @@ def _make(values: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tenso
     return out
 
 
+def _keep(t: Tensor) -> Callable[[], np.ndarray]:
+    """A call that returns ``t``'s values inside a VJP: ``t``'s recipe if it has one."""
+    if t._recompute is not None:
+        return t._recompute
+    values = t.values
+    return lambda: values
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient down to `shape` after numpy broadcasting."""
     if g.shape == shape:
@@ -173,7 +192,8 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 #
 # Each VJP closure captures only the arrays, shapes and requires_grad flags
 # it reads, never an input Tensor, so an op output that no VJP reads is
-# freed as soon as the caller drops it.
+# freed as soon as the caller drops it. An input's values are kept through
+# _keep.
 
 
 def add(a, b) -> Tensor:
@@ -209,12 +229,12 @@ def mul(a, b) -> Tensor:
     v = a.values * b.values
     a_shape, b_shape = a.values.shape, b.values.shape
     # Each side's gradient reads the other side's values.
-    saved_b = b.values if a.requires_grad else None
-    saved_a = a.values if b.requires_grad else None
+    read_b = _keep(b) if a.requires_grad else None
+    read_a = _keep(a) if b.requires_grad else None
 
     def vjp(g):
-        ga = _unbroadcast(g * saved_b, a_shape) if saved_b is not None else None
-        gb = _unbroadcast(g * saved_a, b_shape) if saved_a is not None else None
+        ga = _unbroadcast(g * read_b(), a_shape) if read_b is not None else None
+        gb = _unbroadcast(g * read_a(), b_shape) if read_a is not None else None
         return ga, gb
 
     return _make(v, (a, b), vjp)
@@ -315,10 +335,10 @@ def prelu(x, slope) -> Tensor:
         raise ValueError(
             f"prelu expects (B, C, T) input and per-channel slope, got {x.values.shape} / {slope.values.shape}"
         )
-    xv, sv = x.values, slope.values
+    sv = slope.values
     x_grad, slope_grad = x.requires_grad, slope.requires_grad
 
-    def times_factor(y):
+    def times_factor(xv, y):
         # The factor is exactly 1 where x > 0 and exactly the slope elsewhere,
         # so the product equals a two-branch select bit for bit, without one.
         m = (xv > 0).astype(xv.dtype)
@@ -328,13 +348,16 @@ def prelu(x, slope) -> Tensor:
         s *= y
         return s
 
+    read_x = _keep(x)
+
     def vjp(g):
-        gx = times_factor(g) if x_grad else None
+        xv = read_x()
+        gx = times_factor(xv, g) if x_grad else None
         # Only x <= 0 contributes to the slope gradient: g * min(x, 0).
         gs = np.sum(g * np.minimum(xv, 0), axis=(0, 2)) if slope_grad else None
         return gx, gs
 
-    return _make(times_factor(xv), (x, slope), vjp)
+    return _make(times_factor(x.values, x.values), (x, slope), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +380,9 @@ def batch_norm(
     buffers in place; eval mode is a deterministic affine map using the
     frozen running statistics. The train variance is the mean of the
     squared deviations, the same sums ``np.var`` forms, and its VJP works
-    in place in the textbook order.
+    in place in the textbook order. A train-mode output carries a
+    ``_recompute`` recipe that rebuilds it from ``xhat``, which the VJP
+    keeps anyway, so the ops that read it do not keep it.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.values.ndim != 3:
@@ -367,6 +392,7 @@ def batch_norm(
         raise ValueError("gamma/beta must be per-channel vectors")
     gv = gamma.values
     x_grad, gamma_grad, beta_grad = x.requires_grad, gamma.requires_grad, beta.requires_grad
+    read_g = _keep(gamma) if x_grad else None
     if training:
         mu = np.mean(x.values, axis=(0, 2), keepdims=True)
         xhat = x.values - mu
@@ -378,7 +404,7 @@ def batch_norm(
         m = x.values.shape[0] * x.values.shape[2]
 
         def grad_x(g):
-            gg = g * gv[None, :, None]
+            gg = g * read_g()[None, :, None]
             mean_g = np.sum(gg, axis=(0, 2), keepdims=True) / m
             gx = gg * xhat
             mean_gx = np.sum(gx, axis=(0, 2), keepdims=True) / m
@@ -395,7 +421,7 @@ def batch_norm(
         xhat /= sigma[None, :, None]
 
         def grad_x(g):
-            return g * (gv / sigma)[None, :, None]
+            return g * (read_g() / sigma)[None, :, None]
 
     def vjp(g):
         gx = grad_x(g) if x_grad else None
@@ -403,9 +429,20 @@ def batch_norm(
         gbeta = np.sum(g, axis=(0, 2)) if beta_grad else None
         return gx, ggamma, gbeta
 
+    dtype = x.values.dtype
+    out = _make(_affine(xhat, gv, beta.values, dtype), (x, gamma, beta), vjp)
+    if training:
+        # The recipe owns copies of gamma and beta, so an in-place update of
+        # the parameters (Adam's step) cannot change what it rebuilds.
+        out._recompute = functools.partial(_affine, xhat, gv.copy(), beta.values.copy(), dtype)
+    return out
+
+
+def _affine(xhat, gv, bv, dtype) -> np.ndarray:
+    """A batch-norm output from its normalized input: gamma * xhat + beta."""
     v = gv[None, :, None] * xhat
-    v += beta.values[None, :, None]
-    return _make(v.astype(x.values.dtype, copy=False), (x, gamma, beta), vjp)
+    v += bv[None, :, None]
+    return v.astype(dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +466,13 @@ def conv1d_pointwise(x, w, b) -> Tensor:
     v = np.matmul(w.values, x.values)
     v += b.values[None, :, None]
     # The input gradient reads w, the weight gradient reads x.
-    saved_w = w.values if x.requires_grad else None
-    saved_x = x.values if w.requires_grad else None
+    read_w = _keep(w) if x.requires_grad else None
+    read_x = _keep(x) if w.requires_grad else None
     b_grad = b.requires_grad
 
     def vjp(g):
-        gx = np.matmul(saved_w.T, g) if saved_w is not None else None
-        gw = np.tensordot(g, saved_x, axes=([0, 2], [0, 2])) if saved_x is not None else None
+        gx = np.matmul(read_w().T, g) if read_w is not None else None
+        gw = np.tensordot(g, read_x(), axes=([0, 2], [0, 2])) if read_x is not None else None
         gb = np.sum(g, axis=(0, 2)) if b_grad else None
         return gx, gw, gb
 
@@ -471,22 +508,25 @@ def conv1d_depthwise_dilated(x, kernel, bias, dilation: int) -> Tensor:
     for j, off, lo, hi in taps:
         v[:, :, lo:hi] += kv[None, :, j : j + 1] * xv[:, :, lo + off : hi + off]
     v += bias.values[None, :, None]
-    x_dtype = xv.dtype
-    x_grad, bias_grad = x.requires_grad, bias.requires_grad
-    # Only the kernel gradient reads x.
-    saved_x = xv if kernel.requires_grad else None
+    x_dtype, k_dtype = xv.dtype, kv.dtype
+    bias_grad = bias.requires_grad
+    # The input gradient reads the kernel, the kernel gradient reads x.
+    read_k = _keep(kernel) if x.requires_grad else None
+    read_x = _keep(x) if kernel.requires_grad else None
 
     def vjp(g):
         gx = None
-        if x_grad:
+        if read_k is not None:
+            kv = read_k()
             gx = np.zeros((batch, c, t), dtype=x_dtype)
             for j, off, lo, hi in taps:
                 gx[:, :, lo + off : hi + off] += kv[None, :, j : j + 1] * g[:, :, lo:hi]
         gk = None
-        if saved_x is not None:
+        if read_x is not None:
+            saved_x = read_x()
             # Each column sums a full-length product that is zero outside
             # [lo, hi): the same reduction order as over a padded input.
-            gk = np.zeros_like(kv)
+            gk = np.zeros((c, k), dtype=k_dtype)
             prod = np.empty(g.shape, dtype=np.result_type(g, saved_x))
             for j, off, lo, hi in taps:
                 np.multiply(g[:, :, lo:hi], saved_x[:, :, lo + off : hi + off], out=prod[:, :, lo:hi])
@@ -519,15 +559,15 @@ def complex_mask_apply(mask_real, mask_imag, spec_real, spec_imag) -> Tensor:
     out_i = mr.values * yi.values + mi.values * yr.values
     mr_grad, mi_grad, yr_grad, yi_grad = (t.requires_grad for t in (mr, mi, yr, yi))
     # The mask gradients read the spectrogram and the other way round.
-    mrv, miv = (mr.values, mi.values) if yr_grad or yi_grad else (None, None)
-    yrv, yiv = (yr.values, yi.values) if mr_grad or mi_grad else (None, None)
+    read_mr, read_mi = (_keep(mr), _keep(mi)) if yr_grad or yi_grad else (None, None)
+    read_yr, read_yi = (_keep(yr), _keep(yi)) if mr_grad or mi_grad else (None, None)
 
     def vjp(g):
         g0, g1 = g[0], g[1]
-        gmr = g0 * yrv + g1 * yiv if mr_grad else None
-        gmi = -g0 * yiv + g1 * yrv if mi_grad else None
-        gyr = g0 * mrv + g1 * miv if yr_grad else None
-        gyi = -g0 * miv + g1 * mrv if yi_grad else None
+        gmr = g0 * read_yr() + g1 * read_yi() if mr_grad else None
+        gmi = -g0 * read_yi() + g1 * read_yr() if mi_grad else None
+        gyr = g0 * read_mr() + g1 * read_mi() if yr_grad else None
+        gyi = -g0 * read_mi() + g1 * read_mr() if yi_grad else None
         return gmr, gmi, gyr, gyi
 
     return _make(np.stack([out_r, out_i]), (mr, mi, yr, yi), vjp)

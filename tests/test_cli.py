@@ -139,6 +139,33 @@ class TestSimulate:
         assert len(entries) == 3
         assert all(1.0 <= e.label <= 4.5 for e in entries)
 
+    def test_relative_rir_path_resolves_against_config_dir(self, tmp_path, monkeypatch, capsys):
+        from speechq.signal import Waveform, save_wav
+
+        cfgdir = tmp_path / "cfgdir"
+        cfgdir.mkdir()
+        save_wav(cfgdir / "ir.wav", Waveform(np.array([1.0, 0.0, 0.3]), 16000))
+        sim_section = SIMULATE.format(count=2, holdout=0, seed=33, out="rirout").replace(
+            "seed = 33", "seed = 33\nrir_paths = ir.wav"
+        )
+        write_config(cfgdir, TINY_MODEL.format(steps=5) + sim_section, name="rir.ini")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["simulate", "--config", "cfgdir/rir.ini"]) == 0
+        capsys.readouterr()
+        assert len(dt.load_manifest(cfgdir / "rirout" / "manifest.tsv")) == 2
+
+    def test_missing_rir_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "rirout"
+        sim_section = SIMULATE.format(count=2, holdout=0, seed=35, out=out).replace(
+            "seed = 35", "seed = 35\nrir_paths = missing.wav"
+        )
+        config = write_config(tmp_path, TINY_MODEL.format(steps=5) + sim_section, name="rir.ini")
+        assert cli.main(["simulate", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "missing.wav" in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_smoke_and_checkpoints(self, tmp_path, capsys):

@@ -189,17 +189,26 @@ class TestParse:
 
     def test_every_key_parses_to_its_type(self, tmp_path):
         values = section_values(load(tmp_path, EVERY_KEY))
-        assert values == EVERY_KEY_PARSED
+        assert values == EVERY_KEY_PARSED | {
+            "simulate": EVERY_KEY_PARSED["simulate"] | {"rir_paths": [os.path.join(str(tmp_path), "a.wav")]}
+        }
         for section, expected in EVERY_KEY_PARSED.items():
             for key, value in expected.items():
                 assert type(values[section][key]) is type(value), (section, key)
 
     @pytest.mark.parametrize(
         "raw, expected",
-        [("", []), ("one.wav", ["one.wav"]), ("a.wav, b.wav,, c.wav ,", ["a.wav", "b.wav", "c.wav"])],
+        [
+            ("", []),
+            ("one.wav", ["one.wav"]),
+            ("a.wav, b.wav,, c.wav ,", ["a.wav", "b.wav", "c.wav"]),
+            ("rooms/ir.wav, /abs/ir.wav", ["rooms/ir.wav", "/abs/ir.wav"]),
+        ],
     )
     def test_rir_paths_split_on_commas(self, tmp_path, raw, expected):
-        assert load(tmp_path, f"[simulate]\nrir_paths = {raw}\n").simulate.rir_paths == expected
+        # Relative paths resolve against the config file's directory.
+        paths = load(tmp_path, f"[simulate]\nrir_paths = {raw}\n").simulate.rir_paths
+        assert paths == [os.path.join(str(tmp_path), p) for p in expected]
 
     def test_data_and_output_paths_resolve_against_config_dir(self, tmp_path):
         sub = tmp_path / "configs"

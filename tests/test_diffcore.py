@@ -205,6 +205,52 @@ class TestGraphRelease:
             if t.requires_grad:
                 np.testing.assert_array_equal(t.grad, ref_params[name].grad, err_msg=name)
 
+    def test_norm_outputs_die_before_backward(self, monkeypatch):
+        # The depthwise conv and pw2 read their batch-norm inputs for the
+        # weight gradients, but keep the norm's recipe, not its output.
+        norm_refs = []
+        batch_norm = dc.batch_norm
+
+        def batch_norm_spy(*args, **kwargs):
+            out = batch_norm(*args, **kwargs)
+            np.testing.assert_array_equal(out._recompute(), out.values)
+            norm_refs.append(weakref.ref(out.values))
+            return out
+
+        monkeypatch.setattr(dc, "batch_norm", batch_norm_spy)
+        params, out, total = self.step()
+        del out
+        assert len(norm_refs) == 2 * 2
+        assert [ref for ref in norm_refs if ref() is not None] == []
+
+        # The reference keeps every input's values, as before the recipes.
+        monkeypatch.setattr(dc, "batch_norm", batch_norm)
+        monkeypatch.setattr(dc, "_keep", lambda t: lambda v=t.values: v)
+        ref_params, _ref_out, ref_total = self.step()
+        dc.backward(total)
+        retaining_backward(ref_total)
+        for name, t in params.items():
+            if t.requires_grad:
+                np.testing.assert_array_equal(t.grad, ref_params[name].grad, err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv_reads_the_norm_output_it_was_given(self, dtype):
+        # The weight gradient reads exactly the norm's forward output, also
+        # after an in-place update of gamma and beta such as Adam's step.
+        rng = np.random.default_rng(13)
+        gamma = dc.parameter(rng.uniform(0.5, 1.5, 3).astype(dtype))
+        beta = dc.parameter(randn(rng, 3).astype(dtype))
+        rm, rv = dc.Tensor(np.zeros(3)), dc.Tensor(np.ones(3))
+        x = dc.constant(randn(rng, 2, 3, 50).astype(dtype))
+        y = dc.batch_norm(x, gamma, beta, rm, rv, training=True)
+        expected = y.values.copy()
+        gamma.values += 1.0
+        beta.values -= 1.0
+        w = dc.parameter(randn(rng, 4, 3).astype(dtype))
+        dc.backward(dc.sum(dc.conv1d_pointwise(y, w, dc.constant(np.zeros(4, dtype)))))
+        ones = np.ones((2, 4, 50), dtype)
+        np.testing.assert_array_equal(w.grad, np.tensordot(ones, expected, axes=([0, 2], [0, 2])))
+
     def test_leaves_keep_bit_identical_gradients(self):
         params, _out, total = self.step()
         ref_params, _ref_out, ref_total = self.step()
@@ -248,6 +294,26 @@ class TestGradientChecks:
             lambda x, g, b: dc.batch_norm(x, g, b, rm, rv, training=True), [x, gamma, beta]
         )
         assert err < 1e-5
+
+    @pytest.mark.parametrize(
+        "conv, weight_shape",
+        [(lambda u, k, b: dc.conv1d_depthwise_dilated(u, k, b, 2), (3, 3)), (dc.conv1d_pointwise, (4, 3))],
+        ids=["depthwise", "pointwise"],
+    )
+    def test_batch_norm_train_into_conv(self, conv, weight_shape):
+        # The conv reads the norm's output through the norm's recipe for its
+        # weight gradient.
+        rng = np.random.default_rng(11)
+        x = dc.parameter(randn(rng, 2, 3, 9))
+        gamma = dc.parameter(rng.uniform(0.5, 1.5, 3))
+        beta = dc.parameter(randn(rng, 3))
+        w, b = dc.parameter(randn(rng, *weight_shape)), dc.parameter(randn(rng, weight_shape[0]))
+        rm, rv = dc.Tensor(np.zeros(3)), dc.Tensor(np.ones(3))
+
+        def fn(x, g, be, w, b):
+            return conv(dc.batch_norm(x, g, be, rm, rv, training=True), w, b)
+
+        assert dc.gradient_check(fn, [x, gamma, beta, w, b]) < 1e-5
 
     def test_complex_mask_apply(self):
         rng = np.random.default_rng(5)
