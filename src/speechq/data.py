@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .signal import StftConfig, Waveform, load_wav, stft, istft
+# load_wav stays importable from this module: perfbench's tracer wraps speechq.data.load_wav.
+from .signal import StftConfig, Waveform, WavReader, istft, load_wav, stft  # noqa: F401
 
 __all__ = [
     "DatasetEntry",
@@ -46,18 +47,31 @@ class ManifestError(ValueError):
 
 @dataclass
 class DatasetEntry:
-    """One training/evaluation item: degraded input, optional clean target, label."""
+    """One training/evaluation item: degraded input, optional clean target, label.
 
-    degraded: Waveform
-    clean: Waveform | None
+    The audio is either in memory (a :class:`Waveform`) or on disk (a
+    :class:`WavReader`, as :func:`load_manifest` builds it, which holds a
+    file's path and sample layout but no samples). Both give ``sample_rate``,
+    ``len()``, ``samples`` and ``read(start, n)``, so training crops either
+    kind through one call. A clean reference has the degraded rate and at
+    least its length, so every crop of the degraded signal has a reference.
+    """
+
+    degraded: Waveform | WavReader
+    clean: Waveform | WavReader | None
     label: float
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (-0.5 <= self.label <= 4.5):
             raise ValueError(f"label {self.label} outside [-0.5, 4.5]")
-        if self.clean is not None and self.clean.sample_rate != self.degraded.sample_rate:
-            raise ValueError("clean/degraded sample rates differ")
+        if self.clean is not None:
+            if self.clean.sample_rate != self.degraded.sample_rate:
+                raise ValueError("clean/degraded sample rates differ")
+            if len(self.clean) < len(self.degraded):
+                raise ValueError(
+                    f"clean reference has {len(self.clean)} samples, fewer than the degraded {len(self.degraded)}"
+                )
 
 
 def _power(x: np.ndarray) -> float:
@@ -200,12 +214,19 @@ def proxy_label(clean: Waveform, degraded: Waveform) -> float:
 
 
 def load_manifest(path, sample_rate: int | None = None) -> list[DatasetEntry]:
-    """Read a line-delimited dataset manifest and load its audio.
+    """Read a line-delimited dataset manifest and validate its audio.
 
     Format: a header line naming the columns ``degraded_path``,
     ``clean_path`` (optional, empty values allowed) and ``label``,
     tab- or comma-separated. Paths resolve relative to the manifest.
-    All malformed records are reported together with their line numbers.
+    All malformed records are reported together with their line numbers,
+    among them a clean reference shorter than its degraded file.
+
+    Every WAV is read and decoded completely here, then dropped: an entry
+    keeps a :class:`WavReader` per file (path, rate, size and sample layout),
+    and its samples are read from disk when used. So memory does not grow
+    with the dataset, and the files must not change while the entries are
+    in use.
     """
     path = os.fspath(path)
     try:
@@ -213,6 +234,8 @@ def load_manifest(path, sample_rate: int | None = None) -> list[DatasetEntry]:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not a UTF-8 text manifest: {exc}") from exc
     lines = [ln for ln in lines if ln.strip()]
     if not lines:
         warnings.warn(f"manifest {path} is empty", stacklevel=2)
@@ -250,8 +273,8 @@ def load_manifest(path, sample_rate: int | None = None) -> list[DatasetEntry]:
         if "clean_path" in col:
             clean_path = fields[col["clean_path"]]
         try:
-            degraded = load_wav(degraded_path)
-            clean = load_wav(os.path.join(base, clean_path)) if clean_path else None
+            degraded = WavReader(degraded_path)
+            clean = WavReader(os.path.join(base, clean_path)) if clean_path else None
         except (OSError, ValueError) as exc:
             problems.append(f"line {lineno}: {exc}")
             continue
@@ -260,14 +283,11 @@ def load_manifest(path, sample_rate: int | None = None) -> list[DatasetEntry]:
                 f"line {lineno}: sample rate {degraded.sample_rate} != configured {sample_rate}"
             )
             continue
-        entries.append(
-            DatasetEntry(
-                degraded,
-                clean,
-                label,
-                meta={"origin": "manifest", "degraded_path": degraded_path, "line": lineno},
-            )
-        )
+        meta = {"origin": "manifest", "degraded_path": degraded_path, "line": lineno}
+        try:
+            entries.append(DatasetEntry(degraded, clean, label, meta=meta))
+        except ValueError as exc:
+            problems.append(f"line {lineno}: {exc}")
     if problems:
         raise ManifestError(f"{path}: invalid manifest:\n" + "\n".join(problems))
     return entries

@@ -780,12 +780,16 @@ class Adam:
         return out
 
     def load_state(self, arrays: dict, step: int) -> None:
+        """Adopt saved moments without copying them; ``step()`` then updates them
+        in place. The arrays must be writable, with their parameter's shape and
+        dtype, and used by nothing else, as :func:`load_checkpoint` returns them.
+        """
         # Parameters absent from the saved state (e.g. heads a previous run
         # did not optimize) keep fresh zero moments.
         for name in self.params:
             if f"opt.m.{name}" in arrays:
-                self.m[name] = np.array(arrays[f"opt.m.{name}"])
-                self.v[name] = np.array(arrays[f"opt.v.{name}"])
+                self.m[name] = arrays[f"opt.m.{name}"]
+                self.v[name] = arrays[f"opt.v.{name}"]
         self.t = int(step)
 
 

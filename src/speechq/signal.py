@@ -6,6 +6,9 @@ numpy. It reads little-endian RIFF files whose samples are 16-bit PCM or
 subformat GUID of a WAVE_FORMAT_EXTENSIBLE header; RF64, big-endian RIFX
 and every other sample encoding are rejected. It writes mono files of
 either encoding, byte for byte as ``scipy.io.wavfile.write`` does.
+:class:`WavReader` validates a file as :func:`load_wav` does but keeps only
+where its samples are; each :meth:`WavReader.read` then decodes one frame
+range from disk, through the same code as ``load_wav``.
 
 The analysis and synthesis transforms share a square-root Hann window at
 50% overlap. That pair satisfies the constant-overlap-add condition
@@ -35,6 +38,7 @@ __all__ = [
     "Waveform",
     "StftConfig",
     "WavFormatError",
+    "WavReader",
     "load_wav",
     "save_wav",
     "stft",
@@ -74,6 +78,10 @@ class Waveform:
 
     def __len__(self) -> int:
         return self.samples.size
+
+    def read(self, start: int, n: int) -> np.ndarray:
+        """Samples ``start`` to ``start + n``, as a view."""
+        return self.samples[start : start + n]
 
     @property
     def duration(self) -> float:
@@ -156,13 +164,36 @@ class _UnsupportedWav(ValueError):
     """A readable WAV file in a container or sample encoding load_wav does not take."""
 
 
+@dataclass(frozen=True)
+class _DataLayout:
+    """Where a WAV file keeps its samples: the data chunk's byte offset, its
+    whole-frame count, the channel count and the sample dtype (``<i2`` or ``<f4``)."""
+
+    offset: int
+    frames: int
+    channels: int
+    dtype: str
+
+    @property
+    def frame_bytes(self) -> int:
+        return self.channels * np.dtype(self.dtype).itemsize
+
+    def decode(self, raw) -> np.ndarray:
+        """Float64 samples of the first channel of the whole frames in the buffer
+        ``raw``; 16-bit PCM is scaled by 1/32768."""
+        samples = np.frombuffer(raw, self.dtype).reshape(-1, self.channels)[:, 0].astype(np.float64)
+        if self.dtype == "<i2":
+            samples /= 32768.0
+        return samples
+
+
 def _read_wav(buf: bytes):
-    """Decode a RIFF/WAVE byte string into (sample rate, samples).
+    """Walk a RIFF/WAVE byte string's chunks; return (sample rate, data layout).
 
     The chunk walk is scipy.io.wavfile.read's: it stops at the RIFF-declared
     size, needs ``fmt `` before ``data``, skips other chunks with their pad
     byte and, in a truncated data chunk, keeps the whole frames. Samples are
-    ``<i2`` or ``<f4``, shaped (frames, channels) for more than one channel.
+    ``<i2`` or ``<f4``, interleaved over the channels.
 
     Raises:
         _UnsupportedWav: RIFX/RF64, or samples other than 16-bit PCM and 32-bit float.
@@ -173,11 +204,11 @@ def _read_wav(buf: bytes):
     if buf[:4] != b"RIFF" or buf[8:12] != b"WAVE":
         raise ValueError("not a RIFF/WAVE file")
     end = int.from_bytes(buf[4:8], "little") + 8
-    pos, fmt, data = 12, None, None
+    pos, fmt, layout = 12, None, None
     while pos < end:
         chunk_id, size_field = buf[pos : pos + 4], buf[pos + 4 : pos + 8]
         if len(chunk_id) < 4 or (not size_field and chunk_id not in (b"fmt ", b"data")):
-            if data is not None:  # a clipped tail after the samples is ignored
+            if layout is not None:  # a clipped tail after the samples is ignored
                 break
             raise ValueError("unexpected end of file")
         if len(size_field) < 4:
@@ -219,15 +250,13 @@ def _read_wav(buf: bytes):
                 kind = "PCM" if tag == _WAVE_PCM else "float"
                 raise _UnsupportedWav(f"sample encoding {bits}-bit {kind} in {width}-byte containers")
             frames = min(size, len(buf) - body) // (width * channels)
-            data = np.frombuffer(buf, dtype, frames * channels, body)
-            if channels > 1:
-                data = data.reshape(frames, channels)
+            layout = _DataLayout(body, frames, channels, dtype)
         # An EXTENSIBLE fmt chunk is read to its end even where the declared
         # size is shorter, as scipy does, and the walk resumes after it.
         pos = body + max(size, used) + size % 2
-    if data is None:
+    if layout is None:
         raise ValueError("no data chunk")
-    return fmt[2], data
+    return fmt[2], layout
 
 
 def _write_wav(path, rate: int, data: np.ndarray) -> None:
@@ -249,6 +278,34 @@ def _write_wav(path, rate: int, data: np.ndarray) -> None:
         fh.write(data.tobytes())
 
 
+def _load(path) -> tuple[Waveform, _DataLayout, int]:
+    """Read and decode a whole WAV file: (waveform, data layout, file size in bytes)."""
+    path = os.fspath(path)
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"no such audio file: {path}")
+    try:
+        with open(path, "rb") as fh:
+            buf = fh.read()
+        rate, layout = _read_wav(buf)
+    except FileNotFoundError:
+        raise
+    except _UnsupportedWav as exc:
+        raise WavFormatError(
+            f"{path}: unsupported {exc}; expected 16-bit PCM or 32-bit float in little-endian RIFF"
+        ) from exc
+    except (OSError, ValueError) as exc:
+        raise WavFormatError(f"{path}: malformed or unreadable WAV: {exc}") from exc
+    if layout.channels > 1:
+        warnings.warn(f"{path}: {layout.channels} channels, keeping the first", stacklevel=3)
+    if layout.frames == 0:
+        raise WavFormatError(f"{path}: WAV file contains no samples")
+    samples = layout.decode(memoryview(buf)[layout.offset : layout.offset + layout.frames * layout.frame_bytes])
+    try:
+        return Waveform(samples, rate), layout, len(buf)
+    except ValueError as exc:
+        raise WavFormatError(f"{path}: {exc}") from exc
+
+
 def load_wav(path) -> Waveform:
     """Read a mono RIFF WAV file into a Waveform.
 
@@ -264,32 +321,67 @@ def load_wav(path) -> Waveform:
             or sample encoding, or samples that do not form a Waveform
             (non-finite values, a zero sample rate).
     """
-    path = os.fspath(path)
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"no such audio file: {path}")
-    try:
-        with open(path, "rb") as fh:
-            rate, data = _read_wav(fh.read())
-    except FileNotFoundError:
-        raise
-    except _UnsupportedWav as exc:
-        raise WavFormatError(
-            f"{path}: unsupported {exc}; expected 16-bit PCM or 32-bit float in little-endian RIFF"
-        ) from exc
-    except (OSError, ValueError) as exc:
-        raise WavFormatError(f"{path}: malformed or unreadable WAV: {exc}") from exc
-    if data.ndim == 2:
-        warnings.warn(f"{path}: {data.shape[1]} channels, keeping the first", stacklevel=2)
-        data = data[:, 0]
-    if data.size == 0:
-        raise WavFormatError(f"{path}: WAV file contains no samples")
-    samples = data.astype(np.float64)
-    if data.dtype == np.int16:
-        samples /= 32768.0
-    try:
-        return Waveform(samples, rate)
-    except ValueError as exc:
-        raise WavFormatError(f"{path}: {exc}") from exc
+    return _load(path)[0]
+
+
+class WavReader:
+    """A WAV file on disk whose samples are decoded on demand.
+
+    Construction reads and validates the whole file as :func:`load_wav`
+    does, with the same errors and the same multi-channel warning, then
+    keeps only the path, the sample rate, the file size and the data
+    chunk's layout (offset, frame count, channels, sample encoding). Each
+    :meth:`read` opens the file, seeks to its frames and reads them with
+    ``readinto``: no descriptor stays open between reads and no mapped page
+    counts toward the resident set. The file must not change afterwards.
+    """
+
+    __slots__ = ("path", "sample_rate", "_layout", "_size")
+
+    def __init__(self, path):
+        wave, self._layout, self._size = _load(path)
+        self.path = os.fspath(path)
+        self.sample_rate = wave.sample_rate
+
+    def __len__(self) -> int:
+        return self._layout.frames
+
+    @property
+    def samples(self) -> np.ndarray:
+        """Every sample, decoded from disk on each access."""
+        return self.read(0, len(self))
+
+    def read(self, start: int, n: int) -> np.ndarray:
+        """Samples ``start`` to ``start + n``, bit-equal to ``load_wav(path).samples[start:start + n]``.
+
+        Raises:
+            ValueError: the range lies outside the file's frames.
+            WavFormatError: the file changed since it was loaded: it has
+                another size, cannot be read, reads short, or the range holds
+                non-finite samples.
+        """
+        layout = self._layout
+        if start < 0 or n < 0 or start + n > layout.frames:
+            raise ValueError(f"{self.path}: samples {start}:{start + n} outside its {layout.frames} frames")
+        raw = np.empty(n * layout.channels, layout.dtype)
+        try:
+            # Unbuffered: one read into ``raw``, with no buffer object to set up.
+            with open(self.path, "rb", buffering=0) as fh:
+                size = os.fstat(fh.fileno()).st_size
+                if size != self._size:
+                    raise WavFormatError(f"{self.path}: changed since it was loaded, {self._size} -> {size} bytes")
+                fh.seek(layout.offset + start * layout.frame_bytes)
+                got = fh.readinto(raw)
+        except OSError as exc:
+            raise WavFormatError(f"{self.path}: cannot read samples: {exc}") from exc
+        if got != raw.nbytes:
+            raise WavFormatError(f"{self.path}: short read, {got} of {raw.nbytes} bytes from frame {start}")
+        samples = layout.decode(raw)
+        if not np.all(np.isfinite(samples)):
+            raise WavFormatError(
+                f"{self.path}: non-finite samples in frames {start}:{start + n}; it changed since it was loaded"
+            )
+        return samples
 
 
 def save_wav(path, wave: Waveform, encoding: str = "float32") -> None:

@@ -162,6 +162,8 @@ def _config_mismatch(saved, wanted, section: str) -> str | None:
 
 
 def _batch_crops(entries, crop, rng, batch_size):
+    """Draw a batch of entries and one offset each; read their (B, crop) degraded
+    and clean rows. Rows without a clean reference stay zero, flagged by has_clean."""
     n = len(entries)
     if n >= batch_size:
         idx = rng.permutation(n)[:batch_size]
@@ -174,9 +176,9 @@ def _batch_crops(entries, crop, rng, batch_size):
         entry = entries[i]
         hi = len(entry.degraded) - crop
         off = int(rng.integers(0, hi + 1)) if hi > 0 else 0
-        degraded[row] = entry.degraded.samples[off : off + crop]
+        degraded[row] = entry.degraded.read(off, crop)
         if entry.clean is not None:
-            clean[row] = entry.clean.samples[off : off + crop]
+            clean[row] = entry.clean.read(off, crop)
             has_clean[row] = 1.0
     return idx, degraded, clean, has_clean
 
@@ -247,6 +249,7 @@ def run_training(
         optimizer = dc.Adam(optimizer_params(params), lr=tcfg.lr, beta1=tcfg.beta1, beta2=tcfg.beta2)
         if opt_arrays:
             optimizer.load_state(opt_arrays, start_step)
+        del opt_arrays  # the optimizer adopted its moments; the rest is unused
     else:
         params = mdl.init_params(run.model, seed=tcfg.seed)
         optimizer = dc.Adam(optimizer_params(params), lr=tcfg.lr, beta1=tcfg.beta1, beta2=tcfg.beta2)

@@ -573,6 +573,61 @@ class TestBadInputs:
         )
         self.assert_data_error(["train", "--config", config], capsys, "shorter than one analysis window")
 
+    def test_short_clean_reference_exits_2_before_any_output(self, tmp_path, capsys):
+        from speechq.signal import Waveform, save_wav
+
+        save_wav(tmp_path / "deg.wav", dt.synth_clean("chirp", 0.5, seed=1))
+        save_wav(tmp_path / "cln.wav", Waveform(dt.synth_clean("chirp", 0.5, seed=1).samples[:6000], 16000))
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text("degraded_path\tclean_path\tlabel\ndeg.wav\tcln.wav\t2.0\n")
+        config = write_config(
+            tmp_path,
+            TINY_MODEL.format(steps=2) + f"\n[data]\nmanifest = {manifest}\n[output]\ndir = {tmp_path / 'run'}\n",
+        )
+        assert cli.main(["train", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith(f"data error: {manifest}: invalid manifest")
+        assert "line 2: clean reference has 6000 samples, fewer than the degraded 8000" in captured.err
+        assert not (tmp_path / "run").exists()
+
+    def test_binary_manifest(self, fresh_checkpoint, tmp_path, capsys):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_bytes(bytes(range(256)))
+        self.assert_data_error(
+            ["eval", "--checkpoint", fresh_checkpoint, "--manifest", manifest],
+            capsys,
+            f"{manifest}: not a UTF-8 text manifest",
+        )
+
+    @pytest.mark.parametrize("edit", ["truncate", "nan"])
+    def test_wav_changed_after_load_exits_2(self, tmp_path, capsys, monkeypatch, edit):
+        from scipy.io import wavfile
+
+        data_dir = simulate_dataset(tmp_path, count=2, seed=29)
+        wavs = sorted((data_dir / "wavs").glob("*_degraded.wav"))
+        load_manifest = dt.load_manifest
+
+        def load_then_edit(*args, **kwargs):
+            entries = load_manifest(*args, **kwargs)
+            for path in wavs:
+                if edit == "truncate":
+                    path.write_bytes(path.read_bytes()[:-400])
+                else:
+                    rate, samples = wavfile.read(path)
+                    samples[100] = np.nan
+                    wavfile.write(path, rate, samples)
+            return entries
+
+        monkeypatch.setattr(dt, "load_manifest", load_then_edit)
+        config = write_config(
+            tmp_path,
+            TINY_MODEL.format(steps=3)
+            + f"\n[data]\nmanifest = {data_dir / 'manifest.tsv'}\n[output]\ndir = {tmp_path / 'run'}\n",
+        )
+        expected = "changed since it was loaded" if edit == "truncate" else "non-finite samples in frames 0:8000"
+        self.assert_data_error(["train", "--config", config], capsys, expected)
+
     @pytest.mark.parametrize("keep", [0.3, 0.999])
     def test_truncated_checkpoint(self, fresh_checkpoint, wav, tmp_path, capsys, keep):
         full = fresh_checkpoint.read_bytes()

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from speechq import data as dt
-from speechq.signal import StftConfig, Waveform, istft, save_wav, stft
+from speechq.signal import StftConfig, Waveform, WavReader, istft, load_wav, save_wav, stft
 
 
 def measured_snr_db(mixture: Waveform, clean: Waveform) -> float:
@@ -288,3 +290,69 @@ class TestManifest:
         message = str(exc_info.value)
         for lineno in ("line 2", "line 3", "line 4"):
             assert lineno in message
+
+    def test_entries_read_their_files_on_demand(self, tmp_path):
+        records = self.write_entry_wavs(tmp_path)
+        dt.save_manifest(tmp_path / "m.tsv", records)
+        for entry, (deg, cln, _label) in zip(dt.load_manifest(tmp_path / "m.tsv"), records):
+            assert isinstance(entry.degraded, WavReader) and isinstance(entry.clean, WavReader)
+            np.testing.assert_array_equal(entry.degraded.samples, load_wav(tmp_path / deg).samples)
+            np.testing.assert_array_equal(entry.clean.read(100, 50), load_wav(tmp_path / cln).samples[100:150])
+
+    def test_loaded_entries_hold_no_audio(self, tmp_path):
+        rng = np.random.default_rng(0)
+        lines = ["degraded_path\tclean_path\tlabel"]
+        for i in range(64):
+            save_wav(tmp_path / f"deg{i}.wav", Waveform(rng.uniform(-0.5, 0.5, 8000), 16000))
+            save_wav(tmp_path / f"cln{i}.wav", Waveform(rng.uniform(-0.5, 0.5, 8000), 16000))
+            lines.append(f"deg{i}.wav\tcln{i}.wav\t2.0")
+        (tmp_path / "m.tsv").write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            entries = dt.load_manifest(tmp_path / "m.tsv", sample_rate=16000)
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(entries) == 64
+        # Decoded as float64, the 128 files would take 8 MiB.
+        assert held < 1 << 20, held
+
+    def test_short_clean_reference_reported_with_line_number(self, tmp_path):
+        rng = np.random.default_rng(0)
+        save_wav(tmp_path / "deg.wav", Waveform(rng.uniform(-0.5, 0.5, 8000), 16000))
+        save_wav(tmp_path / "short.wav", Waveform(rng.uniform(-0.5, 0.5, 6000), 16000))
+        save_wav(tmp_path / "long.wav", Waveform(rng.uniform(-0.5, 0.5, 9000), 16000))
+        path = tmp_path / "m.tsv"
+        path.write_text("degraded_path\tclean_path\tlabel\ndeg.wav\tlong.wav\t2.0\ndeg.wav\tshort.wav\t2.0\n")
+        with pytest.raises(dt.ManifestError) as info:
+            dt.load_manifest(path)
+        assert str(info.value).splitlines()[1:] == [
+            "line 3: clean reference has 6000 samples, fewer than the degraded 8000"
+        ]
+        path.write_text("degraded_path\tclean_path\tlabel\ndeg.wav\tlong.wav\t2.0\n")
+        assert len(dt.load_manifest(path)[0].clean) == 9000
+
+    def test_clean_rate_mismatch_reported(self, tmp_path):
+        rng = np.random.default_rng(0)
+        save_wav(tmp_path / "deg.wav", Waveform(rng.uniform(-0.5, 0.5, 4000), 16000))
+        save_wav(tmp_path / "cln.wav", Waveform(rng.uniform(-0.5, 0.5, 4000), 8000))
+        path = tmp_path / "m.tsv"
+        path.write_text("degraded_path\tclean_path\tlabel\ndeg.wav\tcln.wav\t2.0\n")
+        with pytest.raises(dt.ManifestError, match="line 2: clean/degraded sample rates differ"):
+            dt.load_manifest(path)
+
+    def test_binary_manifest_names_the_file(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe")
+        with pytest.raises(dt.ManifestError, match="not a UTF-8 text manifest") as info:
+            dt.load_manifest(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert len(str(info.value).splitlines()) == 1
+
+
+class TestDatasetEntry:
+    def test_in_memory_clean_must_cover_the_degraded(self):
+        degraded = Waveform(np.full(100, 0.1), 16000)
+        with pytest.raises(ValueError, match="fewer than the degraded 100"):
+            dt.DatasetEntry(degraded, Waveform(np.full(99, 0.1), 16000), 2.0)
+        assert len(dt.DatasetEntry(degraded, Waveform(np.full(120, 0.1), 16000), 2.0).clean) == 120

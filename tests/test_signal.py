@@ -299,6 +299,112 @@ class TestWavFuzz:
         if expected is not None:  # both decoded: the same samples
             assert w.sample_rate == expected[0]
             np.testing.assert_array_equal(w.samples, expected[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            reader = sig.WavReader(path)
+        assert (reader.sample_rate, len(reader)) == (w.sample_rate, len(w))
+        np.testing.assert_array_equal(reader.read(0, len(reader)), w.samples)
+
+
+def _reader_files():
+    """(name, file bytes) for every layout the reader must decode like load_wav."""
+    rng = np.random.default_rng(3)
+    pcm = rng.integers(-32768, 32768, 501).astype("<i2")
+    flt = rng.uniform(-1, 1, 501).astype("<f4")
+    stereo_pcm = rng.integers(-32768, 32768, (301, 2)).astype("<i2")
+    stereo_flt = rng.uniform(-1, 1, (301, 2)).astype("<f4")
+    return [
+        ("pcm16", riff(fmt_chunk(1, 1, 16000, 16), (b"data", pcm.tobytes()))),
+        ("float32", riff(fmt_chunk(3, 1, 16000, 32), (b"fact", struct.pack("<I", 501)), (b"data", flt.tobytes()))),
+        ("extensible-pcm16", riff(fmt_chunk(1, 1, 16000, 16, extensible=True), (b"data", pcm.tobytes()))),
+        ("extensible-float32", riff(fmt_chunk(3, 1, 16000, 32, extensible=True), (b"data", flt.tobytes()))),
+        ("stereo-pcm16", riff(fmt_chunk(1, 2, 16000, 16), (b"data", stereo_pcm.tobytes()))),
+        ("stereo-float32", riff(fmt_chunk(3, 2, 16000, 32, extensible=True), (b"data", stereo_flt.tobytes()))),
+        (
+            "odd-list-junk",
+            riff((b"LIST", b"INFOodd"), fmt_chunk(1, 1, 16000, 16), (b"JUNK", b"x"), (b"data", pcm.tobytes())),
+        ),
+    ]
+
+
+READER_FILES = _reader_files()
+
+
+class TestWavReader:
+    @pytest.fixture(params=READER_FILES, ids=[name for name, _ in READER_FILES])
+    def path(self, request, tmp_path):
+        path = tmp_path / f"{request.param[0]}.wav"
+        path.write_bytes(request.param[1])
+        return path
+
+    @staticmethod
+    def load_both(path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return sig.load_wav(path), sig.WavReader(path)
+
+    def test_ranged_reads_equal_load_wav(self, path):
+        wave, reader = self.load_both(path)
+        assert (reader.sample_rate, len(reader)) == (wave.sample_rate, len(wave))
+        rng = np.random.default_rng(len(wave))
+        n = len(wave)
+        ranges = [(0, 1), (0, 37), (n - 1, 1), (n - 37, 37), (0, n), (5, 0)]
+        ranges += [(int(start), int(rng.integers(0, n - start + 1))) for start in rng.integers(0, n, 20)]
+        for start, count in ranges:
+            got = reader.read(start, count)
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, wave.samples[start : start + count])
+            np.testing.assert_array_equal(got, wave.read(start, count))
+        np.testing.assert_array_equal(reader.samples, wave.samples)
+
+    def test_multi_channel_warns_once_at_load(self, tmp_path):
+        path = tmp_path / "stereo.wav"
+        path.write_bytes(dict(READER_FILES)["stereo-pcm16"])
+        with pytest.warns(UserWarning, match="2 channels, keeping the first"):
+            reader = sig.WavReader(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reader.read(3, 10)
+            reader.samples
+
+    def test_range_outside_the_frames(self, path):
+        _wave, reader = self.load_both(path)
+        for start, count in [(-1, 2), (0, len(reader) + 1), (len(reader), 1), (2, -1)]:
+            with pytest.raises(ValueError, match="outside"):
+                reader.read(start, count)
+
+    @pytest.mark.parametrize("edit", ["truncate", "extend", "delete"])
+    def test_changed_file_names_itself(self, tmp_path, edit):
+        path = tmp_path / "x.wav"
+        blob = dict(READER_FILES)["float32"]
+        path.write_bytes(blob)
+        reader = sig.WavReader(path)
+        if edit == "delete":
+            path.unlink()
+        else:
+            path.write_bytes(blob[:-4] if edit == "truncate" else blob + b"\x00" * 4)
+        with pytest.raises(sig.WavFormatError) as info:
+            reader.read(0, 10)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_non_finite_samples_after_load(self, tmp_path):
+        flt = np.linspace(-0.5, 0.5, 100).astype("<f4")
+        path = tmp_path / "x.wav"
+        path.write_bytes(riff(fmt_chunk(3, 1, 16000, 32), (b"data", flt.tobytes())))
+        reader = sig.WavReader(path)
+        flt[60] = np.nan
+        path.write_bytes(riff(fmt_chunk(3, 1, 16000, 32), (b"data", flt.tobytes())))
+        np.testing.assert_array_equal(reader.read(0, 60), np.linspace(-0.5, 0.5, 100).astype("<f4")[:60])
+        with pytest.raises(sig.WavFormatError, match="non-finite samples in frames 50:70"):
+            reader.read(50, 20)
+
+    def test_rejects_what_load_wav_rejects(self, tmp_path):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(riff(fmt_chunk(3, 1, 16000, 32), (b"data", np.array([0.5, np.nan], "<f4").tobytes())))
+        with pytest.raises(sig.WavFormatError, match="non-finite"):
+            sig.WavReader(path)
+        with pytest.raises(FileNotFoundError):
+            sig.WavReader(tmp_path / "nope.wav")
 
 
 class TestWaveform:

@@ -11,6 +11,7 @@ from speechq import losses
 from speechq import model as mdl
 from speechq import train as tr
 from speechq.config import RunConfig, SimulateConfig, TrainingConfig
+from speechq.signal import load_wav, save_wav
 
 CLEAN_PATTERNS = {"all": [True, True, True], "none": [False, False, False], "mixed": [True, False, True]}
 
@@ -164,3 +165,69 @@ class TestStepLosses:
         for name in ("mask_real.w", "mask_real.b", "mask_imag.w", "mask_imag.b"):
             assert params[name].grad is not None
             assert not np.any(params[name].grad)
+
+
+class TestStreamedEntries:
+    """Entries that read their crops from disk train exactly as in-memory ones."""
+
+    @staticmethod
+    def manifest_and_memory(tmp_path):
+        lines = ["degraded_path\tclean_path\tlabel"]
+        for i, entry in enumerate(make_entries(CLEAN_PATTERNS["mixed"])):
+            save_wav(tmp_path / f"deg{i}.wav", entry.degraded, encoding="pcm16" if i == 1 else "float32")
+            clean = ""
+            if entry.clean is not None:
+                clean = f"cln{i}.wav"
+                save_wav(tmp_path / clean, entry.clean)
+            lines.append(f"deg{i}.wav\t{clean}\t{entry.label}")
+        (tmp_path / "m.tsv").write_text("\n".join(lines) + "\n")
+        streamed = dt.load_manifest(tmp_path / "m.tsv")
+        in_memory = []
+        for i, entry in enumerate(streamed):
+            clean = load_wav(tmp_path / f"cln{i}.wav") if entry.clean is not None else None
+            in_memory.append(dt.DatasetEntry(load_wav(tmp_path / f"deg{i}.wav"), clean, entry.label))
+        return streamed, in_memory
+
+    def test_batch_crops_are_bit_equal(self, tmp_path):
+        streamed, in_memory = self.manifest_and_memory(tmp_path)
+        crop = min(len(e.degraded) for e in streamed) - 500
+        for seed in range(5):
+            got = tr._batch_crops(streamed, crop, np.random.default_rng(seed), 4)
+            want = tr._batch_crops(in_memory, crop, np.random.default_rng(seed), 4)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+    def test_training_is_bit_equal(self, tmp_path):
+        streamed, in_memory = self.manifest_and_memory(tmp_path)
+        run = tiny_run(recon_weight=0.5, reduction="mean")
+        run.training.crop_seconds = 0.2
+        run.training.max_steps = 4
+        run.training.val_every = 2
+        finals = []
+        for name, entries in (("streamed", streamed), ("memory", in_memory)):
+            result = tr.run_training(run, entries, val_entries=entries[:2], out_dir=str(tmp_path / name))
+            finals.append((result.history, dc.load_checkpoint(result.final_checkpoint)[0]))
+        (history, arrays), (want_history, want_arrays) = finals
+        assert history == want_history
+        assert arrays.keys() == want_arrays.keys()
+        for name in arrays:
+            np.testing.assert_array_equal(arrays[name], want_arrays[name], err_msg=name)
+
+
+def test_resumed_optimizer_adopts_the_loaded_moments(tmp_path):
+    run = tiny_run()
+    params = mdl.init_params(run.model, seed=1)
+    optimizer = dc.Adam(params)
+    for t in optimizer.params.values():
+        t.grad = np.ones_like(t.values)
+    optimizer.step()
+    tr.save_run_checkpoint(tmp_path / "c.ckpt", run.model, run.quantizer, params, optimizer, step=1)
+    _cfg, _quant, loaded, opt_arrays, step = tr.load_run_checkpoint(tmp_path / "c.ckpt")
+    resumed = dc.Adam(loaded)
+    resumed.load_state(opt_arrays, step)
+    assert resumed.t == 1 and resumed.m.keys() == optimizer.m.keys()
+    for name in resumed.params:
+        assert np.shares_memory(resumed.m[name], opt_arrays[f"opt.m.{name}"]), name
+        assert np.shares_memory(resumed.v[name], opt_arrays[f"opt.v.{name}"]), name
+        np.testing.assert_array_equal(resumed.m[name], optimizer.m[name])
+        np.testing.assert_array_equal(resumed.v[name], optimizer.v[name])
