@@ -22,7 +22,7 @@ for i, snr in enumerate(np.linspace(-12.0, 30.0, 8)):
     noise = dt.synth_noise(duration=0.5, seed=200 + i)
     degraded, clean_ref = dt.mix_at_snr(clean, noise, float(snr))
     label = dt.proxy_label(clean_ref, degraded)
-    entries.append(dt.DatasetEntry(degraded, clean_ref, label, {"snr_db": float(snr)}))
+    entries.append(dt.DatasetEntry(degraded, clean_ref, label))
 print("labels:", [round(e.label, 2) for e in entries])
 
 run = RunConfig(

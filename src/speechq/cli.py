@@ -1,8 +1,9 @@
 """Command-line entry point: simulate, train, predict, eval.
 
-Exit codes: 0 success, 1 usage/configuration error, 2 data error,
-3 numerical failure. A Python warning raised while a command runs is
-printed as one ``warning: <message>`` line on stderr.
+Exit codes: 0 success, 1 usage/configuration error, 2 data error (also
+any other file a command cannot read or write), 3 numerical failure. A Python
+warning raised while a command runs is printed as one
+``warning: <message>`` line on stderr.
 
 ``main`` owns the process, so it also tunes the C allocator through
 glibc's ``mallopt``: blocks up to 32 MiB come from the heap instead of
@@ -98,6 +99,8 @@ def _load_run(args) -> RunConfig:
     """The run configuration of ``--config`` with the ``--seed`` and ``--out`` flags applied."""
     run = RunConfig.from_file(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         run.training.seed = run.simulate.seed = args.seed
     if args.out is not None:
         run.out_dir = args.out
@@ -176,10 +179,6 @@ def cmd_predict(args) -> int:
     cfg, quant, params, _opt, _step = load_run_checkpoint(args.checkpoint)
     for path in args.wavs:
         wave = load_wav(path)
-        if wave.sample_rate != cfg.sample_rate:
-            raise WavFormatError(
-                f"{path}: sample rate {wave.sample_rate} does not match model rate {cfg.sample_rate}"
-            )
         try:
             dist = mdl.forward(wave, cfg, params)
         except WavFormatError as exc:
@@ -232,7 +231,7 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        except (ManifestError, WavFormatError, CheckpointError, FileNotFoundError) as exc:
+        except (ManifestError, WavFormatError, CheckpointError, OSError) as exc:
             print(f"data error: {exc}", file=sys.stderr)
             return EXIT_DATA
         except (NumericalDivergence, FloatingPointError) as exc:

@@ -8,8 +8,8 @@ SimulateConfig. Each value parses to its field's annotated type (float
 only when finite) and defaults to the field's default. The exceptions:
 
 - [quantizer] n_classes defaults to 100;
-- [quantizer] pad defaults from [training] label_kind (0 for one-hot,
-  2 for soft) and must agree with it;
+- [quantizer] pad is not a key: it follows [training] label_kind (0 for
+  one-hot, 2 for soft);
 - [model] n_classes defaults to, and must equal, the quantizer's classes
   plus padding;
 - [simulate] rir_paths is a comma-separated list;
@@ -20,10 +20,12 @@ only when finite) and defaults to the field's default. The exceptions:
   sample counts stay representable;
 - [simulate] snr_lo and snr_hi lie in [-MAX_SNR_DB, MAX_SNR_DB] (300 dB,
   far past any audible difference), so the noise gain stays finite and
-  nonzero.
+  nonzero;
+- the seeds and [training] val_every are non-negative.
 
 Validation is exhaustive and happens before any work starts; an invalid
-configuration never produces partial output.
+configuration never produces partial output. Its message lists every
+problem on one line, separated by `` | ``.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class TrainingConfig:
     recon_weight: float = 1.0  # weight on the reconstruction term; 0 trains quality only
     label_kind: str = "one-hot"  # "one-hot" | "soft"
     td_mse_reduction: str = "sum"  # "sum" (plain squared norm) | "mean" (length-normalized)
-    val_every: int = 0  # 0: validate only at the end
+    val_every: int = 0  # 0: every max(1, max_steps // 10) steps; the last step always validates
 
 
 @dataclass
@@ -85,7 +87,7 @@ def _field_types(cls) -> dict:
 # Section -> key -> parse type. [data] and [output] hold the RunConfig paths.
 _SECTIONS = {
     "model": _field_types(ModelConfig),
-    "quantizer": _field_types(QuantizerConfig),
+    "quantizer": {"n_classes": int},  # pad follows [training] label_kind
     "training": _field_types(TrainingConfig),
     "simulate": _field_types(SimulateConfig),
     "data": {"manifest": str, "val_manifest": str},
@@ -132,15 +134,22 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        """Parse and validate a config file."""
+        """Parse and validate a UTF-8 config file.
+
+        Raises:
+            ConfigError: the file cannot be opened or decoded, is not INI
+                text, or holds an invalid configuration; one line that
+                names the path.
+        """
         path = os.fspath(path)
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         try:
-            parser.read(path)
-        except configparser.Error as exc:
-            raise ConfigError(f"{path}: cannot parse config: {exc}") from exc
+            with open(path, encoding="utf-8") as fh:
+                parser.read_file(fh)
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read config: {exc.strerror or exc}") from exc
+        except (UnicodeDecodeError, configparser.Error) as exc:
+            raise ConfigError(f"{path}: cannot parse config: {' '.join(str(exc).split())}") from exc
         return cls.from_parser(parser, base=os.path.dirname(os.path.abspath(path)))
 
     @classmethod
@@ -152,19 +161,12 @@ class RunConfig:
         if training.label_kind not in ("one-hot", "soft"):
             errors.append(f"label_kind must be one-hot or soft, got {training.label_kind!r}")
             training.label_kind = "one-hot"
-        expected_pad = 2 if training.label_kind == "soft" else 0
-        pad = given["quantizer"].get("pad", expected_pad)
-        if pad != expected_pad:
-            errors.append(
-                f"quantizer pad = {pad} is inconsistent with label_kind = {training.label_kind}"
-                f" (expected {expected_pad})"
-            )
-        quant_defaults = {"n_classes": 100, "pad": expected_pad}
+        pad = 2 if training.label_kind == "soft" else 0
         try:
-            quantizer = QuantizerConfig(**{**quant_defaults, **given["quantizer"]})
+            quantizer = QuantizerConfig(given["quantizer"].get("n_classes", 100), pad)
         except ValueError as exc:
             errors.append(str(exc))
-            quantizer = QuantizerConfig(**quant_defaults)
+            quantizer = QuantizerConfig(100, pad)
 
         model_values = {**given["model"], "n_classes": quantizer.n_total}
         model_classes = given["model"].get("n_classes", quantizer.n_total)
@@ -195,6 +197,13 @@ class RunConfig:
         ):
             if value <= 0:
                 errors.append(f"training {name} must be positive, got {value}")
+        for name, value in (
+            ("training seed", training.seed),
+            ("training val_every", training.val_every),
+            ("simulate seed", simulate.seed),
+        ):
+            if value < 0:
+                errors.append(f"{name} must be non-negative, got {value}")
         if not (0.0 < training.beta1 < 1.0 and 0.0 < training.beta2 < 1.0):
             errors.append("adam betas must lie in (0, 1)")
         if training.recon_weight < 0:
@@ -221,5 +230,5 @@ class RunConfig:
             errors.append("snr_hi must be >= snr_lo")
 
         if errors:
-            raise ConfigError("invalid configuration:\n" + "\n".join(f"  - {e}" for e in errors))
+            raise ConfigError("invalid configuration: " + " | ".join(errors))
         return cls(model=model, quantizer=quantizer, training=training, simulate=simulate, **paths)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class DatasetEntry:
     degraded: Waveform | WavReader
     clean: Waveform | WavReader | None
     label: float
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (-0.5 <= self.label <= 4.5):
@@ -219,8 +218,9 @@ def load_manifest(path, sample_rate: int | None = None) -> list[DatasetEntry]:
     Format: a header line naming the columns ``degraded_path``,
     ``clean_path`` (optional, empty values allowed) and ``label``,
     tab- or comma-separated. Paths resolve relative to the manifest.
-    All malformed records are reported together with their line numbers,
-    among them a clean reference shorter than its degraded file.
+    All malformed records are reported together, on one line separated by
+    `` | ``, with their line numbers, among them a clean reference shorter
+    than its degraded file.
 
     Every WAV is read and decoded completely here, then dropped: an entry
     keeps a :class:`WavReader` per file (path, rate, size and sample layout),
@@ -283,22 +283,21 @@ def load_manifest(path, sample_rate: int | None = None) -> list[DatasetEntry]:
                 f"line {lineno}: sample rate {degraded.sample_rate} != configured {sample_rate}"
             )
             continue
-        meta = {"origin": "manifest", "degraded_path": degraded_path, "line": lineno}
         try:
-            entries.append(DatasetEntry(degraded, clean, label, meta=meta))
+            entries.append(DatasetEntry(degraded, clean, label))
         except ValueError as exc:
             problems.append(f"line {lineno}: {exc}")
     if problems:
-        raise ManifestError(f"{path}: invalid manifest:\n" + "\n".join(problems))
+        raise ManifestError(f"{path}: invalid manifest: " + " | ".join(problems))
     return entries
 
 
-def save_manifest(path, records: list[tuple[str, str, float]], sep: str = "\t") -> None:
-    """Write (degraded_path, clean_path, label) records with a header line."""
+def save_manifest(path, records: list[tuple[str, str, float]]) -> None:
+    """Write tab-separated (degraded_path, clean_path, label) records with a header line."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(sep.join(("degraded_path", "clean_path", "label")) + "\n")
+        fh.write("degraded_path\tclean_path\tlabel\n")
         for degraded_path, clean_path, label in records:
-            fh.write(sep.join((degraded_path, clean_path, f"{label:.6f}")) + "\n")
+            fh.write(f"{degraded_path}\t{clean_path}\t{label:.6f}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ import json
 import math
 import os
 import struct
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -111,9 +111,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.values.dtype
-
-    def item(self) -> float:
-        return float(self.values)
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, dtype={self.values.dtype}, requires_grad={self.requires_grad})"
@@ -363,6 +360,10 @@ def prelu(x, slope) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalization
 
+# batch_norm's running-statistics momentum and its variance floor.
+NORM_MOMENTUM = 0.99
+NORM_EPS = 1e-5
+
 
 def batch_norm(
     x,
@@ -371,8 +372,6 @@ def batch_norm(
     running_mean: Tensor,
     running_var: Tensor,
     training: bool,
-    momentum: float = 0.99,
-    eps: float = 1e-5,
 ) -> Tensor:
     """Per-channel batch normalization over (batch, time) of a (B, C, T) tensor.
 
@@ -397,10 +396,10 @@ def batch_norm(
         mu = np.mean(x.values, axis=(0, 2), keepdims=True)
         xhat = x.values - mu
         var = np.mean(xhat * xhat, axis=(0, 2), keepdims=True)
-        sigma = np.sqrt(var + eps)
+        sigma = np.sqrt(var + NORM_EPS)
         xhat /= sigma
-        running_mean.values[...] = momentum * running_mean.values + (1.0 - momentum) * mu.ravel()
-        running_var.values[...] = momentum * running_var.values + (1.0 - momentum) * var.ravel()
+        running_mean.values[...] = NORM_MOMENTUM * running_mean.values + (1.0 - NORM_MOMENTUM) * mu.ravel()
+        running_var.values[...] = NORM_MOMENTUM * running_var.values + (1.0 - NORM_MOMENTUM) * var.ravel()
         m = x.values.shape[0] * x.values.shape[2]
 
         def grad_x(g):
@@ -416,7 +415,7 @@ def batch_norm(
             return gx
 
     else:
-        sigma = np.sqrt(running_var.values + eps)
+        sigma = np.sqrt(running_var.values + NORM_EPS)
         xhat = x.values - running_mean.values[None, :, None]
         xhat /= sigma[None, :, None]
 
@@ -659,11 +658,6 @@ def backward(loss: Tensor) -> None:
             parent.grad = pg if parent.grad is None else parent.grad + pg
 
 
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.grad = None
-
-
 # ---------------------------------------------------------------------------
 # finite-difference verification
 
@@ -695,7 +689,8 @@ def gradient_check(fn, inputs: Sequence[Tensor], step: float = 1e-5) -> float:
     analytic = [
         t.grad.copy() if t.grad is not None else np.zeros_like(t.values) for t in inputs
     ]
-    zero_grads(inputs)
+    for t in inputs:
+        t.grad = None
 
     worst = 0.0
     for t, an in zip(inputs, analytic):
@@ -717,6 +712,9 @@ def gradient_check(fn, inputs: Sequence[Tensor], step: float = 1e-5) -> float:
 # ---------------------------------------------------------------------------
 # optimizer
 
+# Adam's denominator floor: values -= lr * m_hat / (sqrt(v_hat) + ADAM_EPS).
+ADAM_EPS = 1e-8
+
 
 class Adam:
     """Standard Adam over a named parameter map.
@@ -726,12 +724,11 @@ class Adam:
     checkpointed runs resume bit-exactly.
     """
 
-    def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999):
         self.params = {name: t for name, t in params.items() if t.requires_grad}
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.m = {name: np.zeros_like(t.values) for name, t in self.params.items()}
         self.v = {name: np.zeros_like(t.values) for name, t in self.params.items()}
@@ -766,7 +763,7 @@ class Adam:
             a *= self.lr
             np.divide(v, bc2, out=b)
             np.sqrt(b, out=b)
-            b += self.eps
+            b += ADAM_EPS
             a /= b
             t.values -= a
             t.grad = None

@@ -76,7 +76,6 @@ class GraphOutput:
     logits: dc.Tensor  # (B, n_classes, T)
     pooled: dc.Tensor  # (B, n_classes)
     distribution: dc.Tensor  # (B, n_classes)
-    n_frames: int
 
 
 def param_layout(cfg: ModelConfig) -> dict[str, tuple[tuple, int | float]]:
@@ -184,7 +183,6 @@ def forward_graph(
         [sig.stft(sig.Waveform(row, cfg.sample_rate), cfg.stft) for row in batch_samples]
     )  # (B, F, T) complex
     feats = dc.constant(sig.lps(specs).astype(dt))
-    n_frames = specs.shape[2]
 
     h = dc.conv1d_pointwise(feats, params["entry.w"], params["entry.b"])
     for r in range(cfg.repeats):
@@ -208,7 +206,7 @@ def forward_graph(
     # The softmax runs in float64 regardless of the training precision so
     # the output is a valid distribution at tight tolerance.
     distribution = dc.softmax(dc.cast(pooled, np.float64), axis=1)
-    return GraphOutput(recon, logits, pooled, distribution, n_frames)
+    return GraphOutput(recon, logits, pooled, distribution)
 
 
 def forward(wave: sig.Waveform, cfg: ModelConfig, params: dict) -> np.ndarray:
@@ -219,9 +217,7 @@ def forward(wave: sig.Waveform, cfg: ModelConfig, params: dict) -> np.ndarray:
     reads.
     """
     if wave.sample_rate != cfg.sample_rate:
-        raise ValueError(
-            f"waveform rate {wave.sample_rate} does not match model rate {cfg.sample_rate}"
-        )
+        raise sig.WavFormatError(f"sample rate {wave.sample_rate} does not match model rate {cfg.sample_rate}")
     frozen = {name: dc.constant(t.values) for name, t in params.items()}
     out = forward_graph(wave.samples[None, :], cfg, frozen, training=False, compute_reconstruction=False)
     return out.distribution.values[0]

@@ -83,10 +83,6 @@ class Waveform:
         """Samples ``start`` to ``start + n``, as a view."""
         return self.samples[start : start + n]
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 def sqrt_hann(n: int) -> np.ndarray:
     """Square-root of the periodic Hann window, i.e. sin(pi k / n)."""
@@ -95,53 +91,32 @@ def sqrt_hann(n: int) -> np.ndarray:
 
 @dataclass
 class StftConfig:
-    """Framing parameters for the analysis/synthesis pair.
-
-    The hop must be exactly half the window and the FFT length equals the
-    window length. The default window is square-root Hann, used for both
-    analysis and synthesis.
-    """
+    """Framing of the analysis/synthesis pair: a square-root Hann window of
+    ``window_len`` samples, hop ``window_len // 2`` and FFT length ``window_len``."""
 
     window_len: int
-    hop_len: int
-    fft_len: int = 0
     sample_rate: int = 16000
-    window: np.ndarray = field(default=None, repr=False)
+    window: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.fft_len == 0:
-            self.fft_len = self.window_len
         if self.window_len <= 0 or self.window_len % 2 != 0:
             raise ValueError(f"window_len must be a positive even number, got {self.window_len}")
-        if self.hop_len * 2 != self.window_len:
-            raise ValueError(
-                f"hop_len must be exactly window_len / 2, got hop={self.hop_len} window={self.window_len}"
-            )
-        if self.fft_len != self.window_len:
-            raise ValueError("fft_len must equal window_len")
-        if self.window is None:
-            self.window = sqrt_hann(self.window_len)
-        self.window = np.asarray(self.window, dtype=np.float64)
-        if self.window.shape != (self.window_len,):
-            raise ValueError("window length does not match window_len")
-        # Constant-overlap-add check for the analysis*synthesis product at
-        # 50% overlap: w^2[k] + w^2[k + hop] must be 1 on the interior.
-        cola = self.window[: self.hop_len] ** 2 + self.window[self.hop_len :] ** 2
-        if np.max(np.abs(cola - 1.0)) > 1e-9:
-            raise ValueError("window does not satisfy constant overlap-add at 50% overlap")
+        self.window = sqrt_hann(self.window_len)
 
     @classmethod
-    def for_sample_rate(cls, sample_rate: int, window_ms: float = 32.0, hop_ms: float = 16.0) -> "StftConfig":
+    def for_sample_rate(cls, sample_rate: int) -> "StftConfig":
         """Build the standard configuration (32 ms window, 16 ms hop)."""
-        win = int(round(sample_rate * window_ms / 1000.0))
+        win = int(round(sample_rate * 32.0 / 1000.0))
         win += win % 2  # keep the 2:1 window/hop ratio exact
-        if abs(hop_ms * 2 - window_ms) > 1e-9:
-            raise ValueError("hop must be half the window")
-        return cls(window_len=win, hop_len=win // 2, sample_rate=int(sample_rate))
+        return cls(window_len=win, sample_rate=int(sample_rate))
+
+    @property
+    def hop_len(self) -> int:
+        return self.window_len // 2
 
     @property
     def n_bins(self) -> int:
-        return self.fft_len // 2 + 1
+        return self.window_len // 2 + 1
 
     def num_frames(self, n_samples: int) -> int:
         if n_samples < self.window_len:
@@ -408,7 +383,7 @@ def stft(wave: Waveform, cfg: StftConfig) -> np.ndarray:
     Bin (f, t) is the DFT of the windowed frame starting at t * hop_len.
     """
     frames = _frame_signal(wave.samples, cfg) * cfg.window[None, :]
-    return np.fft.rfft(frames, n=cfg.fft_len, axis=1).T
+    return np.fft.rfft(frames, n=cfg.window_len, axis=1).T
 
 
 def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
@@ -433,7 +408,7 @@ def _synthesize(spec: np.ndarray, cfg: StftConfig) -> np.ndarray:
     spec = np.array(spec)
     spec[..., 0, :] = spec[..., 0, :].real
     spec[..., -1, :] = spec[..., -1, :].real
-    frames = np.fft.irfft(np.swapaxes(spec, -1, -2), n=cfg.fft_len, axis=-1)  # (..., T, window_len)
+    frames = np.fft.irfft(np.swapaxes(spec, -1, -2), n=cfg.window_len, axis=-1)  # (..., T, window_len)
     frames *= cfg.window.astype(frames.dtype)
     out = _overlap_add(frames, cfg.hop_len)
     return out / _window_sumsquare(cfg, spec.shape[-1]).astype(frames.dtype)
@@ -448,10 +423,9 @@ def _synthesize_adjoint(grad_out: np.ndarray, n_frames: int, cfg: StftConfig) ->
     g = grad_out / _window_sumsquare(cfg, n_frames).astype(grad_out.dtype)
     frames_g = _frame_signal(g, cfg)  # (..., T, window_len)
     frames_g *= cfg.window.astype(g.dtype)
-    spec_g = np.fft.rfft(frames_g, n=cfg.fft_len, axis=-1)
-    scale = np.full(cfg.n_bins, 2.0 / cfg.fft_len)
-    scale[0] = 1.0 / cfg.fft_len
-    scale[-1] = 1.0 / cfg.fft_len
+    spec_g = np.fft.rfft(frames_g, n=cfg.window_len, axis=-1)
+    scale = np.full(cfg.n_bins, 2.0 / cfg.window_len)
+    scale[[0, -1]] = 1.0 / cfg.window_len
     return np.swapaxes(spec_g * scale.astype(g.dtype), -1, -2)
 
 

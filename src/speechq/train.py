@@ -184,7 +184,7 @@ def _batch_crops(entries, crop, rng, batch_size):
 
 
 def _objective(run: RunConfig, params, samples, clean, target_rows, training, weights=None):
-    """Forward a (B, L) batch and return (graph output, losses.joint_loss).
+    """Forward a (B, L) batch and return its losses.joint_loss terms.
 
     A ``clean`` (B, L) reference turns on the reconstruction branch and its
     td_mse term; without one the objective is emd2 alone.
@@ -196,7 +196,7 @@ def _objective(run: RunConfig, params, samples, clean, target_rows, training, we
     if clean is not None:
         n_out = out.reconstruction.values.shape[1]
         clean_t = dc.constant(clean[:, :n_out].astype(run.model.np_dtype))
-    terms = losses.joint_loss(
+    return losses.joint_loss(
         out.reconstruction,
         clean_t,
         out.distribution,
@@ -205,7 +205,6 @@ def _objective(run: RunConfig, params, samples, clean, target_rows, training, we
         weights=weights,
         reduction=run.training.td_mse_reduction,
     )
-    return out, terms
 
 
 def run_training(
@@ -283,7 +282,7 @@ def run_training(
                 total, recon, emd = _objective(
                     run, params, degraded, clean if use_recon else None, target_rows,
                     training=True, weights=has_clean,
-                )[1]
+                )
                 dc.backward(total)
                 optimizer.step()
             except FloatingPointError as exc:
@@ -325,7 +324,7 @@ def _validation_total(run: RunConfig, params, val_entries, quant) -> float:
     for entry, row in zip(val_entries, targets):
         use_clean = run.training.recon_weight > 0 and entry.clean is not None
         clean = entry.clean.samples[None, :] if use_clean else None
-        _out, (loss, _recon, _emd) = _objective(
+        loss, _recon, _emd = _objective(
             run, frozen, entry.degraded.samples[None, :], clean, row[None, :], training=False
         )
         total += float(loss.values)

@@ -44,7 +44,7 @@ def _primitive_cases(rng):
     t = int(rng.integers(4, 12))
     cc = int(rng.integers(2, 6))
     dilation = int(rng.integers(1, 5))
-    stft_cfg = sig.StftConfig(window_len=16, hop_len=8, sample_rate=1000)
+    stft_cfg = sig.StftConfig(window_len=16, sample_rate=1000)
     run_mean, run_var = dc.Tensor(np.zeros(c)), dc.Tensor(np.ones(c))
     cases = {
         "conv1d_pointwise": (
@@ -323,7 +323,7 @@ def _overfit_entries():
         noise = dt.synth_noise(0.5, seed=200 + i)
         degraded, clean_ref = dt.mix_at_snr(clean, noise, float(snr))
         label = dt.proxy_label(clean_ref, degraded)
-        entries.append(dt.DatasetEntry(degraded, clean_ref, label, {"snr_db": float(snr)}))
+        entries.append(dt.DatasetEntry(degraded, clean_ref, label))
     return entries
 
 
@@ -390,7 +390,7 @@ def _simulated_entries(count, seed_base):
         noise = dt.synth_noise(0.5, seed=int(rng.integers(1 << 31)))
         snr = float(rng.uniform(-12.0, 30.0))
         degraded, clean_ref = dt.mix_at_snr(clean, noise, snr)
-        entries.append(dt.DatasetEntry(degraded, clean_ref, dt.proxy_label(clean_ref, degraded), {}))
+        entries.append(dt.DatasetEntry(degraded, clean_ref, dt.proxy_label(clean_ref, degraded)))
     return entries
 
 

@@ -60,7 +60,6 @@ dtype = float64
 
 [quantizer]
 n_classes = 20
-pad = 2
 
 [training]
 lr = 5e-4
@@ -162,17 +161,28 @@ def section_values(run):
     }
 
 
+def problems(message):
+    """The problems listed on the one line of an ``invalid configuration: a | b`` message."""
+    head = "invalid configuration: "
+    assert message.startswith(head) and "\n" not in message, message
+    return message[len(head) :].split(" | ")
+
+
 def config_errors(tmp_path, text):
     with pytest.raises(ConfigError) as info:
         load(tmp_path, text)
-    head, *items = str(info.value).splitlines()
-    assert head == "invalid configuration:"
-    assert all(item.startswith("  - ") for item in items)
-    return {item[4:] for item in items}
+    return set(problems(str(info.value)))
+
+
+def stderr_problems(err):
+    """The problems of the single stderr line a command prints for an invalid configuration."""
+    assert err.startswith("configuration error: ") and err.count("\n") == 1, err
+    return problems(err[len("configuration error: ") : -1])
 
 
 def digest(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 class TestParse:
@@ -276,8 +286,8 @@ a = 1
                     "unknown key 'bogus' in section [data]",
                     "unknown key 'colour' in section [simulate]",
                     "[training] batch_size = '2.5' is not a valid int",
-                    "quantizer pad = 2 is inconsistent with label_kind = one-hot (expected 0)",
-                    "model n_classes = 7 must equal quantizer classes + padding = 14",
+                    "unknown key 'pad' in section [quantizer]",
+                    "model n_classes = 7 must equal quantizer classes + padding = 10",
                     "[model] sample_rate = 'fast' is not a valid int",
                     "kernel size must be odd for same-length padding",
                     "training lr must be positive, got -1.0",
@@ -371,10 +381,7 @@ path = y
         capsys.readouterr()
         assert cli.main([command, "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("configuration error: ") and err.count("configuration error") == 1
-        assert [line for line in err.splitlines() if line.startswith("  - ")] == [
-            f"  - {section} {key} must be at most 3600, got 1e+308"
-        ]
+        assert stderr_problems(err) == [f"{section} {key} must be at most 3600, got 1e+308"]
         assert not never.exists()
 
     @pytest.mark.parametrize("value", ["300.5", "-300.5", "1e308", "-1e308"])
@@ -392,9 +399,8 @@ path = y
         path.write_text(text)
         assert cli.main(["simulate", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("configuration error: ") and "Traceback" not in err
-        assert [line for line in err.splitlines() if line.startswith("  - ")] == [
-            f"  - simulate {key} must lie in [-300, 300] dB, got {float(value):g}" for key in ("snr_lo", "snr_hi")
+        assert stderr_problems(err) == [
+            f"simulate {key} must lie in [-300, 300] dB, got {float(value):g}" for key in ("snr_lo", "snr_hi")
         ]
         assert not never.exists()
 
@@ -407,8 +413,13 @@ path = y
 
     @pytest.mark.parametrize(
         "section, key, value",
-        [("model", "norm", "batch"), ("training", "rank_loss", "true"), ("training", "rank_weight", "1.0")],
-        ids=["norm", "rank_loss", "rank_weight"],
+        [
+            ("model", "norm", "batch"),
+            ("training", "rank_loss", "true"),
+            ("training", "rank_weight", "1.0"),
+            ("quantizer", "pad", "0"),
+        ],
+        ids=["norm", "rank_loss", "rank_weight", "pad"],
     )
     @pytest.mark.parametrize("command", ["simulate", "train"])
     def test_removed_keys_exit_1_and_write_nothing(self, tmp_path, capsys, command, section, key, value):
@@ -419,9 +430,38 @@ path = y
         path.write_text(text)
         assert cli.main([command, "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert [line for line in err.splitlines() if line.startswith("  - ")] == [
-            f"  - unknown key {key!r} in section [{section}]"
-        ]
+        assert stderr_problems(err) == [f"unknown key {key!r} in section [{section}]"]
+        assert not never.exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value", [("training", "seed", -1), ("simulate", "seed", -2), ("training", "val_every", -1)]
+    )
+    def test_negative_seeds_and_val_every_are_rejected(self, tmp_path, section, key, value):
+        errors = config_errors(tmp_path, f"[{section}]\n{key} = {value}\n")
+        assert errors == {f"{section} {key} must be non-negative, got {value}"}
+
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    @pytest.mark.parametrize("use_flag", [True, False], ids=["flag", "config"])
+    def test_negative_seed_exits_1_and_writes_nothing(self, tmp_path, capsys, command, use_flag):
+        # A real manifest, so train would otherwise reach the parameter initialization.
+        data = tmp_path / "data"
+        (tmp_path / "sim.ini").write_text(TINY.format(seed=1) + f"\n[output]\ndir = {data}\n")
+        assert cli.main(["simulate", "--config", str(tmp_path / "sim.ini")]) == 0
+        capsys.readouterr()
+        never = tmp_path / "never_created"
+        path = tmp_path / "neg.ini"
+        text = TINY.format(seed=1 if use_flag else -2)
+        path.write_text(text + f"\n[data]\nmanifest = {data / 'manifest.tsv'}\n[output]\ndir = {never}\n")
+        argv = [command, "--config", str(path)] + (["--seed", "-2"] if use_flag else [])
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        if use_flag:
+            assert err == "configuration error: --seed must be non-negative, got -2\n"
+        else:
+            assert stderr_problems(err) == [
+                "training seed must be non-negative, got -2",
+                "simulate seed must be non-negative, got -2",
+            ]
         assert not never.exists()
 
 

@@ -287,9 +287,12 @@ class TestManifest:
         )
         with pytest.raises(dt.ManifestError) as exc_info:
             dt.load_manifest(path)
+        # One line, the problems separated by " | ".
         message = str(exc_info.value)
-        for lineno in ("line 2", "line 3", "line 4"):
-            assert lineno in message
+        head = f"{path}: invalid manifest: "
+        assert message.startswith(head) and "\n" not in message
+        problems = message[len(head) :].split(" | ")
+        assert [p.split(":")[0] for p in problems] == ["line 2", "line 3", "line 4"]
 
     def test_entries_read_their_files_on_demand(self, tmp_path):
         records = self.write_entry_wavs(tmp_path)
@@ -326,9 +329,9 @@ class TestManifest:
         path.write_text("degraded_path\tclean_path\tlabel\ndeg.wav\tlong.wav\t2.0\ndeg.wav\tshort.wav\t2.0\n")
         with pytest.raises(dt.ManifestError) as info:
             dt.load_manifest(path)
-        assert str(info.value).splitlines()[1:] == [
-            "line 3: clean reference has 6000 samples, fewer than the degraded 8000"
-        ]
+        assert str(info.value) == (
+            f"{path}: invalid manifest: line 3: clean reference has 6000 samples, fewer than the degraded 8000"
+        )
         path.write_text("degraded_path\tclean_path\tlabel\ndeg.wav\tlong.wav\t2.0\n")
         assert len(dt.load_manifest(path)[0].clean) == 9000
 

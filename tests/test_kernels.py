@@ -71,7 +71,7 @@ def loop_synthesize(spec, cfg):
     spec = np.array(spec)
     spec[0] = spec[0].real
     spec[-1] = spec[-1].real
-    frames = np.fft.irfft(spec, n=cfg.fft_len, axis=0)
+    frames = np.fft.irfft(spec, n=cfg.window_len, axis=0)
     frames = frames * cfg.window[:, None].astype(frames.dtype)
     out = np.zeros(cfg.output_len(spec.shape[1]), dtype=frames.dtype)
     for t in range(spec.shape[1]):
@@ -85,9 +85,9 @@ def loop_synthesize_adjoint(grad_out, n_frames, cfg):
     for t in range(n_frames):
         frames_g[:, t] = g[t * cfg.hop_len : t * cfg.hop_len + cfg.window_len]
     frames_g *= cfg.window[:, None].astype(g.dtype)
-    spec_g = np.fft.rfft(frames_g, n=cfg.fft_len, axis=0)
-    scale = np.full(cfg.n_bins, 2.0 / cfg.fft_len)
-    scale[0] = scale[-1] = 1.0 / cfg.fft_len
+    spec_g = np.fft.rfft(frames_g, n=cfg.window_len, axis=0)
+    scale = np.full(cfg.n_bins, 2.0 / cfg.window_len)
+    scale[0] = scale[-1] = 1.0 / cfg.window_len
     return spec_g * scale[:, None].astype(g.dtype)
 
 

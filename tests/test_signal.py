@@ -439,7 +439,7 @@ class TestStft:
     def test_cosine_at_bin_center_matches_dft_oracle(self, cfg):
         # Oracle: the plain DFT definition applied to each windowed frame.
         k = 20
-        freq = k * 16000 / cfg.fft_len
+        freq = k * 16000 / cfg.window_len
         t = np.arange(8192) / 16000
         w = sig.Waveform(np.cos(2 * np.pi * freq * t), 16000)
         spec = sig.stft(w, cfg)
@@ -449,7 +449,7 @@ class TestStft:
             frame = w.samples[frame_idx * cfg.hop_len : frame_idx * cfg.hop_len + cfg.window_len]
             windowed = frame * cfg.window
             oracle = np.array(
-                [np.sum(windowed * np.exp(-2j * np.pi * f * n / cfg.fft_len)) for f in range(cfg.n_bins)]
+                [np.sum(windowed * np.exp(-2j * np.pi * f * n / cfg.window_len)) for f in range(cfg.n_bins)]
             )
             np.testing.assert_allclose(spec[:, frame_idx], oracle, atol=1e-9)
             mags = np.abs(oracle)
@@ -475,7 +475,7 @@ class TestStft:
         for frame_idx in range(spec.shape[1]):
             frame = w.samples[frame_idx * cfg.hop_len : frame_idx * cfg.hop_len + cfg.window_len]
             time_energy = np.sum((frame * cfg.window) ** 2)
-            spec_energy = np.sum(weights * np.abs(spec[:, frame_idx]) ** 2) / cfg.fft_len
+            spec_energy = np.sum(weights * np.abs(spec[:, frame_idx]) ** 2) / cfg.window_len
             assert abs(time_energy - spec_energy) <= 1e-9 * max(time_energy, 1e-30)
 
 
@@ -526,14 +526,6 @@ class TestLps:
 
 
 class TestStftConfig:
-    def test_hop_must_be_half_window(self):
-        with pytest.raises(ValueError, match="hop_len"):
-            sig.StftConfig(window_len=512, hop_len=128)
-
-    def test_cola_window_enforced(self):
-        with pytest.raises(ValueError, match="overlap-add"):
-            sig.StftConfig(window_len=512, hop_len=256, window=np.ones(512))
-
     def test_standard_16k(self):
         cfg = sig.StftConfig.for_sample_rate(16000)
         assert (cfg.window_len, cfg.hop_len, cfg.n_bins) == (512, 256, 257)

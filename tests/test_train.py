@@ -78,7 +78,7 @@ def step_losses(run, params, degraded, clean, has_clean, target_rows, want_recon
     """The training step's objective call, as (td_mse term, emd2 term, total)."""
     total, recon, emd = tr._objective(
         run, params, degraded, clean if want_recon else None, target_rows, training=True, weights=has_clean
-    )[1]
+    )
     return recon, emd, total
 
 
