@@ -18,12 +18,15 @@ only when finite) and defaults to the field's default. The exceptions:
 - [training] crop_seconds and [simulate] duration_seconds are at most
   MAX_SECONDS (one hour, ample for utterances of a few seconds), so their
   sample counts stay representable;
+- a [training] crop_seconds crop holds at least one analysis window at
+  [model] sample_rate;
 - [simulate] snr_lo and snr_hi lie in [-MAX_SNR_DB, MAX_SNR_DB] (300 dB,
   far past any audible difference), so the noise gain stays finite and
   nonzero;
 - the seeds and [training] val_every are non-negative.
 
-Validation is exhaustive and happens before any work starts; an invalid
+Values are literal: ``%`` is not an interpolation character. Validation
+is exhaustive and happens before any work starts; an invalid
 configuration never produces partial output. Its message lists every
 problem on one line, separated by `` | ``.
 """
@@ -142,7 +145,7 @@ class RunConfig:
                 names the path.
         """
         path = os.fspath(path)
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
         try:
             with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
@@ -150,7 +153,10 @@ class RunConfig:
             raise ConfigError(f"{path}: cannot read config: {exc.strerror or exc}") from exc
         except (UnicodeDecodeError, configparser.Error) as exc:
             raise ConfigError(f"{path}: cannot parse config: {' '.join(str(exc).split())}") from exc
-        return cls.from_parser(parser, base=os.path.dirname(os.path.abspath(path)))
+        try:
+            return cls.from_parser(parser, base=os.path.dirname(os.path.abspath(path)))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
     @classmethod
     def from_parser(cls, parser, base: str = ".") -> "RunConfig":
@@ -220,6 +226,12 @@ class RunConfig:
         ):
             if value > MAX_SECONDS:
                 errors.append(f"{name} must be at most {MAX_SECONDS:g}, got {value:g}")
+        # Compared as floats: round() would overflow on a huge crop_seconds.
+        if model is not None and 0 < training.crop_seconds * model.sample_rate < model.stft.window_len:
+            errors.append(
+                f"training crop_seconds = {training.crop_seconds:g} is shorter than one analysis window"
+                f" ({model.stft.window_len} samples at {model.sample_rate} Hz)"
+            )
         if not (0.0 <= simulate.perturb_prob <= 1.0):
             errors.append("perturb_prob must lie in [0, 1]")
         for name in ("snr_lo", "snr_hi"):

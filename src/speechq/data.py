@@ -10,11 +10,11 @@ Every generator is deterministic under its seed.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .labels import SCORE_HI, SCORE_LO
 # load_wav stays importable from this module: perfbench's tracer wraps speechq.data.load_wav.
 from .signal import StftConfig, Waveform, WavReader, istft, load_wav, stft  # noqa: F401
 
@@ -53,8 +53,9 @@ class DatasetEntry:
     :class:`WavReader`, as :func:`load_manifest` builds it, which holds a
     file's path and sample layout but no samples). Both give ``sample_rate``,
     ``len()``, ``samples`` and ``read(start, n)``, so training crops either
-    kind through one call. A clean reference has the degraded rate and at
-    least its length, so every crop of the degraded signal has a reference.
+    kind through one call. The degraded signal holds one analysis window. A
+    clean reference has the degraded rate and at least its length, so every
+    crop of the degraded signal has a reference.
     """
 
     degraded: Waveform | WavReader
@@ -62,8 +63,13 @@ class DatasetEntry:
     label: float
 
     def __post_init__(self):
-        if not (-0.5 <= self.label <= 4.5):
-            raise ValueError(f"label {self.label} outside [-0.5, 4.5]")
+        if not (SCORE_LO <= self.label <= SCORE_HI):
+            raise ValueError(f"label {self.label} outside [{SCORE_LO}, {SCORE_HI}]")
+        window = StftConfig.for_sample_rate(self.degraded.sample_rate).window_len
+        if len(self.degraded) < window:
+            raise ValueError(
+                f"degraded audio of {len(self.degraded)} samples is shorter than one analysis window ({window})"
+            )
         if self.clean is not None:
             if self.clean.sample_rate != self.degraded.sample_rate:
                 raise ValueError("clean/degraded sample rates differ")
@@ -218,9 +224,10 @@ def load_manifest(path, sample_rate: int | None = None) -> list[DatasetEntry]:
     Format: a header line naming the columns ``degraded_path``,
     ``clean_path`` (optional, empty values allowed) and ``label``,
     tab- or comma-separated. Paths resolve relative to the manifest.
-    All malformed records are reported together, on one line separated by
-    `` | ``, with their line numbers, among them a clean reference shorter
-    than its degraded file.
+    A manifest without records raises ManifestError, and so do malformed
+    records: all are reported together, on one line separated by `` | ``,
+    with their line numbers, among them a clean reference shorter than its
+    degraded file and a degraded file shorter than one analysis window.
 
     Every WAV is read and decoded completely here, then dropped: an entry
     keeps a :class:`WavReader` per file (path, rate, size and sample layout),
@@ -238,8 +245,7 @@ def load_manifest(path, sample_rate: int | None = None) -> list[DatasetEntry]:
         raise ManifestError(f"{path}: not a UTF-8 text manifest: {exc}") from exc
     lines = [ln for ln in lines if ln.strip()]
     if not lines:
-        warnings.warn(f"manifest {path} is empty", stacklevel=2)
-        return []
+        raise ManifestError(f"{path}: manifest has no records")
     sep = "\t" if "\t" in lines[0] else ","
     header = [h.strip() for h in lines[0].split(sep)]
     required = {"degraded_path", "label"}
@@ -253,8 +259,7 @@ def load_manifest(path, sample_rate: int | None = None) -> list[DatasetEntry]:
     entries: list[DatasetEntry] = []
     problems: list[str] = []
     if len(lines) == 1:
-        warnings.warn(f"manifest {path} has a header but no records", stacklevel=2)
-        return []
+        raise ManifestError(f"{path}: manifest has no records")
     for lineno, line in enumerate(lines[1:], start=2):
         fields = [f.strip() for f in line.split(sep)]
         if len(fields) != len(header):
@@ -264,9 +269,6 @@ def load_manifest(path, sample_rate: int | None = None) -> list[DatasetEntry]:
             label = float(fields[col["label"]])
         except ValueError:
             problems.append(f"line {lineno}: label {fields[col['label']]!r} is not a number")
-            continue
-        if not (-0.5 <= label <= 4.5):
-            problems.append(f"line {lineno}: label {label} outside [-0.5, 4.5]")
             continue
         degraded_path = os.path.join(base, fields[col["degraded_path"]])
         clean_path = ""

@@ -17,6 +17,7 @@ __all__ = [
     "quantize",
     "one_hot",
     "soft_label",
+    "targets",
     "decode_max",
     "decode_expect",
     "validate_distribution",
@@ -105,6 +106,13 @@ def soft_label(nu: int, cfg: QuantizerConfig) -> np.ndarray:
     for offset, mass in zip((-2, -1, 0, 1, 2), SOFT_KERNEL):
         p[center + offset] = mass
     return p
+
+
+def targets(scores, cfg: QuantizerConfig) -> np.ndarray:
+    """Target distributions, one row per score: one-hot for an unpadded
+    quantizer, soft labels for a padded one."""
+    label = one_hot if cfg.pad == 0 else soft_label
+    return np.stack([label(quantize(score, cfg), cfg) for score in scores])
 
 
 def validate_distribution(p, cfg: QuantizerConfig) -> np.ndarray:

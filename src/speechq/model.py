@@ -18,7 +18,10 @@ import numpy as np
 from . import diffcore as dc
 from . import signal as sig
 
-__all__ = ["ModelConfig", "param_layout", "init_params", "forward", "forward_graph"]
+__all__ = ["ModelConfig", "MASK_HEADS", "param_layout", "init_params", "forward", "forward_graph"]
+
+# The reconstruction branch's two 1x1 heads, the real and imaginary mask parts.
+MASK_HEADS = ("mask_real", "mask_imag")
 
 
 @dataclass
@@ -111,7 +114,7 @@ def param_layout(cfg: ModelConfig) -> dict[str, tuple[tuple, int | float]]:
                     p + "pw2.b": ((cb,), cc),
                 }
             )
-    for head in ("mask_real", "mask_imag"):
+    for head in MASK_HEADS:
         layout[head + ".w"] = ((f_bins, cb), cb)
         layout[head + ".b"] = ((f_bins,), cb)
     layout["quality.w"] = ((cfg.n_classes, cb), 0.0)
@@ -191,8 +194,7 @@ def forward_graph(
 
     recon = None
     if compute_reconstruction:
-        mask_r = dc.conv1d_pointwise(h, params["mask_real.w"], params["mask_real.b"])
-        mask_i = dc.conv1d_pointwise(h, params["mask_imag.w"], params["mask_imag.b"])
+        mask_r, mask_i = (dc.conv1d_pointwise(h, params[f"{head}.w"], params[f"{head}.b"]) for head in MASK_HEADS)
         masked = dc.complex_mask_apply(
             mask_r,
             mask_i,

@@ -4,8 +4,8 @@ WAV files are read and written by a small RIFF codec on ``struct`` and
 numpy. It reads little-endian RIFF files whose samples are 16-bit PCM or
 32-bit IEEE float, named either by their own format tag or by the
 subformat GUID of a WAVE_FORMAT_EXTENSIBLE header; RF64, big-endian RIFX
-and every other sample encoding are rejected. It writes mono files of
-either encoding, byte for byte as ``scipy.io.wavfile.write`` does.
+and every other sample encoding are rejected. It writes mono 32-bit float
+files, byte for byte as ``scipy.io.wavfile.write`` does.
 :class:`WavReader` validates a file as :func:`load_wav` does but keeps only
 where its samples are; each :meth:`WavReader.read` then decodes one frame
 range from disk, through the same code as ``load_wav``.
@@ -47,6 +47,10 @@ __all__ = [
 ]
 
 LPS_FLOOR = 1e-12
+
+# The highest common PCM sample rate. A higher rate is a bad header or
+# setting, and would make the 32 ms analysis window a huge allocation.
+MAX_SAMPLE_RATE = 384000
 
 
 class WavFormatError(ValueError):
@@ -105,7 +109,10 @@ class StftConfig:
 
     @classmethod
     def for_sample_rate(cls, sample_rate: int) -> "StftConfig":
-        """Build the standard configuration (32 ms window, 16 ms hop)."""
+        """Build the standard configuration (32 ms window, 16 ms hop); a rate
+        above MAX_SAMPLE_RATE is a ValueError."""
+        if sample_rate > MAX_SAMPLE_RATE:
+            raise ValueError(f"sample rate {sample_rate} Hz is above the maximum of {MAX_SAMPLE_RATE} Hz")
         win = int(round(sample_rate * 32.0 / 1000.0))
         win += win % 2  # keep the 2:1 window/hop ratio exact
         return cls(window_len=win, sample_rate=int(sample_rate))
@@ -234,25 +241,6 @@ def _read_wav(buf: bytes):
     return fmt[2], layout
 
 
-def _write_wav(path, rate: int, data: np.ndarray) -> None:
-    """Write mono ``<i2`` or ``<f4`` samples as the bytes scipy.io.wavfile.write gives.
-
-    PCM gets a 16-byte ``fmt `` chunk; float gets an 18-byte one (with a zero
-    cbSize) and a ``fact`` chunk holding the sample count.
-    """
-    width = data.dtype.itemsize
-    is_float = data.dtype.kind == "f"
-    fmt = struct.pack("<HHIIHH", _WAVE_FLOAT if is_float else _WAVE_PCM, 1, rate, rate * width, width, 8 * width)
-    fact = b""
-    if is_float:
-        fmt += b"\x00\x00"
-        fact = b"fact" + struct.pack("<II", 4, data.size)
-    head = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + fact + b"data" + struct.pack("<I", data.nbytes)
-    with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", len(head) + data.nbytes) + head)
-        fh.write(data.tobytes())
-
-
 def _load(path) -> tuple[Waveform, _DataLayout, int]:
     """Read and decode a whole WAV file: (waveform, data layout, file size in bytes)."""
     path = os.fspath(path)
@@ -359,15 +347,18 @@ class WavReader:
         return samples
 
 
-def save_wav(path, wave: Waveform, encoding: str = "float32") -> None:
-    """Write a Waveform as mono RIFF WAV (32-bit float or 16-bit PCM)."""
-    if encoding == "float32":
-        _write_wav(os.fspath(path), wave.sample_rate, wave.samples.astype("<f4"))
-    elif encoding == "pcm16":
-        clipped = np.clip(wave.samples, -1.0, 32767.0 / 32768.0)
-        _write_wav(os.fspath(path), wave.sample_rate, np.round(clipped * 32768.0).astype("<i2"))
-    else:
-        raise ValueError(f"unknown encoding {encoding!r}")
+def save_wav(path, wave: Waveform) -> None:
+    """Write a Waveform as a mono 32-bit float RIFF WAV, byte for byte as
+    scipy.io.wavfile.write does: an 18-byte ``fmt `` chunk (with a zero
+    cbSize) and a ``fact`` chunk holding the sample count."""
+    data = wave.samples.astype("<f4")
+    rate = wave.sample_rate
+    fmt = struct.pack("<HHIIHHH", _WAVE_FLOAT, 1, rate, rate * 4, 4, 32, 0)
+    fact = b"fact" + struct.pack("<II", 4, data.size)
+    head = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + fact + b"data" + struct.pack("<I", data.nbytes)
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", len(head) + data.nbytes) + head)
+        fh.write(data.tobytes())
 
 
 def _frame_signal(x: np.ndarray, cfg: StftConfig) -> np.ndarray:

@@ -23,20 +23,14 @@ from .config import RunConfig
 from .data import DatasetEntry
 from .labels import QuantizerConfig
 from .model import ModelConfig
-from .signal import WavFormatError
 
 __all__ = [
-    "NumericalDivergence",
     "TrainResult",
     "run_training",
     "evaluate_entries",
     "save_run_checkpoint",
     "load_run_checkpoint",
 ]
-
-
-class NumericalDivergence(RuntimeError):
-    """Raised when training produces a non-finite loss or gradient."""
 
 
 @dataclass
@@ -46,29 +40,6 @@ class TrainResult:
     history: list  # (step, td_mse, emd2, total)
     final_total: float
     steps: int
-
-
-def build_targets(entries: list[DatasetEntry], quant: QuantizerConfig, label_kind: str) -> np.ndarray:
-    """Target label distributions, one row per entry."""
-    rows = []
-    for entry in entries:
-        nu = lb.quantize(entry.label, quant)
-        if label_kind == "soft":
-            rows.append(lb.soft_label(nu, quant))
-        else:
-            rows.append(lb.one_hot(nu, quant))
-    return np.stack(rows)
-
-
-def _crop_length(entries: list[DatasetEntry], cfg: ModelConfig, crop_seconds: float) -> int:
-    want = int(round(crop_seconds * cfg.sample_rate))
-    shortest = min(len(e.degraded) for e in entries)
-    crop = min(want, shortest)
-    if crop < cfg.stft.window_len:
-        raise WavFormatError(
-            f"crop of {crop} samples is shorter than one analysis window ({cfg.stft.window_len})"
-        )
-    return crop
 
 
 def save_run_checkpoint(
@@ -220,7 +191,8 @@ def run_training(
     Writes an append-only training log plus `final.ckpt` and `best.ckpt`
     under ``out_dir``. ``resume_from`` continues a checkpointed run; the
     model and quantizer settings must match the ones stored in the
-    checkpoint, or ``CheckpointError`` names the first that differs.
+    checkpoint, or ``CheckpointError`` names the first that differs. A
+    non-finite value raises ``FloatingPointError`` naming the step.
     """
     if not entries:
         raise ValueError("no training entries")
@@ -233,11 +205,6 @@ def run_training(
     # so they stay out of the optimizer entirely.
     use_recon = tcfg.recon_weight > 0 and any(e.clean is not None for e in entries)
 
-    def optimizer_params(params):
-        if use_recon:
-            return params
-        return {k: v for k, v in params.items() if not k.startswith(("mask_real.", "mask_imag."))}
-
     if resume_from is not None:
         cfg, ck_quant, params, opt_arrays, start_step = load_run_checkpoint(resume_from)
         mismatch = _config_mismatch(cfg, run.model, "model") or _config_mismatch(ck_quant, quant, "quantizer")
@@ -245,22 +212,21 @@ def run_training(
             raise dc.CheckpointError(
                 f"{resume_from}: checkpoint does not match the run configuration: {mismatch}"
             )
-        optimizer = dc.Adam(optimizer_params(params), lr=tcfg.lr, beta1=tcfg.beta1, beta2=tcfg.beta2)
-        if opt_arrays:
-            optimizer.load_state(opt_arrays, start_step)
-        del opt_arrays  # the optimizer adopted its moments; the rest is unused
     else:
-        params = mdl.init_params(run.model, seed=tcfg.seed)
-        optimizer = dc.Adam(optimizer_params(params), lr=tcfg.lr, beta1=tcfg.beta1, beta2=tcfg.beta2)
-        start_step = 0
+        params, opt_arrays, start_step = mdl.init_params(run.model, seed=tcfg.seed), {}, 0
+    trained = {k: v for k, v in params.items() if use_recon or k.partition(".")[0] not in mdl.MASK_HEADS}
+    optimizer = dc.Adam(trained, lr=tcfg.lr, beta1=tcfg.beta1, beta2=tcfg.beta2)
+    if opt_arrays:
+        optimizer.load_state(opt_arrays, start_step)
+    del opt_arrays  # the optimizer adopted its moments; the rest is unused
 
     for entry in entries:
         if entry.degraded.sample_rate != run.model.sample_rate:
             raise ValueError(
                 f"entry rate {entry.degraded.sample_rate} != model rate {run.model.sample_rate}"
             )
-    targets = build_targets(entries, quant, tcfg.label_kind)
-    crop = _crop_length(entries, run.model, tcfg.crop_seconds)
+    targets = lb.targets([e.label for e in entries], quant)
+    crop = min(round(tcfg.crop_seconds * run.model.sample_rate), min(len(e.degraded) for e in entries))
 
     log_path = os.path.join(out_dir, "train_log.txt")
     history = []
@@ -286,9 +252,7 @@ def run_training(
                 dc.backward(total)
                 optimizer.step()
             except FloatingPointError as exc:
-                raise NumericalDivergence(
-                    f"non-finite value at step {step}: {exc}"
-                ) from exc
+                raise FloatingPointError(f"non-finite value at step {step}: {exc}") from exc
             td_value = float(recon.values) if recon is not None else 0.0
             total_value = float(total.values)
             history.append((step, td_value, float(emd.values), total_value))
@@ -296,9 +260,9 @@ def run_training(
                 f"step={step} td_mse={td_value:.6f} emd2={float(emd.values):.6f} "
                 f"total={total_value:.6f} time={time.strftime('%Y-%m-%dT%H:%M:%S')}\n"
             )
-            if log_stream is not None and (step % val_every == 0 or step == tcfg.max_steps):
-                log_stream(f"step {step}/{tcfg.max_steps} total={total_value:.4f}")
             if step % val_every == 0 or step == tcfg.max_steps:
+                if log_stream is not None:
+                    log_stream(f"step {step}/{tcfg.max_steps} total={total_value:.4f}")
                 score = _validation_total(run, params, val_entries, quant) if val_entries else total_value
                 if score <= best_total:
                     best_total = score
@@ -319,7 +283,7 @@ def run_training(
 def _validation_total(run: RunConfig, params, val_entries, quant) -> float:
     """Mean joint objective over the validation entries, eval mode, no graph recorded."""
     frozen = {name: dc.constant(t.values) for name, t in params.items()}
-    targets = build_targets(val_entries, quant, run.training.label_kind)
+    targets = lb.targets([e.label for e in val_entries], quant)
     total = 0.0
     for entry, row in zip(val_entries, targets):
         use_clean = run.training.recon_weight > 0 and entry.clean is not None

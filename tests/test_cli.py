@@ -8,6 +8,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
@@ -284,7 +285,9 @@ dir = {run_dir}
         assert cli.main(["train", "--config", config]) == 1
         captured = capsys.readouterr()
         # The padding follows label_kind; pad is not a key.
-        assert captured.err == "configuration error: invalid configuration: unknown key 'pad' in section [quantizer]\n"
+        assert captured.err == (
+            f"configuration error: {config}: invalid configuration: unknown key 'pad' in section [quantizer]\n"
+        )
         assert not run_dir.exists()
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
@@ -487,10 +490,7 @@ class TestEval:
         empty = tmp_path / "empty.tsv"
         empty.write_text("")
         assert cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(empty)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"warning: manifest {empty} is empty",
-            f"data error: {empty}: no usable entries",
-        ]
+        assert capsys.readouterr().err.splitlines() == [f"data error: {empty}: manifest has no records"]
 
     def test_report_written_to_file(self, trained_checkpoint, tmp_path, capsys):
         ckpt, data_dir = trained_checkpoint
@@ -559,7 +559,9 @@ class TestBadInputs:
         manifest = tmp_path / "short.tsv"
         manifest.write_text("degraded_path\tlabel\nshort.wav\t2.0\n")
         self.assert_data_error(
-            ["eval", "--checkpoint", fresh_checkpoint, "--manifest", manifest], capsys, "shorter than one window"
+            ["eval", "--checkpoint", fresh_checkpoint, "--manifest", manifest],
+            capsys,
+            f"{manifest}: invalid manifest: line 2: degraded audio of 100 samples is shorter than one analysis window",
         )
 
     def test_short_wav_train(self, tmp_path, capsys):
@@ -592,6 +594,32 @@ class TestBadInputs:
             f"data error: {manifest}: invalid manifest: line 2: clean reference has 6000 samples,"
             " fewer than the degraded 8000\n"
         )
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("fault", ["short-entry", "no-records"])
+    def test_bad_val_manifest_exits_2_before_any_output(self, tmp_path, capsys, fault):
+        from speechq.signal import Waveform, save_wav
+
+        data_dir = simulate_dataset(tmp_path, count=2, seed=31)
+        val = tmp_path / "val.tsv"
+        if fault == "short-entry":
+            save_wav(tmp_path / "short.wav", Waveform(np.full(300, 0.1), 16000))
+            val.write_text("degraded_path\tlabel\nshort.wav\t2.0\n")
+            expected = (
+                f"{val}: invalid manifest: line 2: degraded audio of 300 samples is shorter than one analysis"
+                " window (512)"
+            )
+        else:
+            val.write_text("degraded_path\tlabel\n")
+            expected = f"{val}: manifest has no records"
+        config = write_config(
+            tmp_path,
+            TINY_MODEL.format(steps=3).replace("seed = 3\n", "seed = 3\nval_every = 1\n")
+            + f"\n[data]\nmanifest = {data_dir / 'manifest.tsv'}\nval_manifest = {val}\n[output]\ndir = {tmp_path / 'run'}\n",
+        )
+        capsys.readouterr()
+        assert cli.main(["train", "--config", config]) == 2
+        assert capsys.readouterr() == ("", f"data error: {expected}\n")
         assert not (tmp_path / "run").exists()
 
     def test_binary_manifest(self, fresh_checkpoint, tmp_path, capsys):
@@ -682,6 +710,10 @@ class TestBadInputs:
                 {"model": {"norm": "global_layer"}, "quantizer": {"n_classes": 100}, "step": 0},
                 "norm 'global_layer' is not supported, only batch norm",
             ),
+            (
+                {"model": {"sample_rate": 10**13}, "quantizer": {"n_classes": 100}, "step": 0},
+                "sample rate 10000000000000 Hz is above the maximum of 384000 Hz",
+            ),
         ],
         ids=[
             "no-model",
@@ -698,6 +730,7 @@ class TestBadInputs:
             "float-quantizer-pad",
             "bool-quantizer-classes",
             "global-layer-norm",
+            "huge-sample-rate",
         ],
     )
     def test_checkpoint_without_valid_run_settings(self, wav, tmp_path, capsys, header, expected):
@@ -805,6 +838,8 @@ class TestBadInputs:
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
     """A fresh tiny checkpoint and one 0.1 s WAV per encoding for the header fuzz."""
+    from scipy.io import wavfile
+
     from speechq.labels import QuantizerConfig
     from speechq.model import ModelConfig, init_params
     from speechq.signal import Waveform, save_wav
@@ -814,10 +849,10 @@ def fuzz_inputs(tmp_path_factory):
     ckpt = tmp_path / "fresh.ckpt"
     tr.save_run_checkpoint(ckpt, cfg, QuantizerConfig(10), init_params(cfg, seed=2))
     wave = Waveform(0.3 * np.sin(np.arange(1600) * 0.05), 16000)
-    bases = []
-    for encoding in ("float32", "pcm16"):
-        save_wav(tmp_path / "base.wav", wave, encoding=encoding)
-        bases.append((tmp_path / "base.wav").read_bytes())
+    save_wav(tmp_path / "base.wav", wave)
+    bases = [(tmp_path / "base.wav").read_bytes()]
+    wavfile.write(tmp_path / "base.wav", 16000, np.round(wave.samples * 32768).astype(np.int16))
+    bases.append((tmp_path / "base.wav").read_bytes())
     return ckpt, bases, tmp_path / "fuzz.wav"
 
 
@@ -840,6 +875,60 @@ def test_predict_on_mutated_wav_headers(fuzz_inputs, data):
     else:
         assert code == 2
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("data error: ")
+
+
+# The CI train-small run with a manifest that does not exist, so no mutation
+# of it can start training.
+FUZZ_CONFIG = """\
+[model]
+bottleneck_channels = 32
+conv_channels = 64
+blocks_per_repeat = 4
+repeats = 1
+n_classes = 20
+[quantizer]
+n_classes = 20
+[training]
+batch_size = 8
+crop_seconds = 0.5
+max_steps = 20
+seed = 1
+[simulate]
+count = 64
+duration_seconds = 0.5
+seed = 1
+[data]
+manifest = missing.tsv
+[output]
+dir = run
+"""
+FUZZ_TOKENS = ("%", "%(x)s", "=", "[", "]", "#", "-1", "nan", "1e400", "9" * 25, "1" * 5000, "\n")
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_train_on_mutated_config_text(data):
+    """A damaged config ends in one configuration error line (exit 1) or, once it
+    parses, in the missing manifest's data error line (exit 2), and writes nothing."""
+    text = FUZZ_CONFIG
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(text)))
+        if data.draw(st.booleans()):
+            text = text[:at] + data.draw(st.sampled_from(FUZZ_TOKENS)) + text[at:]
+        else:
+            text = text[:at] + text[at + data.draw(st.integers(1, 8)) :]
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "small.ini")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["train", "--config", path])
+        assert os.listdir(work) == ["small.ini"]
+    assert code in (1, 2), (code, err.getvalue())
+    prefix = {1: "configuration error: ", 2: "data error: "}[code]
+    assert out.getvalue() == "" and "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith(prefix), err.getvalue()
 
 
 # Runs in a fresh interpreter where every scipy import fails.
@@ -940,5 +1029,7 @@ class TestUsageErrors:
         capsys.readouterr()
         assert cli.main([command, "--config", config]) == 1
         err = capsys.readouterr().err
-        assert err == f"configuration error: invalid configuration: [{section}] {key} = '{value}' is not a valid float\n"
+        assert err == (
+            f"configuration error: {config}: invalid configuration: [{section}] {key} = '{value}' is not a valid float\n"
+        )
         assert not out.exists()

@@ -161,9 +161,9 @@ def section_values(run):
     }
 
 
-def problems(message):
-    """The problems listed on the one line of an ``invalid configuration: a | b`` message."""
-    head = "invalid configuration: "
+def problems(message, path):
+    """The problems listed on the one line of a ``<path>: invalid configuration: a | b`` message."""
+    head = f"{path}: invalid configuration: "
     assert message.startswith(head) and "\n" not in message, message
     return message[len(head) :].split(" | ")
 
@@ -171,13 +171,13 @@ def problems(message):
 def config_errors(tmp_path, text):
     with pytest.raises(ConfigError) as info:
         load(tmp_path, text)
-    return set(problems(str(info.value)))
+    return set(problems(str(info.value), tmp_path / "run.ini"))
 
 
-def stderr_problems(err):
-    """The problems of the single stderr line a command prints for an invalid configuration."""
+def stderr_problems(err, path):
+    """The problems of the single stderr line a command prints for the invalid configuration ``path``."""
     assert err.startswith("configuration error: ") and err.count("\n") == 1, err
-    return problems(err[len("configuration error: ") : -1])
+    return problems(err[len("configuration error: ") : -1], path)
 
 
 def digest(path):
@@ -381,7 +381,7 @@ path = y
         capsys.readouterr()
         assert cli.main([command, "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert stderr_problems(err) == [f"{section} {key} must be at most 3600, got 1e+308"]
+        assert stderr_problems(err, path) == [f"{section} {key} must be at most 3600, got 1e+308"]
         assert not never.exists()
 
     @pytest.mark.parametrize("value", ["300.5", "-300.5", "1e308", "-1e308"])
@@ -399,7 +399,7 @@ path = y
         path.write_text(text)
         assert cli.main(["simulate", "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert stderr_problems(err) == [
+        assert stderr_problems(err, path) == [
             f"simulate {key} must lie in [-300, 300] dB, got {float(value):g}" for key in ("snr_lo", "snr_hi")
         ]
         assert not never.exists()
@@ -430,7 +430,7 @@ path = y
         path.write_text(text)
         assert cli.main([command, "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert stderr_problems(err) == [f"unknown key {key!r} in section [{section}]"]
+        assert stderr_problems(err, path) == [f"unknown key {key!r} in section [{section}]"]
         assert not never.exists()
 
     @pytest.mark.parametrize(
@@ -458,11 +458,65 @@ path = y
         if use_flag:
             assert err == "configuration error: --seed must be non-negative, got -2\n"
         else:
-            assert stderr_problems(err) == [
+            assert stderr_problems(err, path) == [
                 "training seed must be non-negative, got -2",
                 "simulate seed must be non-negative, got -2",
             ]
         assert not never.exists()
+
+    @pytest.mark.parametrize(
+        "rate, crop, window",
+        [(16000, 0.0315, 512), (8000, 0.03, 256), (1000, 0.001, 32)],
+    )
+    def test_crop_must_hold_one_analysis_window(self, tmp_path, rate, crop, window):
+        text = f"[model]\nsample_rate = {rate}\n[training]\ncrop_seconds = {{crop}}\n"
+        assert config_errors(tmp_path, text.format(crop=crop)) == {
+            f"training crop_seconds = {crop:g} is shorter than one analysis window ({window} samples at {rate} Hz)"
+        }
+        assert load(tmp_path, text.format(crop=window / rate)).training.crop_seconds == window / rate
+
+    @pytest.mark.parametrize("rate", [384001, 10**13])
+    def test_sample_rate_is_bounded(self, tmp_path, rate):
+        errors = config_errors(tmp_path, f"[model]\nsample_rate = {rate}\n")
+        assert errors == {f"sample rate {rate} Hz is above the maximum of 384000 Hz"}
+        assert load(tmp_path, "[model]\nsample_rate = 384000\n").model.stft.window_len == 12288
+
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (
+                ("[model]\n", "[model]\nsample_rate = 10000000000000\n"),
+                "sample rate 10000000000000 Hz is above the maximum of 384000 Hz",
+            ),
+            (
+                ("crop_seconds = 0.5", "crop_seconds = 0.01"),
+                "training crop_seconds = 0.01 is shorter than one analysis window (512 samples at 16000 Hz)",
+            ),
+        ],
+        ids=["huge-sample-rate", "short-crop"],
+    )
+    def test_rate_and_crop_faults_exit_1_and_write_nothing(self, tmp_path, capsys, command, edit, expected):
+        # A real manifest, so train would otherwise reach the model and the crops.
+        data = tmp_path / "data"
+        (tmp_path / "sim.ini").write_text(TINY.format(seed=1) + f"\n[output]\ndir = {data}\n")
+        assert cli.main(["simulate", "--config", str(tmp_path / "sim.ini")]) == 0
+        capsys.readouterr()
+        never = tmp_path / "never_created"
+        path = tmp_path / "bad.ini"
+        text = TINY.format(seed=1).replace(*edit)
+        path.write_text(text + f"\n[data]\nmanifest = {data / 'manifest.tsv'}\n[output]\ndir = {never}\n")
+        assert cli.main([command, "--config", str(path)]) == 1
+        assert stderr_problems(capsys.readouterr().err, path) == [expected]
+        assert not never.exists()
+
+    def test_values_are_literal(self, tmp_path, capsys):
+        """``%`` is no interpolation character: a directory named with it is used as written."""
+        path = tmp_path / "pct.ini"
+        path.write_text(TINY.format(seed=1) + "\n[output]\ndir = run_50%_%(x)s\n")
+        assert cli.main(["simulate", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "run_50%_%(x)s" / "manifest.tsv").is_file()
 
 
 class TestOverrides:

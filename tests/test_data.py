@@ -228,10 +228,13 @@ class TestManifest:
         assert entries[0].clean is not None
 
     def test_empty_file_warns(self, tmp_path):
+        """An empty, blank or header-only manifest is an error, not a warning."""
         path = tmp_path / "empty.tsv"
-        path.write_text("")
-        with pytest.warns(UserWarning, match="empty"):
-            assert dt.load_manifest(path) == []
+        for text in ("", "\n\n", "degraded_path\tlabel\n"):
+            path.write_text(text)
+            with pytest.raises(dt.ManifestError) as info:
+                dt.load_manifest(path)
+            assert str(info.value) == f"{path}: manifest has no records"
 
     def test_label_out_of_range_reported_with_line_number(self, tmp_path):
         records = self.write_entry_wavs(tmp_path, n=1)
@@ -265,9 +268,10 @@ class TestManifest:
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "m.tsv"
-        path.write_text("foo\tbar\n1\t2\n")
-        with pytest.raises(dt.ManifestError, match="header"):
-            dt.load_manifest(path)
+        for text in ("foo\tbar\n1\t2\n", "deg.wav\t2.0\n"):
+            path.write_text(text)
+            with pytest.raises(dt.ManifestError, match="header"):
+                dt.load_manifest(path)
 
     def test_rate_mismatch_reported(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -354,8 +358,34 @@ class TestManifest:
 
 
 class TestDatasetEntry:
+    def test_label_must_lie_in_the_score_range(self):
+        degraded = Waveform(np.full(600, 0.1), 16000)
+        for label in (-0.5, 4.5):
+            assert dt.DatasetEntry(degraded, None, label).label == label
+        for label in (-0.51, 4.51, float("nan")):
+            with pytest.raises(ValueError, match=rf"label {label} outside \[-0\.5, 4\.5\]"):
+                dt.DatasetEntry(degraded, None, label)
+
+    @pytest.mark.parametrize("rate, window", [(16000, 512), (8000, 256)])
+    def test_degraded_must_hold_one_analysis_window(self, rate, window):
+        assert len(dt.DatasetEntry(Waveform(np.full(window, 0.1), rate), None, 2.0).degraded) == window
+        with pytest.raises(ValueError) as info:
+            dt.DatasetEntry(Waveform(np.full(window - 1, 0.1), rate), None, 2.0)
+        assert str(info.value) == (
+            f"degraded audio of {window - 1} samples is shorter than one analysis window ({window})"
+        )
+
+    def test_rate_above_the_bound_is_rejected_without_building_a_window(self, monkeypatch):
+        from speechq import signal as sig
+
+        built = []
+        monkeypatch.setattr(sig, "sqrt_hann", lambda n: built.append(n))
+        with pytest.raises(ValueError, match="sample rate 10000000000000 Hz is above the maximum of 384000 Hz"):
+            dt.DatasetEntry(Waveform(np.full(600, 0.1), 10**13), None, 2.0)
+        assert built == []
+
     def test_in_memory_clean_must_cover_the_degraded(self):
-        degraded = Waveform(np.full(100, 0.1), 16000)
-        with pytest.raises(ValueError, match="fewer than the degraded 100"):
-            dt.DatasetEntry(degraded, Waveform(np.full(99, 0.1), 16000), 2.0)
-        assert len(dt.DatasetEntry(degraded, Waveform(np.full(120, 0.1), 16000), 2.0).clean) == 120
+        degraded = Waveform(np.full(600, 0.1), 16000)
+        with pytest.raises(ValueError, match="fewer than the degraded 600"):
+            dt.DatasetEntry(degraded, Waveform(np.full(599, 0.1), 16000), 2.0)
+        assert len(dt.DatasetEntry(degraded, Waveform(np.full(620, 0.1), 16000), 2.0).clean) == 620

@@ -77,6 +77,26 @@ class TestSoftLabel:
             lb.soft_label(3, lb.QuantizerConfig(10, pad=0))
 
 
+class TestTargets:
+    """The padding alone picks the target kind: one-hot rows at pad 0, soft rows above."""
+
+    SCORES = [-0.5, 0.7, 2.0, 4.5]
+
+    def test_unpadded_quantizer_gives_one_hot_rows(self):
+        cfg = lb.QuantizerConfig(10)
+        want = np.stack([lb.one_hot(lb.quantize(s, cfg), cfg) for s in self.SCORES])
+        np.testing.assert_array_equal(lb.targets(self.SCORES, cfg), want)
+
+    def test_padded_quantizer_gives_soft_rows(self):
+        cfg = lb.QuantizerConfig(10, pad=2)
+        want = np.stack([lb.soft_label(lb.quantize(s, cfg), cfg) for s in self.SCORES])
+        np.testing.assert_array_equal(lb.targets(self.SCORES, cfg), want)
+
+    def test_pad_one_is_rejected(self):
+        with pytest.raises(ValueError, match="soft labels need pad >= 2"):
+            lb.targets([2.0], lb.QuantizerConfig(10, pad=1))
+
+
 class TestDecodeMax:
     def test_midpoint_of_unpadded_class(self):
         # -0.5 + (50 - 1) * 0.05 + 0.05 / 2

@@ -3,6 +3,7 @@ losses.joint_loss, and must give what the separate assemblies gave before."""
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from speechq import data as dt
 from speechq import diffcore as dc
@@ -58,7 +59,7 @@ def trained_like(cfg, seed=3):
 def old_validation_total(run, params, val_entries, quant):
     """In-test copy of the validation formula before it used losses.joint_loss."""
     total = 0.0
-    targets = tr.build_targets(val_entries, quant, run.training.label_kind)
+    targets = lb.targets([e.label for e in val_entries], quant)
     for entry, row in zip(val_entries, targets):
         out = mdl.forward_graph(
             entry.degraded.samples[None, :], run.model, params, training=False,
@@ -129,7 +130,7 @@ class TestStepLosses:
         crop = min(len(e.degraded) for e in entries)
         rng = np.random.default_rng(5)
         _idx, degraded, clean, has_clean = tr._batch_crops(entries, crop, rng, len(entries))
-        targets = tr.build_targets(entries, run.quantizer, run.training.label_kind)[_idx]
+        targets = lb.targets([e.label for e in entries], run.quantizer)[_idx]
         return degraded, clean, has_clean, targets
 
     @pytest.mark.parametrize("soft", [False, True])
@@ -174,7 +175,11 @@ class TestStreamedEntries:
     def manifest_and_memory(tmp_path):
         lines = ["degraded_path\tclean_path\tlabel"]
         for i, entry in enumerate(make_entries(CLEAN_PATTERNS["mixed"])):
-            save_wav(tmp_path / f"deg{i}.wav", entry.degraded, encoding="pcm16" if i == 1 else "float32")
+            if i == 1:  # one 16-bit PCM file, which the reader rescales
+                pcm = np.round(entry.degraded.samples * 32767).astype(np.int16)
+                wavfile.write(tmp_path / f"deg{i}.wav", entry.degraded.sample_rate, pcm)
+            else:
+                save_wav(tmp_path / f"deg{i}.wav", entry.degraded)
             clean = ""
             if entry.clean is not None:
                 clean = f"cln{i}.wav"
