@@ -35,7 +35,8 @@ run = RunConfig(
 )
 
 with tempfile.TemporaryDirectory() as out_dir:
-    result = tr.run_training(run, entries, out_dir=out_dir, log_stream=print)
+    run.out_dir = out_dir
+    result = tr.run_training(run, entries, log_stream=print)
     step10, final = result.history[9][3], result.history[-1][3]
     print(f"joint loss: step 10 = {step10:.1f}, final = {final:.2f} ({final / step10:.1%})")
 

@@ -102,15 +102,31 @@ def _load_run(args) -> RunConfig:
     return run
 
 
+def _load_rir(path, rate: int, clip_len: int) -> Waveform:
+    """An impulse response at ``rate`` whose first nonzero tap falls inside a
+    ``clip_len``-sample clip, so the convolved clip, cut to that length, is not silent."""
+    rir = load_wav(path)
+    if rir.sample_rate != rate:
+        raise WavFormatError(
+            f"{path}: impulse response is at {rir.sample_rate} Hz, not [model] sample_rate {rate} Hz"
+        )
+    taps = np.flatnonzero(rir.samples)
+    if taps.size == 0 or taps[0] >= clip_len:
+        raise WavFormatError(
+            f"{path}: impulse response has no nonzero tap in the first {clip_len} samples of a clip"
+        )
+    return rir
+
+
 def cmd_simulate(args) -> int:
     run = _load_run(args)
     sim = run.simulate
+    rate = run.model.sample_rate
     # Loaded before anything is written, so a bad impulse response leaves no output.
-    rirs = [load_wav(p) for p in sim.rir_paths]
+    rirs = [_load_rir(p, rate, round(sim.duration_seconds * rate)) for p in sim.rir_paths]
     out_dir = run.out_dir
     wav_dir = os.path.join(out_dir, "wavs")
     os.makedirs(wav_dir, exist_ok=True)
-    rate = run.model.sample_rate
 
     def make_entry(index: int):
         rng = np.random.default_rng([sim.seed, index])

@@ -8,8 +8,8 @@ SimulateConfig. Each value parses to its field's annotated type (float
 only when finite) and defaults to the field's default. The exceptions:
 
 - [quantizer] n_classes defaults to 100;
-- [quantizer] pad is not a key: it follows [training] label_kind (0 for
-  one-hot, 2 for soft);
+- [training] label_kind (one-hot or soft) is a key but not a field: it
+  sets [quantizer] pad (0 for one-hot, 2 for soft), which is not a key;
 - [model] n_classes defaults to, and must equal, the quantizer's classes
   plus padding;
 - [simulate] rir_paths is a comma-separated list;
@@ -57,14 +57,11 @@ class ConfigError(ValueError):
 @dataclass
 class TrainingConfig:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
     batch_size: int = 4
     crop_seconds: float = 1.0
     max_steps: int = 1000
     seed: int = 0
     recon_weight: float = 1.0  # weight on the reconstruction term; 0 trains quality only
-    label_kind: str = "one-hot"  # "one-hot" | "soft"
     td_mse_reduction: str = "sum"  # "sum" (plain squared norm) | "mean" (length-normalized)
     val_every: int = 0  # 0: every max(1, max_steps // 10) steps; the last step always validates
 
@@ -87,11 +84,14 @@ def _field_types(cls) -> dict:
     return {f.name: hints[f.name] for f in fields(cls) if f.init}
 
 
+# [training] label_kind -> [quantizer] pad.
+LABEL_KIND_PAD = {"one-hot": 0, "soft": 2}
+
 # Section -> key -> parse type. [data] and [output] hold the RunConfig paths.
 _SECTIONS = {
     "model": _field_types(ModelConfig),
     "quantizer": {"n_classes": int},  # pad follows [training] label_kind
-    "training": _field_types(TrainingConfig),
+    "training": {**_field_types(TrainingConfig), "label_kind": str},
     "simulate": _field_types(SimulateConfig),
     "data": {"manifest": str, "val_manifest": str},
     "output": {"dir": str},
@@ -163,11 +163,11 @@ class RunConfig:
         errors = [f"unknown section [{s}]" for s in parser.sections() if s not in _SECTIONS]
         given = {section: _read_section(parser, section, types, errors) for section, types in _SECTIONS.items()}
 
+        label_kind = given["training"].pop("label_kind", "one-hot")
+        if label_kind not in LABEL_KIND_PAD:
+            errors.append(f"label_kind must be one-hot or soft, got {label_kind!r}")
+        pad = LABEL_KIND_PAD.get(label_kind, 0)
         training = TrainingConfig(**given["training"])
-        if training.label_kind not in ("one-hot", "soft"):
-            errors.append(f"label_kind must be one-hot or soft, got {training.label_kind!r}")
-            training.label_kind = "one-hot"
-        pad = 2 if training.label_kind == "soft" else 0
         try:
             quantizer = QuantizerConfig(given["quantizer"].get("n_classes", 100), pad)
         except ValueError as exc:
@@ -210,8 +210,6 @@ class RunConfig:
         ):
             if value < 0:
                 errors.append(f"{name} must be non-negative, got {value}")
-        if not (0.0 < training.beta1 < 1.0 and 0.0 < training.beta2 < 1.0):
-            errors.append("adam betas must lie in (0, 1)")
         if training.recon_weight < 0:
             errors.append("recon_weight must be non-negative")
         if training.td_mse_reduction not in ("sum", "mean"):

@@ -133,60 +133,41 @@ def convolve_rir(clean: Waveform, rir: Waveform) -> Waveform:
     return Waveform(out, clean.sample_rate)
 
 
-def perturb_bins(
-    spec: np.ndarray,
-    boost_frac: float = 0.30,
-    atten_frac: float = 0.50,
-    boost_gain: float = 2.0,
-    atten_gain: float = 0.25,
-    seed: int = 0,
-) -> np.ndarray:
+# Shares of a spectrogram's bins that perturb_bins boosts and attenuates.
+BOOST_FRAC = 0.30
+ATTEN_FRAC = 0.50
+
+
+def perturb_bins(spec: np.ndarray, boost_gain: float = 2.0, atten_gain: float = 0.25, seed: int = 0) -> np.ndarray:
     """Scale disjoint random bin sets of a complex spectrogram.
 
-    Positive real gains change magnitudes and keep phases. The boosted
-    and attenuated sets are disjoint by construction (drawn from one
-    permutation of all bins). Deterministic under ``seed``.
+    BOOST_FRAC of the bins are multiplied by ``boost_gain`` and ATTEN_FRAC by
+    ``atten_gain``. Positive real gains change magnitudes and keep phases.
+    The two sets are disjoint by construction (drawn from one permutation of
+    all bins). Deterministic under ``seed``.
     """
-    if boost_frac < 0 or atten_frac < 0 or boost_frac + atten_frac > 1.0:
-        raise ValueError(
-            f"invalid bin fractions: boost {boost_frac}, attenuate {atten_frac}"
-        )
     out = np.array(spec, order="C")  # reshape(-1) must be a view, not a copy
     flat = out.reshape(-1)
     total = flat.size
     rng = np.random.default_rng(seed)
     order = rng.permutation(total)
-    n_boost = int(round(boost_frac * total))
-    n_atten = int(round(atten_frac * total))
+    n_boost = int(round(BOOST_FRAC * total))
+    n_atten = int(round(ATTEN_FRAC * total))
     flat[order[:n_boost]] *= boost_gain
     flat[order[n_boost : n_boost + n_atten]] *= atten_gain
     return out
 
 
 def perturb_spectrogram(
-    wave: Waveform,
-    boost_frac: float = 0.30,
-    atten_frac: float = 0.50,
-    boost_gain: float = 2.0,
-    atten_gain: float = 0.25,
-    seed: int = 0,
-    cfg: StftConfig | None = None,
+    wave: Waveform, boost_gain: float = 2.0, atten_gain: float = 0.25, seed: int = 0
 ) -> Waveform:
-    """Analysis, random bin boost/attenuation, resynthesis.
+    """Analysis, random bin boost/attenuation (:func:`perturb_bins`), resynthesis.
 
     With unit gains the output is exactly the analysis/synthesis
     roundtrip of the input.
     """
-    if cfg is None:
-        cfg = StftConfig.for_sample_rate(wave.sample_rate)
-    spec = perturb_bins(
-        stft(wave, cfg),
-        boost_frac=boost_frac,
-        atten_frac=atten_frac,
-        boost_gain=boost_gain,
-        atten_gain=atten_gain,
-        seed=seed,
-    )
+    cfg = StftConfig.for_sample_rate(wave.sample_rate)
+    spec = perturb_bins(stft(wave, cfg), boost_gain=boost_gain, atten_gain=atten_gain, seed=seed)
     return istft(spec, cfg)
 
 
@@ -332,7 +313,7 @@ def synth_clean(kind: str, duration: float, seed: int, sample_rate: int = 16000)
     t = np.arange(n) / sample_rate
     if kind == "tone-complex":
         f0 = rng.uniform(90.0, 280.0)
-        n_harm = int(min(12, 0.45 * sample_rate / f0))
+        n_harm = max(1, int(min(12, 0.45 * sample_rate / f0)))  # the fundamental at least
         decay = rng.uniform(0.5, 1.5)
         x = np.zeros(n)
         for k in range(1, n_harm + 1):

@@ -275,15 +275,13 @@ def cumsum(x) -> Tensor:
     return _make(np.cumsum(x.values, axis=-1), (x,), vjp)
 
 
-def sum(x, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001 - numpy-style name
+def sum(x, axis=None) -> Tensor:  # noqa: A001 - numpy-style name
     x = as_tensor(x)
-    v = np.sum(x.values, axis=axis, keepdims=keepdims)
+    v = np.sum(x.values, axis=axis)
     shape, dtype = x.values.shape, x.values.dtype
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).astype(dtype, copy=True),)
-        g2 = g if keepdims else np.expand_dims(g, axis)
+        g2 = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(g2, shape).astype(dtype, copy=True),)
 
     return _make(v, (x,), vjp)
@@ -293,17 +291,11 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     v = np.mean(x.values, axis=axis, keepdims=keepdims)
     shape, dtype = x.values.shape, x.values.dtype
-    count = x.values.size if axis is None else np.prod(
-        [shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
-    )
+    count = x.values.size if axis is None else shape[axis]
 
     def vjp(g):
-        if axis is None:
-            full = np.broadcast_to(g, shape)
-        else:
-            g2 = g if keepdims else np.expand_dims(g, axis)
-            full = np.broadcast_to(g2, shape)
-        return ((full / count).astype(dtype, copy=False),)
+        g2 = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return ((np.broadcast_to(g2, shape) / count).astype(dtype, copy=False),)
 
     return _make(v, (x,), vjp)
 
@@ -712,7 +704,10 @@ def gradient_check(fn, inputs: Sequence[Tensor], step: float = 1e-5) -> float:
 # ---------------------------------------------------------------------------
 # optimizer
 
-# Adam's denominator floor: values -= lr * m_hat / (sqrt(v_hat) + ADAM_EPS).
+# Adam's moment decay rates and denominator floor (Kingma & Ba's defaults):
+# values -= lr * m_hat / (sqrt(v_hat) + ADAM_EPS).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
@@ -724,11 +719,9 @@ class Adam:
     checkpointed runs resume bit-exactly.
     """
 
-    def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999):
+    def __init__(self, params: dict, lr: float = 1e-3):
         self.params = {name: t for name, t in params.items() if t.requires_grad}
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
         self.t = 0
         self.m = {name: np.zeros_like(t.values) for name, t in self.params.items()}
         self.v = {name: np.zeros_like(t.values) for name, t in self.params.items()}
@@ -741,8 +734,8 @@ class Adam:
             if not np.all(np.isfinite(t.grad)):
                 raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         # The update runs in place and in two buffers per parameter, with the
         # operations in the textbook order, so it rounds as that formula does.
         for name, t in self.params.items():
@@ -751,12 +744,12 @@ class Adam:
             v = self.v[name]
             a, b = np.empty_like(m), np.empty_like(m)
             # m = beta1 * m + (1 - beta1) * g
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=a)
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
             # v = beta2 * v + (1 - beta2) * (g * g)
-            v *= self.beta2
+            v *= ADAM_BETA2
             np.multiply(g, g, out=a)
-            a *= 1.0 - self.beta2
+            a *= 1.0 - ADAM_BETA2
             v += a
             # values -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
             np.divide(m, bc1, out=a)

@@ -15,10 +15,6 @@ from . import diffcore as dc
 __all__ = ["emd2", "td_mse", "joint_loss"]
 
 
-def _batch_mean(per_item: dc.Tensor) -> dc.Tensor:
-    return per_item if per_item.values.shape == () else dc.mean(per_item)
-
-
 def emd2(p_hat, p) -> dc.Tensor:
     """Squared earth mover's distance between distributions over ordered classes.
 
@@ -33,7 +29,7 @@ def emd2(p_hat, p) -> dc.Tensor:
         )
     d = dc.sub(dc.cumsum(p_hat), dc.cumsum(p))
     per_item = dc.sum(dc.mul(d, d), axis=-1)
-    return _batch_mean(per_item)
+    return per_item if per_item.values.shape == () else dc.mean(per_item)
 
 
 def td_mse(x_hat, x, weights=None, reduction: str = "sum") -> dc.Tensor:
@@ -43,7 +39,8 @@ def td_mse(x_hat, x, weights=None, reduction: str = "sum") -> dc.Tensor:
     difference. ``reduction="mean"`` divides each item by its length,
     which makes the term comparable across utterance durations when
     balancing against the distribution loss. ``weights`` (0/1 per batch
-    item) masks items without a clean reference out of the average.
+    item, all ones when omitted) masks items without a clean reference out
+    of the average; with every weight zero the value is an exact zero.
     """
     x_hat, x = dc.as_tensor(x_hat), dc.as_tensor(x)
     if x_hat.values.shape != x.values.shape:
@@ -56,15 +53,12 @@ def td_mse(x_hat, x, weights=None, reduction: str = "sum") -> dc.Tensor:
         per_item = dc.scale(per_item, 1.0 / x.values.shape[-1])
     elif reduction != "sum":
         raise ValueError(f"unknown reduction {reduction!r}")
-    if weights is not None:
-        w = np.asarray(weights, dtype=x_hat.values.dtype)
-        if w.shape != per_item.values.shape:
-            raise ValueError("weights must have one entry per batch item")
-        total = float(np.sum(w))
-        if total == 0.0:
-            return dc.scale(dc.sum(dc.mul(per_item, dc.constant(w))), 0.0)
-        return dc.scale(dc.sum(dc.mul(per_item, dc.constant(w))), 1.0 / total)
-    return _batch_mean(per_item)
+    shape, dtype = per_item.values.shape, x_hat.values.dtype
+    w = np.ones(shape, dtype) if weights is None else np.asarray(weights, dtype=dtype)
+    if w.shape != shape:
+        raise ValueError("weights must have one entry per batch item")
+    total = float(np.sum(w))
+    return dc.scale(dc.sum(dc.mul(per_item, dc.constant(w))), 1.0 / total if total else 0.0)
 
 
 def joint_loss(x_hat, x, p_hat, p, recon_weight: float = 1.0, weights=None, reduction: str = "sum"):

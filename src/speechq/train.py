@@ -19,7 +19,7 @@ from . import labels as lb
 from . import losses
 from . import metrics
 from . import model as mdl
-from .config import RunConfig
+from .config import LABEL_KIND_PAD, RunConfig
 from .data import DatasetEntry
 from .labels import QuantizerConfig
 from .model import ModelConfig
@@ -67,10 +67,11 @@ def load_run_checkpoint(path):
 
     Raises:
         CheckpointError: the file is not a checkpoint, its header lacks
-            valid model, quantizer and step entries (a model ``norm`` entry,
-            which older headers carry, must be ``"batch"``), the quantizer's class
-            count differs from the model's, or its arrays do not match the
-            model's parameter names, shapes and dtype. Optimizer state is
+            valid model and quantizer entries and a non-negative integer
+            step (a model ``norm`` entry, which older headers carry, must be
+            ``"batch"``), the quantizer's class count differs from the
+            model's, or its arrays do not match the model's parameter
+            names, shapes and dtype. Optimizer state is
             optional, but each ``opt.m.<p>`` needs its ``opt.v.<p>`` (and the
             reverse) for a trainable parameter ``p``, with ``p``'s shape
             and dtype.
@@ -87,7 +88,9 @@ def load_run_checkpoint(path):
             raise ValueError(f"norm {norm!r} is not supported, only batch norm")
         cfg = ModelConfig(**model_fields)
         quant = QuantizerConfig(**header["quantizer"])
-        step = int(header["step"])
+        step = header["step"]
+        if isinstance(step, bool) or not isinstance(step, int) or step < 0:
+            raise ValueError(f"step must be a non-negative integer, got {step!r}")
     except (TypeError, ValueError, AttributeError) as exc:
         raise dc.CheckpointError(f"{path}: invalid run settings in checkpoint header: {exc}") from exc
     if quant.n_total != cfg.n_classes:
@@ -124,11 +127,16 @@ def load_run_checkpoint(path):
 
 
 def _config_mismatch(saved, wanted, section: str) -> str | None:
-    """The first compared field where two config dataclasses differ, described."""
+    """The first compared field where two config dataclasses differ, described by
+    the key that sets it: the quantizer's padding by [training] label_kind."""
+    kinds = {pad: kind for kind, pad in LABEL_KIND_PAD.items()}
     for f in fields(saved):
         ours, theirs = getattr(saved, f.name), getattr(wanted, f.name)
         if f.compare and ours != theirs:
-            return f"[{section}] {f.name} is {ours!r} in the checkpoint but {theirs!r} in the configuration"
+            key = f"[{section}] {f.name}"
+            if key == "[quantizer] pad" and ours in kinds and theirs in kinds:
+                key, ours, theirs = "[training] label_kind", kinds[ours], kinds[theirs]
+            return f"{key} is {ours!r} in the checkpoint but {theirs!r} in the configuration"
     return None
 
 
@@ -182,14 +190,13 @@ def run_training(
     run: RunConfig,
     entries: list[DatasetEntry],
     val_entries: list[DatasetEntry] | None = None,
-    out_dir: str | None = None,
     resume_from: str | None = None,
     log_stream=None,
 ) -> TrainResult:
     """Optimize the joint objective with Adam over the given entries.
 
     Writes an append-only training log plus `final.ckpt` and `best.ckpt`
-    under ``out_dir``. ``resume_from`` continues a checkpointed run; the
+    under ``run.out_dir``. ``resume_from`` continues a checkpointed run; the
     model and quantizer settings must match the ones stored in the
     checkpoint, or ``CheckpointError`` names the first that differs. A
     non-finite value raises ``FloatingPointError`` naming the step.
@@ -197,7 +204,7 @@ def run_training(
     if not entries:
         raise ValueError("no training entries")
     tcfg = run.training
-    out_dir = out_dir or run.out_dir
+    out_dir = run.out_dir
     os.makedirs(out_dir, exist_ok=True)
     quant = run.quantizer
 
@@ -207,7 +214,8 @@ def run_training(
 
     if resume_from is not None:
         cfg, ck_quant, params, opt_arrays, start_step = load_run_checkpoint(resume_from)
-        mismatch = _config_mismatch(cfg, run.model, "model") or _config_mismatch(ck_quant, quant, "quantizer")
+        # The quantizer first: its class count also sets the model's.
+        mismatch = _config_mismatch(ck_quant, quant, "quantizer") or _config_mismatch(cfg, run.model, "model")
         if mismatch:
             raise dc.CheckpointError(
                 f"{resume_from}: checkpoint does not match the run configuration: {mismatch}"
@@ -215,7 +223,7 @@ def run_training(
     else:
         params, opt_arrays, start_step = mdl.init_params(run.model, seed=tcfg.seed), {}, 0
     trained = {k: v for k, v in params.items() if use_recon or k.partition(".")[0] not in mdl.MASK_HEADS}
-    optimizer = dc.Adam(trained, lr=tcfg.lr, beta1=tcfg.beta1, beta2=tcfg.beta2)
+    optimizer = dc.Adam(trained, lr=tcfg.lr)
     if opt_arrays:
         optimizer.load_state(opt_arrays, start_step)
     del opt_arrays  # the optimizer adopted its moments; the rest is unused

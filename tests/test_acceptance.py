@@ -358,7 +358,8 @@ def test_overfit_run(tmp_path):
     assert labels_span == (1.0, 4.5)
 
     run = _small_run(seed=11, max_steps=500, lr=2e-3, recon_weight=1.0)
-    result = tr.run_training(run, entries, out_dir=str(tmp_path))
+    run.out_dir = str(tmp_path)
+    result = tr.run_training(run, entries)
     step10 = result.history[9][3]
     final = result.history[-1][3]
     ratio = final / step10
@@ -411,8 +412,8 @@ def test_joint_beats_quality_only_direction(tmp_path):
                 td_reduction="mean",
                 val_every=100,
             )
-            out_dir = tmp_path / f"s{seed}_w{int(weight)}"
-            result = tr.run_training(run, train_entries, out_dir=str(out_dir))
+            run.out_dir = str(tmp_path / f"s{seed}_w{int(weight)}")
+            result = tr.run_training(run, train_entries)
             cfg, quant, params, _, _ = tr.load_run_checkpoint(result.best_checkpoint)
             held_mse[weight] = tr.evaluate_entries(cfg, quant, params, holdout)["expect"].mse
         outcomes.append((seed, held_mse[1.0], held_mse[0.0]))

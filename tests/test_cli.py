@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import os
+import pathlib
 import platform
 import re
 import resource
@@ -167,6 +168,41 @@ class TestSimulate:
         assert err.startswith("data error: ") and "missing.wav" in err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "taps, rate, expected",
+        [
+            ([1.0, 0.3], 8000, "impulse response is at 8000 Hz, not [model] sample_rate 16000 Hz"),
+            ([0.0] * 19999 + [1.0], 16000, "no nonzero tap in the first 8000 samples"),
+            ([0.0] * 64, 16000, "no nonzero tap in the first 8000 samples"),
+        ],
+        ids=["other-rate", "late-onset", "all-zero"],
+    )
+    def test_unusable_rir_exits_2_and_writes_nothing(self, tmp_path, capsys, taps, rate, expected):
+        from speechq.signal import Waveform, save_wav
+
+        rir_path = tmp_path / "ir.wav"
+        save_wav(rir_path, Waveform(np.array(taps), rate))
+        out = tmp_path / "rirout"
+        sim_section = SIMULATE.format(count=2, holdout=0, seed=35, out=out).replace(
+            "seed = 35", f"seed = 35\nrir_paths = {rir_path}"
+        )
+        config = write_config(tmp_path, TINY_MODEL.format(steps=5) + sim_section, name="rir.ini")
+        assert cli.main(["simulate", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {rir_path}: ") and expected in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_low_sample_rate_keeps_the_fundamental(self, tmp_path, capsys):
+        # At 400 Hz every tone-complex fundamental (90-280 Hz) lies above 0.45 x rate.
+        out = tmp_path / "low"
+        text = TINY_MODEL.format(steps=5).replace("sample_rate = 16000", "sample_rate = 400")
+        config = write_config(tmp_path, text + SIMULATE.format(count=6, holdout=0, seed=3, out=out))
+        assert cli.main(["simulate", "--config", config]) == 0
+        assert capsys.readouterr().err == ""
+        entries = dt.load_manifest(out / "manifest.tsv", sample_rate=400)
+        assert len(entries) == 6 and all(np.any(e.clean.samples) for e in entries)
 
 
 class TestTrain:
@@ -690,7 +726,9 @@ class TestBadInputs:
             ({"model": {"colour": 1}, "quantizer": {"n_classes": 10}, "step": 0}, "unexpected keyword"),
             ({"model": {"stft": 1}, "quantizer": {"n_classes": 10}, "step": 0}, "invalid run settings"),
             ({"model": {}, "quantizer": {"n_classes": 0}, "step": 0}, "need at least one class"),
-            ({"model": {}, "quantizer": {"n_classes": 10}, "step": "last"}, "invalid literal"),
+            ({"model": {}, "quantizer": {"n_classes": 10}, "step": "last"}, "step must be a non-negative integer"),
+            ({"model": {}, "quantizer": {"n_classes": 10}, "step": float("inf")}, "got inf"),
+            ({"model": {}, "quantizer": {"n_classes": 10}, "step": -4}, "got -4"),
             (
                 {"model": {"blocks_per_repeat": 2.0}, "quantizer": {"n_classes": 10}, "step": 0},
                 "blocks_per_repeat must be an integer",
@@ -723,6 +761,8 @@ class TestBadInputs:
             "bad-stft",
             "bad-quantizer",
             "bad-step",
+            "infinite-step",
+            "negative-step",
             "float-model-size",
             "bool-model-size",
             "class-count-mismatch",
@@ -818,6 +858,21 @@ class TestBadInputs:
             "[model] conv_channels is 16 in the checkpoint but 32 in the configuration",
         )
 
+    def test_resume_under_another_label_kind(self, trained_checkpoint, tmp_path, capsys):
+        # Soft labels add two padding classes, so the model's class count differs too.
+        ckpt, data_dir = trained_checkpoint
+        config = write_config(
+            tmp_path,
+            TINY_MODEL.format(steps=10).replace("label_kind = one-hot", "label_kind = soft")
+            + f"\n[data]\nmanifest = {data_dir / 'manifest.tsv'}\n[output]\ndir = {tmp_path / 'run'}\n",
+        )
+        self.assert_data_error(
+            ["train", "--config", config, "--checkpoint", ckpt],
+            capsys,
+            "[training] label_kind is 'one-hot' in the checkpoint but 'soft' in the configuration",
+        )
+        assert not (tmp_path / "run" / "final.ckpt").exists()
+
     @pytest.mark.parametrize(
         "samples, rate, expected",
         [
@@ -905,30 +960,154 @@ dir = run
 FUZZ_TOKENS = ("%", "%(x)s", "=", "[", "]", "#", "-1", "nan", "1e400", "9" * 25, "1" * 5000, "\n")
 
 
+def mutate_text(text, tokens, data):
+    """``text`` with one to four insertions of a token or deletions of up to eight characters."""
+    for _ in range(data.draw(st.integers(1, 4))):
+        at = data.draw(st.integers(0, len(text)))
+        if data.draw(st.booleans()):
+            text = text[:at] + data.draw(st.sampled_from(tokens)) + text[at:]
+        else:
+            text = text[:at] + text[at + data.draw(st.integers(1, 8)) :]
+    return text
+
+
+def main_outcome(argv):
+    """(exit code, stdout, stderr) of ``cli.main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_documented_outcome(code, err):
+    """Success (warnings allowed), or one stderr line of the exit code's kind; never a traceback."""
+    assert code in (0, 1, 2, 3) and "Traceback" not in err, (code, err)
+    lines = err.splitlines()
+    if code == 0:
+        assert all(line.startswith("warning: ") for line in lines), err
+    else:
+        prefix = {1: "configuration error: ", 2: "data error: ", 3: "numerical failure: "}[code]
+        assert len(lines) == 1 and lines[0].startswith(prefix), err
+
+
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
 def test_train_on_mutated_config_text(data):
     """A damaged config ends in one configuration error line (exit 1) or, once it
     parses, in the missing manifest's data error line (exit 2), and writes nothing."""
-    text = FUZZ_CONFIG
-    for _ in range(data.draw(st.integers(1, 4))):
-        at = data.draw(st.integers(0, len(text)))
-        if data.draw(st.booleans()):
-            text = text[:at] + data.draw(st.sampled_from(FUZZ_TOKENS)) + text[at:]
-        else:
-            text = text[:at] + text[at + data.draw(st.integers(1, 8)) :]
+    text = mutate_text(FUZZ_CONFIG, FUZZ_TOKENS, data)
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "small.ini")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(["train", "--config", path])
+        code, out, err = main_outcome(["train", "--config", path])
         assert os.listdir(work) == ["small.ini"]
-    assert code in (1, 2), (code, err.getvalue())
-    prefix = {1: "configuration error: ", 2: "data error: "}[code]
-    assert out.getvalue() == "" and "Traceback" not in err.getvalue()
-    assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith(prefix), err.getvalue()
+    assert code in (1, 2) and out == "", (code, err)
+    assert_documented_outcome(code, err)
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(tmp_path_factory):
+    """A tiny simulated dataset, a one-step run's final.ckpt (with Adam's moments)
+    and one of its WAVs, for the manifest and checkpoint fuzz."""
+    tmp_path = tmp_path_factory.mktemp("fuzz_run")
+    data_dir = simulate_dataset(tmp_path, count=3, seed=41)
+    config = write_config(
+        tmp_path,
+        TINY_MODEL.format(steps=1)
+        + f"\n[data]\nmanifest = {data_dir / 'manifest.tsv'}\n[output]\ndir = {tmp_path / 'run'}\n",
+    )
+    assert main_outcome(["train", "--config", config])[0] == 0
+    return tmp_path / "run" / "final.ckpt", data_dir, data_dir / "wavs" / "entry_00000_degraded.wav"
+
+
+MANIFEST_TOKENS = (
+    "\t", ",", "\n", " ", "nan", "inf", "-1", "1e400", "9" * 25, "wavs/", "../", "/", "\x00", "\u00e9",
+    "label", "clean_path", "degraded_path",
+)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_eval_and_train_on_mutated_manifest_text(fuzz_run, data):
+    """A damaged manifest is scored or trained on (exit 0), or ends in one error line and writes nothing."""
+    ckpt, data_dir, _wav = fuzz_run
+    manifest = data_dir / "fuzz.tsv"
+    manifest.write_text(mutate_text((data_dir / "manifest.tsv").read_text(), MANIFEST_TOKENS, data), encoding="utf-8")
+    command = data.draw(st.sampled_from(["eval", "train"]))
+    with tempfile.TemporaryDirectory() as work:
+        if command == "eval":
+            argv = ["eval", "--checkpoint", ckpt, "--manifest", manifest]
+        else:
+            text = TINY_MODEL.format(steps=1) + f"\n[data]\nmanifest = {manifest}\n[output]\ndir = {work}/run\n"
+            argv = ["train", "--config", write_config(pathlib.Path(work), text)]
+        code, _out, err = main_outcome(argv)
+        written = os.listdir(work)
+    assert_documented_outcome(code, err)
+    if code != 0:
+        assert written in ([], ["run.ini"]), written
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_predict_on_mutated_checkpoint_bytes(fuzz_run, data):
+    """A checkpoint with changed or cut bytes scores the file, or ends in one error line."""
+    ckpt, _data_dir, wav = fuzz_run
+    blob = bytearray(ckpt.read_bytes())
+    for _ in range(data.draw(st.integers(1, 4))):
+        # Mostly in the JSON header and the first array records, where a byte changes the layout.
+        at = data.draw(st.one_of(st.integers(0, 700), st.integers(0, len(blob) - 1)))
+        blob[at] = data.draw(st.integers(0, 255))
+    if data.draw(st.booleans()):
+        blob = blob[: data.draw(st.integers(0, len(blob)))]
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "fuzz.ckpt")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        code, out, err = main_outcome(["predict", "--checkpoint", path, wav])
+        assert os.listdir(work) == ["fuzz.ckpt"]
+    assert_documented_outcome(code, err)
+    assert len(out.splitlines()) == (code == 0)
+
+
+# JSON values for a header entry. Integers stay small: a model size is a loop count.
+HEADER_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 40),
+    st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
+)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_predict_on_mutated_checkpoint_header(fuzz_run, data):
+    """A header with changed, removed or added values scores the file, or ends in one error line."""
+    from speechq import diffcore as dc
+
+    ckpt, _data_dir, wav = fuzz_run
+    arrays, header = dc.load_checkpoint(ckpt)
+    for _ in range(data.draw(st.integers(1, 3))):
+        target = header
+        key = data.draw(st.sampled_from(sorted(header) + ["bogus"]))
+        if isinstance(header.get(key), dict) and data.draw(st.booleans()):
+            target = header[key]
+            key = data.draw(st.sampled_from(sorted(target) + ["norm", "bogus"]))
+        if data.draw(st.integers(0, 4)) == 0:
+            target.pop(key, None)
+        else:
+            target[key] = data.draw(HEADER_VALUES)
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "fuzz.ckpt")
+        dc.save_checkpoint(path, arrays, header)
+        code, out, err = main_outcome(["predict", "--checkpoint", path, wav])
+        assert os.listdir(work) == ["fuzz.ckpt"]
+    assert_documented_outcome(code, err)
+    assert len(out.splitlines()) == (code == 0)
 
 
 # Runs in a fresh interpreter where every scipy import fails.

@@ -23,14 +23,11 @@ DEFAULTS = {
     "quantizer": {"n_classes": 100, "pad": 0},
     "training": {
         "lr": 1e-3,
-        "beta1": 0.9,
-        "beta2": 0.999,
         "batch_size": 4,
         "crop_seconds": 1.0,
         "max_steps": 1000,
         "seed": 0,
         "recon_weight": 1.0,
-        "label_kind": "one-hot",
         "td_mse_reduction": "sum",
         "val_every": 0,
     },
@@ -63,8 +60,6 @@ n_classes = 20
 
 [training]
 lr = 5e-4
-beta1 = 0.8
-beta2 = 0.99
 batch_size = 6
 crop_seconds = 2
 max_steps = 50
@@ -99,14 +94,11 @@ EVERY_KEY_PARSED = {
     "quantizer": {"n_classes": 20, "pad": 2},
     "training": {
         "lr": 5e-4,
-        "beta1": 0.8,
-        "beta2": 0.99,
         "batch_size": 6,
         "crop_seconds": 2.0,
         "max_steps": 50,
         "seed": 9,
         "recon_weight": 0.5,
-        "label_kind": "soft",
         "td_mse_reduction": "mean",
         "val_every": 5,
     },
@@ -291,7 +283,7 @@ a = 1
                     "[model] sample_rate = 'fast' is not a valid int",
                     "kernel size must be odd for same-length padding",
                     "training lr must be positive, got -1.0",
-                    "adam betas must lie in (0, 1)",
+                    "unknown key 'beta1' in section [training]",
                     "recon_weight must be non-negative",
                     "td_mse_reduction must be sum or mean, got 'median'",
                     "simulate counts must be non-negative",
@@ -326,7 +318,7 @@ path = y
                     "dtype must be float32 or float64",
                     "training crop_seconds must be positive, got 0.0",
                     "training max_steps must be positive, got -3",
-                    "adam betas must lie in (0, 1)",
+                    "unknown key 'beta2' in section [training]",
                 },
             ),
             (
@@ -417,9 +409,11 @@ path = y
             ("model", "norm", "batch"),
             ("training", "rank_loss", "true"),
             ("training", "rank_weight", "1.0"),
+            ("training", "beta1", "0.9"),
+            ("training", "beta2", "0.999"),
             ("quantizer", "pad", "0"),
         ],
-        ids=["norm", "rank_loss", "rank_weight", "pad"],
+        ids=["norm", "rank_loss", "rank_weight", "beta1", "beta2", "pad"],
     )
     @pytest.mark.parametrize("command", ["simulate", "train"])
     def test_removed_keys_exit_1_and_write_nothing(self, tmp_path, capsys, command, section, key, value):

@@ -206,7 +206,7 @@ def ref_depthwise(x, kernel, bias, dilation, g):
     return v, gpad[:, :, pad : pad + t], gk, np.sum(g, axis=(0, 2))
 
 
-def ref_adam_step(values, m, v, g, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+def ref_adam_step(values, m, v, g, t, lr=1e-3, beta1=dc.ADAM_BETA1, beta2=dc.ADAM_BETA2, eps=dc.ADAM_EPS):
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
     m[...] = beta1 * m + (1.0 - beta1) * g
@@ -284,13 +284,13 @@ class TestAdamKernel:
         rng = np.random.default_rng(14)
         shapes = {"w": (7, 5), "b": (7,), "s": (), "t": ()}
         params = {n: dc.parameter(rng.standard_normal(s).astype(dtype)) for n, s in shapes.items()}
-        opt = dc.Adam(params, lr=3e-3, beta1=0.8, beta2=0.99)
+        opt = dc.Adam(params, lr=3e-3)
         ref = {n: (params[n].values.copy(), np.zeros(s, dtype), np.zeros(s, dtype)) for n, s in shapes.items()}
         for step in range(1, 6):
             grads = {n: rng.standard_normal(s).astype(dtype) for n, s in shapes.items()}
             for name, p in params.items():
                 p.grad = grads[name].copy()
-                ref_adam_step(*ref[name], grads[name], step, lr=3e-3, beta1=0.8, beta2=0.99)
+                ref_adam_step(*ref[name], grads[name], step, lr=3e-3)
             given = {n: p.grad for n, p in params.items()}
             opt.step()
             for name, p in params.items():

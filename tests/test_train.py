@@ -28,7 +28,6 @@ def tiny_run(recon_weight=1.0, reduction="sum", soft=False):
             batch_size=3,
             recon_weight=recon_weight,
             td_mse_reduction=reduction,
-            label_kind="soft" if soft else "one-hot",
         ),
         simulate=SimulateConfig(),
     )
@@ -210,7 +209,8 @@ class TestStreamedEntries:
         run.training.val_every = 2
         finals = []
         for name, entries in (("streamed", streamed), ("memory", in_memory)):
-            result = tr.run_training(run, entries, val_entries=entries[:2], out_dir=str(tmp_path / name))
+            run.out_dir = str(tmp_path / name)
+            result = tr.run_training(run, entries, val_entries=entries[:2])
             finals.append((result.history, dc.load_checkpoint(result.final_checkpoint)[0]))
         (history, arrays), (want_history, want_arrays) = finals
         assert history == want_history
