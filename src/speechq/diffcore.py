@@ -154,7 +154,7 @@ def _graph_ref(t: Tensor):
 
 
 def _make(values: np.ndarray, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise FloatingPointError("op produced non-finite values")
     out = Tensor(values)
     if any(p.requires_grad for p in parents):
@@ -277,7 +277,7 @@ def cumsum(x) -> Tensor:
 
 def sum(x, axis=None) -> Tensor:  # noqa: A001 - numpy-style name
     x = as_tensor(x)
-    v = np.sum(x.values, axis=axis)
+    v = x.values.sum(axis=axis)
     shape, dtype = x.values.shape, x.values.dtype
 
     def vjp(g):
@@ -289,9 +289,10 @@ def sum(x, axis=None) -> Tensor:  # noqa: A001 - numpy-style name
 
 def mean(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
-    v = np.mean(x.values, axis=axis, keepdims=keepdims)
     shape, dtype = x.values.shape, x.values.dtype
     count = x.values.size if axis is None else shape[axis]
+    # np.mean's sum and count; dividing by a Python int rounds as np.mean does.
+    v = x.values.sum(axis=axis, keepdims=keepdims) / count
 
     def vjp(g):
         g2 = g if axis is None or keepdims else np.expand_dims(g, axis)
@@ -306,12 +307,12 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
 
 def softmax(x, axis: int = -1) -> Tensor:
     x = as_tensor(x)
-    shifted = x.values - np.max(x.values, axis=axis, keepdims=True)
+    shifted = x.values - x.values.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    p = e / np.sum(e, axis=axis, keepdims=True)
+    p = e / e.sum(axis=axis, keepdims=True)
 
     def vjp(g):
-        inner = np.sum(g * p, axis=axis, keepdims=True)
+        inner = (g * p).sum(axis=axis, keepdims=True)
         return (p * (g - inner),)
 
     return _make(p, (x,), vjp)
@@ -343,7 +344,7 @@ def prelu(x, slope) -> Tensor:
         xv = read_x()
         gx = times_factor(xv, g) if x_grad else None
         # Only x <= 0 contributes to the slope gradient: g * min(x, 0).
-        gs = np.sum(g * np.minimum(xv, 0), axis=(0, 2)) if slope_grad else None
+        gs = (g * np.minimum(xv, 0)).sum(axis=(0, 2)) if slope_grad else None
         return gx, gs
 
     return _make(times_factor(x.values, x.values), (x, slope), vjp)
@@ -385,20 +386,20 @@ def batch_norm(
     x_grad, gamma_grad, beta_grad = x.requires_grad, gamma.requires_grad, beta.requires_grad
     read_g = _keep(gamma) if x_grad else None
     if training:
-        mu = np.mean(x.values, axis=(0, 2), keepdims=True)
+        m = x.values.shape[0] * x.values.shape[2]
+        mu = x.values.sum(axis=(0, 2), keepdims=True) / m
         xhat = x.values - mu
-        var = np.mean(xhat * xhat, axis=(0, 2), keepdims=True)
+        var = (xhat * xhat).sum(axis=(0, 2), keepdims=True) / m
         sigma = np.sqrt(var + NORM_EPS)
         xhat /= sigma
         running_mean.values[...] = NORM_MOMENTUM * running_mean.values + (1.0 - NORM_MOMENTUM) * mu.ravel()
         running_var.values[...] = NORM_MOMENTUM * running_var.values + (1.0 - NORM_MOMENTUM) * var.ravel()
-        m = x.values.shape[0] * x.values.shape[2]
 
         def grad_x(g):
             gg = g * read_g()[None, :, None]
-            mean_g = np.sum(gg, axis=(0, 2), keepdims=True) / m
+            mean_g = gg.sum(axis=(0, 2), keepdims=True) / m
             gx = gg * xhat
-            mean_gx = np.sum(gx, axis=(0, 2), keepdims=True) / m
+            mean_gx = gx.sum(axis=(0, 2), keepdims=True) / m
             # gx = (gg - mean_g - xhat * mean_gx) / sigma
             np.multiply(xhat, mean_gx, out=gx)
             gg -= mean_g
@@ -416,8 +417,8 @@ def batch_norm(
 
     def vjp(g):
         gx = grad_x(g) if x_grad else None
-        ggamma = np.sum(g * xhat, axis=(0, 2)) if gamma_grad else None
-        gbeta = np.sum(g, axis=(0, 2)) if beta_grad else None
+        ggamma = (g * xhat).sum(axis=(0, 2)) if gamma_grad else None
+        gbeta = g.sum(axis=(0, 2)) if beta_grad else None
         return gx, ggamma, gbeta
 
     dtype = x.values.dtype
@@ -463,8 +464,13 @@ def conv1d_pointwise(x, w, b) -> Tensor:
 
     def vjp(g):
         gx = np.matmul(read_w().T, g) if read_w is not None else None
-        gw = np.tensordot(g, read_x(), axes=([0, 2], [0, 2])) if read_x is not None else None
-        gb = np.sum(g, axis=(0, 2)) if b_grad else None
+        gw = None
+        if read_x is not None:
+            # np.tensordot's steps over (batch, time): (Cout, B*T) @ (B*T, Cin).
+            xv = read_x()
+            gt, xt = g.transpose(1, 0, 2), xv.transpose(0, 2, 1)
+            gw = np.dot(gt.reshape(gt.shape[0], -1), xt.reshape(-1, xt.shape[2]))
+        gb = g.sum(axis=(0, 2)) if b_grad else None
         return gx, gw, gb
 
     return _make(v, (x, w, b), vjp)
@@ -523,8 +529,8 @@ def conv1d_depthwise_dilated(x, kernel, bias, dilation: int) -> Tensor:
                 np.multiply(g[:, :, lo:hi], saved_x[:, :, lo + off : hi + off], out=prod[:, :, lo:hi])
                 prod[:, :, :lo] = 0
                 prod[:, :, hi:] = 0
-                gk[:, j] = np.sum(prod, axis=(0, 2))
-        gb = np.sum(g, axis=(0, 2)) if bias_grad else None
+                gk[:, j] = prod.sum(axis=(0, 2))
+        gb = g.sum(axis=(0, 2)) if bias_grad else None
         return gx, gk, gb
 
     return _make(v, (x, kernel, bias), vjp)
@@ -711,53 +717,109 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+# Parameters of at most this many elements share flat moment buffers and are
+# updated together; larger ones, where a call's overhead is small next to its
+# arithmetic, are updated one by one.
+ADAM_GROUP_MAX = 2**16
+
+
+def _adam_update(g, m, v, lr: float, bc1: float, bc2: float, a, b) -> None:
+    """One Adam update of the moments ``m`` and ``v`` in place; leaves the step
+    lr * (m / bc1) / (sqrt(v / bc2) + eps) in ``a`` and uses ``b`` as scratch.
+    ``b`` may be ``g``: ``g`` is not read once ``b`` is written.
+
+    The operations run in the textbook order, so an element rounds as that
+    formula does whichever buffer holds it.
+    """
+    # m = beta1 * m + (1 - beta1) * g
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+    # v = beta2 * v + (1 - beta2) * (g * g)
+    v *= ADAM_BETA2
+    np.multiply(g, g, out=a)
+    a *= 1.0 - ADAM_BETA2
+    v += a
+    np.divide(m, bc1, out=a)
+    a *= lr
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    a /= b
+
+
+class _AdamGroup:
+    """The parameters of one dtype with at most ADAM_GROUP_MAX elements each:
+    flat moment buffers ``m`` and ``v``, a gradient buffer ``g``, which is
+    also the update's scratch, and the step buffer ``a``, whose
+    per-parameter views are ``steps``."""
+
+    def __init__(self, params: dict, dtype):
+        self.params = params
+        bounds = np.cumsum([0] + [t.values.size for t in params.values()]).tolist()
+        self.slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self.m, self.v = np.zeros(bounds[-1], dtype), np.zeros(bounds[-1], dtype)
+        self.g, self.a = np.empty(bounds[-1], dtype), np.empty(bounds[-1], dtype)
+        self.steps = list(self.views(self.a).values())
+
+    def views(self, buf: np.ndarray) -> dict:
+        """Each parameter's part of the flat buffer ``buf``, in the parameter's shape."""
+        return {name: buf[s].reshape(t.values.shape) for (name, t), s in zip(self.params.items(), self.slices)}
+
+
 class Adam:
     """Standard Adam over a named parameter map.
 
     ``step()`` applies the update, advances the step counter and clears
     the gradients. State arrays live in the parameter dtype so that
     checkpointed runs resume bit-exactly.
+
+    The moments of parameters of at most ADAM_GROUP_MAX elements live in
+    one flat buffer per dtype (``m[name]`` and ``v[name]`` are views of
+    it), and ``step()`` updates each buffer with one call per operation;
+    larger parameters keep their own moments and calls. Every element goes
+    through the same operations in the same order either way.
     """
 
     def __init__(self, params: dict, lr: float = 1e-3):
         self.params = {name: t for name, t in params.items() if t.requires_grad}
         self.lr = float(lr)
         self.t = 0
-        self.m = {name: np.zeros_like(t.values) for name, t in self.params.items()}
-        self.v = {name: np.zeros_like(t.values) for name, t in self.params.items()}
+        small: dict = {}
+        for name, t in self.params.items():
+            if t.values.size <= ADAM_GROUP_MAX:
+                small.setdefault(t.values.dtype, {})[name] = t
+        self._groups = [_AdamGroup(members, dtype) for dtype, members in small.items()]
+        self._singles = {name: t for name, t in self.params.items() if t.values.size > ADAM_GROUP_MAX}
+        self.m = {name: np.zeros_like(t.values) for name, t in self._singles.items()}
+        self.v = {name: np.zeros_like(t.values) for name, t in self._singles.items()}
+        for group in self._groups:
+            self.m.update(group.views(group.m))
+            self.v.update(group.views(group.v))
 
     def step(self) -> None:
         missing = [name for name, t in self.params.items() if t.grad is None]
         if missing:
             raise ValueError(f"adam step with missing gradients: {missing[:4]}")
-        for name, t in self.params.items():
-            if not np.all(np.isfinite(t.grad)):
-                raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+        for group in self._groups:
+            np.concatenate([t.grad.ravel() for t in group.params.values()], out=group.g)
+        finite = all(np.isfinite(group.g).all() for group in self._groups) and all(
+            np.isfinite(t.grad).all() for t in self._singles.values()
+        )
+        if not finite:
+            name = next(name for name, t in self.params.items() if not np.isfinite(t.grad).all())
+            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        # The update runs in place and in two buffers per parameter, with the
-        # operations in the textbook order, so it rounds as that formula does.
-        for name, t in self.params.items():
-            g = t.grad
+        for group in self._groups:
+            _adam_update(group.g, group.m, group.v, self.lr, bc1, bc2, group.a, group.g)
+            for t, step in zip(group.params.values(), group.steps):
+                t.values -= step
+                t.grad = None
+        for name, t in self._singles.items():
             m = self.m[name]
-            v = self.v[name]
             a, b = np.empty_like(m), np.empty_like(m)
-            # m = beta1 * m + (1 - beta1) * g
-            m *= ADAM_BETA1
-            m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
-            # v = beta2 * v + (1 - beta2) * (g * g)
-            v *= ADAM_BETA2
-            np.multiply(g, g, out=a)
-            a *= 1.0 - ADAM_BETA2
-            v += a
-            # values -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-            np.divide(m, bc1, out=a)
-            a *= self.lr
-            np.divide(v, bc2, out=b)
-            np.sqrt(b, out=b)
-            b += ADAM_EPS
-            a /= b
+            _adam_update(t.grad, m, self.v[name], self.lr, bc1, bc2, a, b)
             t.values -= a
             t.grad = None
 
@@ -770,16 +832,22 @@ class Adam:
         return out
 
     def load_state(self, arrays: dict, step: int) -> None:
-        """Adopt saved moments without copying them; ``step()`` then updates them
-        in place. The arrays must be writable, with their parameter's shape and
-        dtype, and used by nothing else, as :func:`load_checkpoint` returns them.
+        """Take saved moments: copied into the shared buffers for grouped
+        parameters, adopted without a copy for the others, which ``step()``
+        then updates in place. The arrays must have their parameter's shape
+        and dtype, and an adopted one must be writable and used by nothing
+        else, as :func:`load_checkpoint` returns them.
         """
         # Parameters absent from the saved state (e.g. heads a previous run
         # did not optimize) keep fresh zero moments.
         for name in self.params:
-            if f"opt.m.{name}" in arrays:
-                self.m[name] = arrays[f"opt.m.{name}"]
-                self.v[name] = arrays[f"opt.v.{name}"]
+            if f"opt.m.{name}" not in arrays:
+                continue
+            m, v = arrays[f"opt.m.{name}"], arrays[f"opt.v.{name}"]
+            if name in self._singles:
+                self.m[name], self.v[name] = m, v
+            else:
+                self.m[name][...], self.v[name][...] = m, v
         self.t = int(step)
 
 

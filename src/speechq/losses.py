@@ -57,7 +57,7 @@ def td_mse(x_hat, x, weights=None, reduction: str = "sum") -> dc.Tensor:
     w = np.ones(shape, dtype) if weights is None else np.asarray(weights, dtype=dtype)
     if w.shape != shape:
         raise ValueError("weights must have one entry per batch item")
-    total = float(np.sum(w))
+    total = float(w.sum())
     return dc.scale(dc.sum(dc.mul(per_item, dc.constant(w))), 1.0 / total if total else 0.0)
 
 

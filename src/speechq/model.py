@@ -18,7 +18,16 @@ import numpy as np
 from . import diffcore as dc
 from . import signal as sig
 
-__all__ = ["ModelConfig", "MASK_HEADS", "param_layout", "init_params", "forward", "forward_graph"]
+__all__ = [
+    "ModelConfig",
+    "MASK_HEADS",
+    "param_layout",
+    "iter_param_layout",
+    "tensor_count",
+    "init_params",
+    "forward",
+    "forward_graph",
+]
 
 # The reconstruction branch's two 1x1 heads, the real and imaginary mask parts.
 MASK_HEADS = ("mask_real", "mask_imag")
@@ -81,6 +90,39 @@ class GraphOutput:
     distribution: dc.Tensor  # (B, n_classes)
 
 
+def iter_param_layout(cfg: ModelConfig):
+    """The items of :func:`param_layout`, one at a time."""
+    f_bins, k = cfg.stft.n_bins, cfg.kernel_size
+    cb, cc = cfg.bottleneck_channels, cfg.conv_channels
+    yield from {"entry.w": ((cb, f_bins), f_bins), "entry.b": ((cb,), f_bins)}.items()
+    for r in range(cfg.repeats):
+        for x in range(cfg.blocks_per_repeat):
+            p = f"block{r}.{x}."
+            yield from {
+                p + "pw1.w": ((cc, cb), cb),
+                p + "pw1.b": ((cc,), cb),
+                p + "act1.slope": ((cc,), 0.25),
+                p + "norm1.gamma": ((cc,), 1.0),
+                p + "norm1.beta": ((cc,), 0.0),
+                p + "norm1.run_mean": ((cc,), 0.0),
+                p + "norm1.run_var": ((cc,), 1.0),
+                p + "dw.kernel": ((cc, k), k),
+                p + "dw.b": ((cc,), k),
+                p + "act2.slope": ((cc,), 0.25),
+                p + "norm2.gamma": ((cc,), 1.0),
+                p + "norm2.beta": ((cc,), 0.0),
+                p + "norm2.run_mean": ((cc,), 0.0),
+                p + "norm2.run_var": ((cc,), 1.0),
+                p + "pw2.w": ((cb, cc), cc),
+                p + "pw2.b": ((cb,), cc),
+            }.items()
+    for head in MASK_HEADS:
+        yield head + ".w", ((f_bins, cb), cb)
+        yield head + ".b", ((f_bins,), cb)
+    yield "quality.w", ((cfg.n_classes, cb), 0.0)
+    yield "quality.b", ((cfg.n_classes,), 0.0)
+
+
 def param_layout(cfg: ModelConfig) -> dict[str, tuple[tuple, int | float]]:
     """Shape and initializer of every model tensor, in the order init_params draws them.
 
@@ -88,38 +130,12 @@ def param_layout(cfg: ModelConfig) -> dict[str, tuple[tuple, int | float]]:
     ±1/sqrt(fan_in), or a ``float`` constant fill. Names ending in
     ``run_mean`` or ``run_var`` are normalization buffers, not parameters.
     """
-    f_bins, k = cfg.stft.n_bins, cfg.kernel_size
-    cb, cc = cfg.bottleneck_channels, cfg.conv_channels
-    layout = {"entry.w": ((cb, f_bins), f_bins), "entry.b": ((cb,), f_bins)}
-    for r in range(cfg.repeats):
-        for x in range(cfg.blocks_per_repeat):
-            p = f"block{r}.{x}."
-            layout.update(
-                {
-                    p + "pw1.w": ((cc, cb), cb),
-                    p + "pw1.b": ((cc,), cb),
-                    p + "act1.slope": ((cc,), 0.25),
-                    p + "norm1.gamma": ((cc,), 1.0),
-                    p + "norm1.beta": ((cc,), 0.0),
-                    p + "norm1.run_mean": ((cc,), 0.0),
-                    p + "norm1.run_var": ((cc,), 1.0),
-                    p + "dw.kernel": ((cc, k), k),
-                    p + "dw.b": ((cc,), k),
-                    p + "act2.slope": ((cc,), 0.25),
-                    p + "norm2.gamma": ((cc,), 1.0),
-                    p + "norm2.beta": ((cc,), 0.0),
-                    p + "norm2.run_mean": ((cc,), 0.0),
-                    p + "norm2.run_var": ((cc,), 1.0),
-                    p + "pw2.w": ((cb, cc), cc),
-                    p + "pw2.b": ((cb,), cc),
-                }
-            )
-    for head in MASK_HEADS:
-        layout[head + ".w"] = ((f_bins, cb), cb)
-        layout[head + ".b"] = ((f_bins,), cb)
-    layout["quality.w"] = ((cfg.n_classes, cb), 0.0)
-    layout["quality.b"] = ((cfg.n_classes,), 0.0)
-    return layout
+    return dict(iter_param_layout(cfg))
+
+
+def tensor_count(cfg: ModelConfig) -> int:
+    """``len(param_layout(cfg))`` without building it: 16 tensors per block, 8 outside."""
+    return 8 + 16 * cfg.repeats * cfg.blocks_per_repeat
 
 
 def is_buffer(name: str) -> bool:
@@ -182,9 +198,7 @@ def forward_graph(
     if batch_samples.ndim != 2:
         raise ValueError(f"expected a (B, L) sample batch, got {batch_samples.shape}")
     dt = cfg.np_dtype
-    specs = np.stack(
-        [sig.stft(sig.Waveform(row, cfg.sample_rate), cfg.stft) for row in batch_samples]
-    )  # (B, F, T) complex
+    specs = sig.stft(batch_samples, cfg.stft)  # (B, F, T) complex
     feats = dc.constant(sig.lps(specs).astype(dt))
 
     h = dc.conv1d_pointwise(feats, params["entry.w"], params["entry.b"])

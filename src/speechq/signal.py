@@ -21,8 +21,8 @@ Because the hop is exactly half the window, every output sample of the
 overlap-add lies in exactly two frames (one at the edges). Synthesis
 therefore views the output as (T + 1) blocks of one hop and adds the
 first and second frame halves into it with two shifted, loop-free adds;
-its adjoint gathers all frames with one fancy index. The synthesis
-helpers take any leading batch axes.
+its adjoint gathers all frames with one fancy index. The analysis
+transform and the synthesis helpers take any leading batch axes.
 """
 
 from __future__ import annotations
@@ -340,7 +340,7 @@ class WavReader:
         if got != raw.nbytes:
             raise WavFormatError(f"{self.path}: short read, {got} of {raw.nbytes} bytes from frame {start}")
         samples = layout.decode(raw)
-        if not np.all(np.isfinite(samples)):
+        if not np.isfinite(samples).all():
             raise WavFormatError(
                 f"{self.path}: non-finite samples in frames {start}:{start + n}; it changed since it was loaded"
             )
@@ -368,13 +368,26 @@ def _frame_signal(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
     return x[..., idx]
 
 
-def stft(wave: Waveform, cfg: StftConfig) -> np.ndarray:
-    """Short-time Fourier transform, returned as an (F, T) complex matrix.
+def stft(x, cfg: StftConfig) -> np.ndarray:
+    """Short-time Fourier transform of a Waveform, an (F, T) complex matrix, or
+    of a (..., L) array of signals, (..., F, T).
 
-    Bin (f, t) is the DFT of the windowed frame starting at t * hop_len.
+    Bin (f, t) is the DFT of the windowed frame starting at t * hop_len. The
+    frames are a strided view of the samples, so one ``rfft`` transforms the
+    whole batch. The result is a transposed view of that (..., T, F)
+    transform: a batch has the memory layout of a stack of single-signal
+    results, and the operations downstream sum in that order.
     """
-    frames = _frame_signal(wave.samples, cfg) * cfg.window[None, :]
-    return np.fft.rfft(frames, n=cfg.window_len, axis=1).T
+    samples = x.samples if isinstance(x, Waveform) else np.asarray(x, dtype=np.float64)
+    n_frames = cfg.num_frames(samples.shape[-1])
+    step = samples.strides[-1]
+    frames = np.lib.stride_tricks.as_strided(
+        samples,
+        shape=(*samples.shape[:-1], n_frames, cfg.window_len),
+        strides=(*samples.strides[:-1], cfg.hop_len * step, step),
+        writeable=False,
+    )
+    return np.swapaxes(np.fft.rfft(frames * cfg.window, n=cfg.window_len, axis=-1), -1, -2)
 
 
 def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
@@ -443,7 +456,7 @@ def istft(spec: np.ndarray, cfg: StftConfig) -> Waveform:
 def lps(spec: np.ndarray) -> np.ndarray:
     """Log power spectrum ln(|Y|^2), floored at 1e-12 to stay finite."""
     spec = np.asarray(spec)
-    if not np.all(np.isfinite(spec)):
+    if not np.isfinite(spec).all():
         raise ValueError("spectrogram contains non-finite entries")
     power = spec.real**2 + spec.imag**2
     return np.log(np.maximum(power, LPS_FLOOR))

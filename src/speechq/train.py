@@ -8,6 +8,7 @@ on a single thread.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from dataclasses import asdict, dataclass, fields
@@ -96,6 +97,16 @@ def load_run_checkpoint(path):
     if quant.n_total != cfg.n_classes:
         raise dc.CheckpointError(
             f"{path}: quantizer has {quant.n_total} classes but the model has {cfg.n_classes}"
+        )
+    n_tensors = mdl.tensor_count(cfg)
+    if n_tensors > len(arrays):
+        # The header's model cannot fit in the file, whatever size it has: name
+        # the first tensors the file lacks without building the whole layout.
+        first = itertools.islice(mdl.iter_param_layout(cfg), len(arrays) + 3)
+        lacking = "; ".join([f"missing {name}" for name, _ in first if name not in arrays][:3])
+        raise dc.CheckpointError(
+            f"{path}: arrays do not match the model: {lacking}; ... "
+            f"(the header's model has {n_tensors} tensors, the file {len(arrays)} arrays)"
         )
     layout = mdl.param_layout(cfg)
     shapes = {name: shape for name, (shape, _init) in layout.items()}
@@ -198,14 +209,15 @@ def run_training(
     Writes an append-only training log plus `final.ckpt` and `best.ckpt`
     under ``run.out_dir``. ``resume_from`` continues a checkpointed run; the
     model and quantizer settings must match the ones stored in the
-    checkpoint, or ``CheckpointError`` names the first that differs. A
-    non-finite value raises ``FloatingPointError`` naming the step.
+    checkpoint, or ``CheckpointError`` names the first that differs. A crop
+    shorter than one analysis window raises ``WavFormatError``; these checks
+    run before ``run.out_dir`` is created. A non-finite value raises
+    ``FloatingPointError`` naming the step.
     """
     if not entries:
         raise ValueError("no training entries")
     tcfg = run.training
     out_dir = run.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     quant = run.quantizer
 
     # With a quality-only objective the mask heads receive no gradients,
@@ -235,7 +247,9 @@ def run_training(
             )
     targets = lb.targets([e.label for e in entries], quant)
     crop = min(round(tcfg.crop_seconds * run.model.sample_rate), min(len(e.degraded) for e in entries))
+    run.model.stft.num_frames(crop)  # a crop shorter than one window fails before any output
 
+    os.makedirs(out_dir, exist_ok=True)
     log_path = os.path.join(out_dir, "train_log.txt")
     history = []
     best_total = np.inf

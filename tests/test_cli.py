@@ -717,6 +717,22 @@ class TestBadInputs:
     def test_directory_as_checkpoint(self, wav, tmp_path, capsys):
         self.assert_data_error(["predict", "--checkpoint", tmp_path, wav], capsys, "is a directory")
 
+    def test_header_with_more_tensors_than_the_file_holds(self, fresh_checkpoint, wav, tmp_path, capsys):
+        # The header's tensor count is checked against the file before the
+        # layout of its model is built, which would not fit in memory here.
+        from speechq import diffcore as dc
+
+        arrays, header = dc.load_checkpoint(fresh_checkpoint)
+        header["model"]["repeats"] = 100_000_000
+        huge = tmp_path / "huge.ckpt"
+        dc.save_checkpoint(huge, arrays, header)
+        self.assert_data_error(
+            ["predict", "--checkpoint", huge, wav],
+            capsys,
+            "missing block1.0.pw1.w; missing block1.0.pw1.b; missing block1.0.act1.slope; ... "
+            f"(the header's model has 3200000008 tensors, the file {len(arrays)} arrays)",
+        )
+
     @pytest.mark.parametrize(
         "header, expected",
         [
@@ -1070,11 +1086,13 @@ def test_predict_on_mutated_checkpoint_bytes(fuzz_run, data):
     assert len(out.splitlines()) == (code == 0)
 
 
-# JSON values for a header entry. Integers stay small: a model size is a loop count.
+# JSON values for a header entry. Integers stay small, as a model size is a
+# loop count, but for one huge value, which must fail before any such loop.
 HEADER_VALUES = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-3, 40),
+    st.just(10**8),
     st.sampled_from([float("inf"), float("-inf"), float("nan")]),
     st.floats(),
     st.text(max_size=6),
@@ -1083,7 +1101,7 @@ HEADER_VALUES = st.one_of(
 )
 
 
-@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
 def test_predict_on_mutated_checkpoint_header(fuzz_run, data):
     """A header with changed, removed or added values scores the file, or ends in one error line."""

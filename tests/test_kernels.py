@@ -3,9 +3,11 @@
 The references are the einsum contraction and the per-frame loops that
 the BLAS pointwise conv and the overlap-add replace, and the select-,
 padding- and temporary-based forms of PReLU, the norms, the depthwise
-conv and Adam. Kernels that keep every operation and reduction order
-must match their reference exactly; the GEMMs sum in another order, so
-they match einsum to a dtype-dependent tolerance.
+conv and Adam. Adam's grouped update is pinned to the per-tensor kernel,
+and the batched STFT to a stack of single-signal transforms. Kernels that
+keep every operation and reduction order must match their reference
+exactly; the GEMMs sum in another order, so they match einsum to a
+dtype-dependent tolerance.
 """
 
 import numpy as np
@@ -297,3 +299,83 @@ class TestAdamKernel:
                 assert p.grad is None
                 assert np.array_equal(given[name], grads[name])  # gradients are not modified
                 assert_all_identical((p.values, opt.m[name], opt.v[name]), ref[name])
+
+
+# Sizes on both sides of Adam's grouping bound, a scalar included: 256 x 256
+# is exactly ADAM_GROUP_MAX elements, 257 x 256 one row more.
+ADAM_SHAPES = {"big": (257, 256), "edge": (256, 256), "w": (7, 5), "b": (7,), "s": ()}
+
+
+def adam_params(rng, dtypes):
+    return {
+        name: dc.parameter(rng.standard_normal(shape).astype(dtype))
+        for (name, shape), dtype in zip(ADAM_SHAPES.items(), dtypes)
+    }
+
+
+class TestGroupedAdam:
+    @pytest.mark.parametrize(
+        "dtypes", [[np.float32] * 5, [np.float64] * 5, [np.float32, np.float64] * 2 + [np.float32]],
+        ids=["float32", "float64", "mixed"],
+    )
+    def test_matches_the_per_tensor_kernel_across_a_resume(self, dtypes, tmp_path):
+        rng = np.random.default_rng(15)
+        params = adam_params(rng, dtypes)
+        assert dc.ADAM_GROUP_MAX == 256 * 256
+        opt = dc.Adam(params, lr=3e-3)
+        assert list(opt._singles) == ["big"]
+        ref = {n: (p.values.copy(), np.zeros_like(p.values), np.zeros_like(p.values)) for n, p in params.items()}
+        for step in range(1, 6):
+            if step == 3:  # save after step 2 and resume with a new optimizer
+                dc.save_checkpoint(tmp_path / "adam.ckpt", opt.state_arrays(), {})
+                opt = dc.Adam(params, lr=3e-3)
+                opt.load_state(dc.load_checkpoint(tmp_path / "adam.ckpt")[0], 2)
+            for name, p in params.items():
+                grad = rng.standard_normal(p.values.shape).astype(p.values.dtype)
+                p.grad = grad.copy()
+                ref_adam_step(*ref[name], grad, step, lr=3e-3)
+            opt.step()
+            for name, p in params.items():
+                assert p.grad is None
+                assert_all_identical((p.values, opt.m[name], opt.v[name]), ref[name])
+
+    @pytest.mark.parametrize("bad", ["w", "big"])
+    def test_non_finite_gradient_names_the_parameter_and_changes_nothing(self, bad):
+        rng = np.random.default_rng(16)
+        params = adam_params(rng, [np.float32] * 5)
+        opt = dc.Adam(params)
+        for p in params.values():
+            p.grad = np.ones_like(p.values)
+        opt.step()
+        before = {n: (p.values.copy(), opt.m[n].copy(), opt.v[n].copy()) for n, p in params.items()}
+        for p in params.values():
+            p.grad = np.ones_like(p.values)
+        params[bad].grad[1, 2] = np.nan
+        with pytest.raises(FloatingPointError, match=f"non-finite gradient for parameter '{bad}'"):
+            opt.step()
+        assert opt.t == 1
+        for name, p in params.items():
+            assert_all_identical((p.values, opt.m[name], opt.v[name]), before[name])
+
+
+class TestBatchedStft:
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("length", [512, 1000, 8037])
+    def test_matches_the_per_row_stack(self, batch, length):
+        # 1000 and 8037 samples leave a tail shorter than one hop (256).
+        cfg = sig.StftConfig.for_sample_rate(16000)
+        rows = np.random.default_rng(length + batch).standard_normal((batch, length))
+        got = sig.stft(rows, cfg)
+        want = np.stack([sig.stft(sig.Waveform(row, 16000), cfg) for row in rows])
+        assert_identical(got, want)
+        # The same memory layout; the stride of a length-1 axis is never used.
+        assert [s for s, n in zip(got.strides, got.shape) if n > 1] == [
+            s for s, n in zip(want.strides, want.shape) if n > 1
+        ]
+
+    def test_single_waveform_is_the_rfft_of_its_frames(self):
+        cfg = sig.StftConfig.for_sample_rate(8000)
+        x = np.random.default_rng(3).standard_normal(1000)
+        frames = np.stack([x[t * cfg.hop_len : t * cfg.hop_len + cfg.window_len] for t in range(6)])
+        want = np.fft.rfft(frames * cfg.window, axis=1).T
+        assert_identical(sig.stft(sig.Waveform(x, 8000), cfg), want)

@@ -1,6 +1,8 @@
 """The training objective: the step and validation both assemble it through
 losses.joint_loss, and must give what the separate assemblies gave before."""
 
+import os
+
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -10,6 +12,7 @@ from speechq import diffcore as dc
 from speechq import labels as lb
 from speechq import losses
 from speechq import model as mdl
+from speechq import signal as sig
 from speechq import train as tr
 from speechq.config import RunConfig, SimulateConfig, TrainingConfig
 from speechq.signal import load_wav, save_wav
@@ -219,7 +222,22 @@ class TestStreamedEntries:
             np.testing.assert_array_equal(arrays[name], want_arrays[name], err_msg=name)
 
 
-def test_resumed_optimizer_adopts_the_loaded_moments(tmp_path):
+def test_crop_shorter_than_a_window_fails_before_any_output(tmp_path):
+    # crop_seconds changed after parsing: 160 samples, under the 512-sample window.
+    run = tiny_run()
+    run.training.crop_seconds = 0.01
+    run.out_dir = str(tmp_path / "run")
+    entries = [dt.DatasetEntry(dt.synth_clean("chirp", 0.25, seed=i), None, 2.0) for i in range(2)]
+    assert len(entries[0].degraded) == 4000
+    with pytest.raises(sig.WavFormatError, match="shorter than one window"):
+        tr.run_training(run, entries)
+    assert not os.path.exists(run.out_dir)
+
+
+def test_resumed_optimizer_adopts_the_loaded_moments(tmp_path, monkeypatch):
+    # A bound below the entry and mask-head weights (2,056 elements) leaves
+    # them ungrouped at this model size.
+    monkeypatch.setattr(dc, "ADAM_GROUP_MAX", 2**11)
     run = tiny_run()
     params = mdl.init_params(run.model, seed=1)
     optimizer = dc.Adam(params)
@@ -231,8 +249,11 @@ def test_resumed_optimizer_adopts_the_loaded_moments(tmp_path):
     resumed = dc.Adam(loaded)
     resumed.load_state(opt_arrays, step)
     assert resumed.t == 1 and resumed.m.keys() == optimizer.m.keys()
-    for name in resumed.params:
+    ungrouped = [name for name, t in resumed.params.items() if t.values.size > dc.ADAM_GROUP_MAX]
+    assert ungrouped and len(ungrouped) < len(resumed.params)
+    for name in ungrouped:  # grouped moments are copied into Adam's shared buffer
         assert np.shares_memory(resumed.m[name], opt_arrays[f"opt.m.{name}"]), name
         assert np.shares_memory(resumed.v[name], opt_arrays[f"opt.v.{name}"]), name
+    for name in resumed.params:
         np.testing.assert_array_equal(resumed.m[name], optimizer.m[name])
         np.testing.assert_array_equal(resumed.v[name], optimizer.v[name])
