@@ -8,7 +8,7 @@ import numpy as np
 from speechq import StftConfig, Waveform, istft, lps, stft
 from speechq.data import synth_clean
 
-cfg = StftConfig.for_sample_rate(16000)
+cfg = StftConfig(16000)
 print(f"frame configuration: window {cfg.window_len} samples, hop {cfg.hop_len}, {cfg.n_bins} bins")
 
 wave = synth_clean("tone-complex", duration=1.0, seed=4)

@@ -65,7 +65,7 @@ class DatasetEntry:
     def __post_init__(self):
         if not (SCORE_LO <= self.label <= SCORE_HI):
             raise ValueError(f"label {self.label} outside [{SCORE_LO}, {SCORE_HI}]")
-        window = StftConfig.for_sample_rate(self.degraded.sample_rate).window_len
+        window = StftConfig(self.degraded.sample_rate).window_len
         if len(self.degraded) < window:
             raise ValueError(
                 f"degraded audio of {len(self.degraded)} samples is shorter than one analysis window ({window})"
@@ -166,7 +166,7 @@ def perturb_spectrogram(
     With unit gains the output is exactly the analysis/synthesis
     roundtrip of the input.
     """
-    cfg = StftConfig.for_sample_rate(wave.sample_rate)
+    cfg = StftConfig(wave.sample_rate)
     spec = perturb_bins(stft(wave, cfg), boost_gain=boost_gain, atten_gain=atten_gain, seed=seed)
     return istft(spec, cfg)
 

@@ -22,8 +22,6 @@ __all__ = [
     "ModelConfig",
     "MASK_HEADS",
     "param_layout",
-    "iter_param_layout",
-    "tensor_count",
     "init_params",
     "forward",
     "forward_graph",
@@ -59,7 +57,7 @@ class ModelConfig:
             raise ValueError("kernel size must be odd for same-length padding")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
-        self.stft = sig.StftConfig.for_sample_rate(self.sample_rate)
+        self.stft = sig.StftConfig(self.sample_rate)
 
     @property
     def np_dtype(self):
@@ -90,8 +88,14 @@ class GraphOutput:
     distribution: dc.Tensor  # (B, n_classes)
 
 
-def iter_param_layout(cfg: ModelConfig):
-    """The items of :func:`param_layout`, one at a time."""
+def param_layout(cfg: ModelConfig):
+    """Yield ``(name, (shape, init))`` for every model tensor, in the order
+    init_params draws them, without building the whole list.
+
+    The initializer is an ``int`` fan-in for a uniform draw in
+    ±1/sqrt(fan_in), or a ``float`` constant fill. Names ending in
+    ``run_mean`` or ``run_var`` are normalization buffers, not parameters.
+    """
     f_bins, k = cfg.stft.n_bins, cfg.kernel_size
     cb, cc = cfg.bottleneck_channels, cfg.conv_channels
     yield from {"entry.w": ((cb, f_bins), f_bins), "entry.b": ((cb,), f_bins)}.items()
@@ -123,21 +127,6 @@ def iter_param_layout(cfg: ModelConfig):
     yield "quality.b", ((cfg.n_classes,), 0.0)
 
 
-def param_layout(cfg: ModelConfig) -> dict[str, tuple[tuple, int | float]]:
-    """Shape and initializer of every model tensor, in the order init_params draws them.
-
-    The initializer is an ``int`` fan-in for a uniform draw in
-    ±1/sqrt(fan_in), or a ``float`` constant fill. Names ending in
-    ``run_mean`` or ``run_var`` are normalization buffers, not parameters.
-    """
-    return dict(iter_param_layout(cfg))
-
-
-def tensor_count(cfg: ModelConfig) -> int:
-    """``len(param_layout(cfg))`` without building it: 16 tensors per block, 8 outside."""
-    return 8 + 16 * cfg.repeats * cfg.blocks_per_repeat
-
-
 def is_buffer(name: str) -> bool:
     return name.endswith((".run_mean", ".run_var"))
 
@@ -153,7 +142,7 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict:
     rng = np.random.default_rng(seed)
     dt = cfg.np_dtype
     params: dict[str, dc.Tensor] = {}
-    for name, (shape, init) in param_layout(cfg).items():
+    for name, (shape, init) in param_layout(cfg):
         if isinstance(init, int):
             bound = 1.0 / np.sqrt(init)
             values = rng.uniform(-bound, bound, size=shape).astype(dt)

@@ -20,9 +20,10 @@ window are dropped.
 Because the hop is exactly half the window, every output sample of the
 overlap-add lies in exactly two frames (one at the edges). Synthesis
 therefore views the output as (T + 1) blocks of one hop and adds the
-first and second frame halves into it with two shifted, loop-free adds;
-its adjoint gathers all frames with one fancy index. The analysis
-transform and the synthesis helpers take any leading batch axes.
+first and second frame halves into it with two shifted, loop-free adds.
+The analysis transform and the synthesis adjoint frame their input
+through one read-only strided view, without a copy. These transforms
+and helpers take any leading batch axes.
 """
 
 from __future__ import annotations
@@ -95,27 +96,23 @@ def sqrt_hann(n: int) -> np.ndarray:
 
 @dataclass
 class StftConfig:
-    """Framing of the analysis/synthesis pair: a square-root Hann window of
-    ``window_len`` samples, hop ``window_len // 2`` and FFT length ``window_len``."""
+    """Framing of the analysis/synthesis pair at ``sample_rate``: a square-root
+    Hann window of 32 ms, rounded to an even ``window_len`` of samples, hop
+    ``window_len // 2`` and FFT length ``window_len``. A rate above
+    MAX_SAMPLE_RATE, or too low for a two-sample window, is a ValueError."""
 
-    window_len: int
-    sample_rate: int = 16000
+    sample_rate: int
+    window_len: int = field(init=False)
     window: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.window_len <= 0 or self.window_len % 2 != 0:
-            raise ValueError(f"window_len must be a positive even number, got {self.window_len}")
+        if self.sample_rate > MAX_SAMPLE_RATE:
+            raise ValueError(f"sample rate {self.sample_rate} Hz is above the maximum of {MAX_SAMPLE_RATE} Hz")
+        win = int(round(self.sample_rate * 32.0 / 1000.0))
+        self.window_len = win + win % 2  # keep the 2:1 window/hop ratio exact
+        if self.window_len <= 0:
+            raise ValueError(f"sample rate {self.sample_rate} Hz is too low for a 32 ms window")
         self.window = sqrt_hann(self.window_len)
-
-    @classmethod
-    def for_sample_rate(cls, sample_rate: int) -> "StftConfig":
-        """Build the standard configuration (32 ms window, 16 ms hop); a rate
-        above MAX_SAMPLE_RATE is a ValueError."""
-        if sample_rate > MAX_SAMPLE_RATE:
-            raise ValueError(f"sample rate {sample_rate} Hz is above the maximum of {MAX_SAMPLE_RATE} Hz")
-        win = int(round(sample_rate * 32.0 / 1000.0))
-        win += win % 2  # keep the 2:1 window/hop ratio exact
-        return cls(window_len=win, sample_rate=int(sample_rate))
 
     @property
     def hop_len(self) -> int:
@@ -131,9 +128,6 @@ class StftConfig:
                 f"signal of {n_samples} samples is shorter than one window ({self.window_len})"
             )
         return (n_samples - self.window_len) // self.hop_len + 1
-
-    def output_len(self, n_frames: int) -> int:
-        return (n_frames - 1) * self.hop_len + self.window_len
 
 
 # Format tags of the two sample encodings load_wav reads, the tag that defers
@@ -361,33 +355,30 @@ def save_wav(path, wave: Waveform) -> None:
         fh.write(data.tobytes())
 
 
-def _frame_signal(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """Slice (..., L) signals into overlapping frames, shape (..., T, window_len)."""
-    n_frames = cfg.num_frames(x.shape[-1])
-    idx = np.arange(cfg.window_len)[None, :] + cfg.hop_len * np.arange(n_frames)[:, None]
-    return x[..., idx]
+def _frames(x: np.ndarray, cfg: StftConfig) -> np.ndarray:
+    """Overlapping frames of (..., L) signals, a read-only strided view of shape
+    (..., T, window_len): frame t starts at sample t * hop_len."""
+    step = x.strides[-1]
+    return np.lib.stride_tricks.as_strided(
+        x,
+        shape=(*x.shape[:-1], cfg.num_frames(x.shape[-1]), cfg.window_len),
+        strides=(*x.strides[:-1], cfg.hop_len * step, step),
+        writeable=False,
+    )
 
 
 def stft(x, cfg: StftConfig) -> np.ndarray:
     """Short-time Fourier transform of a Waveform, an (F, T) complex matrix, or
     of a (..., L) array of signals, (..., F, T).
 
-    Bin (f, t) is the DFT of the windowed frame starting at t * hop_len. The
-    frames are a strided view of the samples, so one ``rfft`` transforms the
-    whole batch. The result is a transposed view of that (..., T, F)
-    transform: a batch has the memory layout of a stack of single-signal
-    results, and the operations downstream sum in that order.
+    Bin (f, t) is the DFT of the windowed frame starting at t * hop_len. One
+    ``rfft`` transforms the frames of the whole batch. The result is a
+    transposed view of that (..., T, F) transform: a batch has the memory
+    layout of a stack of single-signal results, and the operations
+    downstream sum in that order.
     """
     samples = x.samples if isinstance(x, Waveform) else np.asarray(x, dtype=np.float64)
-    n_frames = cfg.num_frames(samples.shape[-1])
-    step = samples.strides[-1]
-    frames = np.lib.stride_tricks.as_strided(
-        samples,
-        shape=(*samples.shape[:-1], n_frames, cfg.window_len),
-        strides=(*samples.strides[:-1], cfg.hop_len * step, step),
-        writeable=False,
-    )
-    return np.swapaxes(np.fft.rfft(frames * cfg.window, n=cfg.window_len, axis=-1), -1, -2)
+    return np.swapaxes(np.fft.rfft(_frames(samples, cfg) * cfg.window, n=cfg.window_len, axis=-1), -1, -2)
 
 
 def _overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
@@ -425,8 +416,7 @@ def _synthesize_adjoint(grad_out: np.ndarray, n_frames: int, cfg: StftConfig) ->
     Nyquist rows carry zero imaginary gradient, matching the forward pass.
     """
     g = grad_out / _window_sumsquare(cfg, n_frames).astype(grad_out.dtype)
-    frames_g = _frame_signal(g, cfg)  # (..., T, window_len)
-    frames_g *= cfg.window.astype(g.dtype)
+    frames_g = _frames(g, cfg) * cfg.window.astype(g.dtype)  # (..., T, window_len)
     spec_g = np.fft.rfft(frames_g, n=cfg.window_len, axis=-1)
     scale = np.full(cfg.n_bins, 2.0 / cfg.window_len)
     scale[[0, -1]] = 1.0 / cfg.window_len

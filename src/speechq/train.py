@@ -98,17 +98,9 @@ def load_run_checkpoint(path):
         raise dc.CheckpointError(
             f"{path}: quantizer has {quant.n_total} classes but the model has {cfg.n_classes}"
         )
-    n_tensors = mdl.tensor_count(cfg)
-    if n_tensors > len(arrays):
-        # The header's model cannot fit in the file, whatever size it has: name
-        # the first tensors the file lacks without building the whole layout.
-        first = itertools.islice(mdl.iter_param_layout(cfg), len(arrays) + 3)
-        lacking = "; ".join([f"missing {name}" for name, _ in first if name not in arrays][:3])
-        raise dc.CheckpointError(
-            f"{path}: arrays do not match the model: {lacking}; ... "
-            f"(the header's model has {n_tensors} tensors, the file {len(arrays)} arrays)"
-        )
-    layout = mdl.param_layout(cfg)
+    # At most one tensor more than the file holds: a header whose model cannot
+    # fit still names the first it lacks, without building the whole layout.
+    layout = dict(itertools.islice(mdl.param_layout(cfg), len(arrays) + 1))
     shapes = {name: shape for name, (shape, _init) in layout.items()}
     moments = {f"opt.{k}.{name}": shape for name, shape in shapes.items() if not mdl.is_buffer(name) for k in "mv"}
     # Adam's moments are optional, but a parameter has both or neither.
@@ -209,7 +201,8 @@ def run_training(
     Writes an append-only training log plus `final.ckpt` and `best.ckpt`
     under ``run.out_dir``. ``resume_from`` continues a checkpointed run; the
     model and quantizer settings must match the ones stored in the
-    checkpoint, or ``CheckpointError`` names the first that differs. A crop
+    checkpoint, or ``CheckpointError`` names the first that differs; a
+    checkpoint at or past ``max_steps`` is a ``CheckpointError`` too. A crop
     shorter than one analysis window raises ``WavFormatError``; these checks
     run before ``run.out_dir`` is created. A non-finite value raises
     ``FloatingPointError`` naming the step.
@@ -231,6 +224,10 @@ def run_training(
         if mismatch:
             raise dc.CheckpointError(
                 f"{resume_from}: checkpoint does not match the run configuration: {mismatch}"
+            )
+        if start_step >= tcfg.max_steps:
+            raise dc.CheckpointError(
+                f"{resume_from}: checkpoint is at step {start_step}, not before [training] max_steps {tcfg.max_steps}"
             )
     else:
         params, opt_arrays, start_step = mdl.init_params(run.model, seed=tcfg.seed), {}, 0
@@ -291,13 +288,11 @@ def run_training(
                     save_run_checkpoint(best_path, run.model, quant, params, optimizer, step)
 
     save_run_checkpoint(final_path, run.model, quant, params, optimizer, tcfg.max_steps)
-    if not os.path.exists(best_path):
-        save_run_checkpoint(best_path, run.model, quant, params, optimizer, tcfg.max_steps)
     return TrainResult(
         final_checkpoint=final_path,
         best_checkpoint=best_path,
         history=history,
-        final_total=history[-1][3] if history else float("nan"),
+        final_total=history[-1][3],
         steps=tcfg.max_steps,
     )
 

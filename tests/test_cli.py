@@ -718,8 +718,8 @@ class TestBadInputs:
         self.assert_data_error(["predict", "--checkpoint", tmp_path, wav], capsys, "is a directory")
 
     def test_header_with_more_tensors_than_the_file_holds(self, fresh_checkpoint, wav, tmp_path, capsys):
-        # The header's tensor count is checked against the file before the
-        # layout of its model is built, which would not fit in memory here.
+        # Only as much of the header model's layout is built as the file could
+        # match; the whole of it would not fit in memory here.
         from speechq import diffcore as dc
 
         arrays, header = dc.load_checkpoint(fresh_checkpoint)
@@ -729,8 +729,7 @@ class TestBadInputs:
         self.assert_data_error(
             ["predict", "--checkpoint", huge, wav],
             capsys,
-            "missing block1.0.pw1.w; missing block1.0.pw1.b; missing block1.0.act1.slope; ... "
-            f"(the header's model has 3200000008 tensors, the file {len(arrays)} arrays)",
+            "missing block1.0.pw1.w; missing block1.0.pw1.b; missing block1.0.act1.slope; ...",
         )
 
     @pytest.mark.parametrize(
@@ -873,6 +872,22 @@ class TestBadInputs:
             capsys,
             "[model] conv_channels is 16 in the checkpoint but 32 in the configuration",
         )
+
+    @pytest.mark.parametrize("steps", [8, 5], ids=["equal", "past"])
+    def test_resume_at_or_past_max_steps(self, trained_checkpoint, tmp_path, capsys, steps):
+        # The checkpoint is at step 8; there is no step left to train.
+        ckpt, data_dir = trained_checkpoint
+        config = write_config(
+            tmp_path,
+            TINY_MODEL.format(steps=steps)
+            + f"\n[data]\nmanifest = {data_dir / 'manifest.tsv'}\n[output]\ndir = {tmp_path / 'run'}\n",
+        )
+        self.assert_data_error(
+            ["train", "--config", config, "--checkpoint", ckpt],
+            capsys,
+            f"checkpoint is at step 8, not before [training] max_steps {steps}",
+        )
+        assert not (tmp_path / "run").exists()
 
     def test_resume_under_another_label_kind(self, trained_checkpoint, tmp_path, capsys):
         # Soft labels add two padding classes, so the model's class count differs too.

@@ -106,7 +106,7 @@ class TestPerturbSpectrogram:
     def test_unit_gains_equal_plain_roundtrip(self):
         rng = np.random.default_rng(6)
         w = Waveform(rng.standard_normal(8000) * 0.2, 16000)
-        cfg = StftConfig.for_sample_rate(16000)
+        cfg = StftConfig(16000)
         out = dt.perturb_spectrogram(w, boost_gain=1.0, atten_gain=1.0, seed=3)
         roundtrip = istft(stft(w, cfg), cfg)
         np.testing.assert_array_equal(out.samples, roundtrip.samples)

@@ -63,7 +63,7 @@ def assert_decodes_like_scipy(path):
 
 @pytest.fixture
 def cfg():
-    return sig.StftConfig.for_sample_rate(16000)
+    return sig.StftConfig(16000)
 
 
 class TestLoadWav:
@@ -525,14 +525,29 @@ class TestLps:
 
 class TestStftConfig:
     def test_standard_16k(self):
-        cfg = sig.StftConfig.for_sample_rate(16000)
+        cfg = sig.StftConfig(16000)
         assert (cfg.window_len, cfg.hop_len, cfg.n_bins) == (512, 256, 257)
 
+    # round(rate * 32 ms) samples, plus one where that is odd; 16 Hz is the lowest rate.
+    @pytest.mark.parametrize(
+        "rate, window_len",
+        [
+            (16, 2), (8000, 256), (11025, 354), (16000, 512), (22050, 706), (44100, 1412), (48000, 1536),
+            (sig.MAX_SAMPLE_RATE, 12288),
+        ],
+    )
+    def test_window_is_32_ms_rounded_to_even(self, rate, window_len):
+        assert sig.StftConfig(rate).window_len == window_len
+
     def test_sample_rate_is_bounded_before_any_window_is_built(self, monkeypatch):
-        assert sig.StftConfig.for_sample_rate(sig.MAX_SAMPLE_RATE).window_len == 12288
         built = []
         monkeypatch.setattr(sig, "sqrt_hann", lambda n: built.append(n))
         for rate in (sig.MAX_SAMPLE_RATE + 1, 10**13, 2**32 - 1):
             with pytest.raises(ValueError, match=f"sample rate {rate} Hz is above the maximum of 384000 Hz"):
-                sig.StftConfig.for_sample_rate(rate)
+                sig.StftConfig(rate)
         assert built == []
+
+    @pytest.mark.parametrize("rate", [15, 1, 0, -100])
+    def test_rate_too_low_for_a_window(self, rate):
+        with pytest.raises(ValueError, match=f"sample rate {rate} Hz is too low for a 32 ms window"):
+            sig.StftConfig(rate)
