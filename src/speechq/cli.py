@@ -1,5 +1,11 @@
 """Command-line entry point: simulate, train, predict, eval.
 
+``simulate`` and ``train`` read an INI run configuration (``--config``);
+its ``[simulate] seed`` and ``[training] seed`` keys set the seeds, and
+``--out`` replaces its ``[output] dir``. ``predict`` prints, per file, the
+expectation-decoded score and then the argmax-decoded one; ``eval`` prints
+the expectation decoder's report and then the argmax decoder's.
+
 Exit codes: 0 success, 1 usage/configuration error, 2 data error (also
 any other file a command cannot read or write), 3 numerical failure. A Python
 warning raised while a command runs is printed as one
@@ -67,36 +73,28 @@ def _build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic labeled dataset")
     p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--out", default=None)
 
     p_train = sub.add_parser("train", help="train a model on a manifest")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--out", default=None)
     p_train.add_argument("--checkpoint", default=None, help="resume from this checkpoint")
 
     p_pred = sub.add_parser("predict", help="score WAV files with a trained model")
     p_pred.add_argument("wavs", nargs="+")
     p_pred.add_argument("--checkpoint", required=True)
-    p_pred.add_argument("--decoder", choices=("expect", "max"), default="expect")
     p_pred.add_argument("--dist", action="store_true", help="also print the class distribution")
 
     p_eval = sub.add_parser("eval", help="evaluate a trained model against manifest labels")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--manifest", required=True)
-    p_eval.add_argument("--decoder", choices=("expect", "max"), default="expect")
     p_eval.add_argument("--out", default=None, help="also write the reports to this file")
     return parser
 
 
 def _load_run(args) -> RunConfig:
-    """The run configuration of ``--config`` with the ``--seed`` and ``--out`` flags applied."""
+    """The run configuration of ``--config`` with the ``--out`` flag applied."""
     run = RunConfig.from_file(args.config)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-        run.training.seed = run.simulate.seed = args.seed
     if args.out is not None:
         run.out_dir = args.out
     return run
@@ -140,9 +138,8 @@ def cmd_simulate(args) -> int:
         perturbed = bool(rng.uniform() < sim.perturb_prob)
         if perturbed:
             degraded = dt.perturb_spectrogram(degraded, seed=int(rng.integers(1 << 31)))
-            n = min(len(degraded), len(clean_ref))
-            degraded = Waveform(degraded.samples[:n], rate)
-            clean_ref = Waveform(clean_ref.samples[:n], rate)
+            # The resynthesis ends at the last full frame, so it is never longer.
+            clean_ref = Waveform(clean_ref.samples[: len(degraded)], rate)
         label = dt.proxy_label(clean_ref, degraded)
         deg_name = f"entry_{index:05d}_degraded.wav"
         cln_name = f"entry_{index:05d}_clean.wav"
@@ -179,7 +176,7 @@ def cmd_train(args) -> int:
         resume_from=args.checkpoint,
         log_stream=print,
     )
-    print(f"final total loss {result.final_total:.6f} after {result.steps} steps")
+    print(f"final total loss {result.history[-1][3]:.6f} after {run.training.max_steps} steps")
     print(f"checkpoints: {result.final_checkpoint} (final), {result.best_checkpoint} (best)")
     return EXIT_OK
 
@@ -192,11 +189,7 @@ def cmd_predict(args) -> int:
             dist = mdl.forward(wave, cfg, params)
         except WavFormatError as exc:
             raise WavFormatError(f"{path}: {exc}") from exc
-        s_e = lb.decode_expect(dist, quant)
-        s_m = lb.decode_max(dist, quant)
-        # Both scores always appear; the selected decoder's comes first.
-        first, second = (s_e, s_m) if args.decoder == "expect" else (s_m, s_e)
-        line = f"{path}\t{first:.6f}\t{second:.6f}"
+        line = f"{path}\t{lb.decode_expect(dist, quant):.6f}\t{lb.decode_max(dist, quant):.6f}"
         if args.dist:
             line += "\t" + ",".join(f"{p:.6g}" for p in dist)
         print(line)
@@ -207,8 +200,7 @@ def cmd_eval(args) -> int:
     cfg, quant, params, _opt, _step = load_run_checkpoint(args.checkpoint)
     entries = dt.load_manifest(args.manifest, sample_rate=cfg.sample_rate)
     reports = evaluate_entries(cfg, quant, params, entries)
-    order = ("expect", "max") if args.decoder == "expect" else ("max", "expect")
-    lines = [reports[name].to_record(decoder=name) for name in order]
+    lines = [reports[name].to_record(decoder=name) for name in ("expect", "max")]
     for line in lines:
         print(line)
     if args.out:

@@ -56,6 +56,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class TrainingConfig:
+    """The [training] values; construction raises ConfigError naming every invalid one."""
+
     lr: float = 1e-3
     batch_size: int = 4
     crop_seconds: float = 1.0
@@ -64,6 +66,26 @@ class TrainingConfig:
     recon_weight: float = 1.0  # weight on the reconstruction term; 0 trains quality only
     td_mse_reduction: str = "sum"  # "sum" (plain squared norm) | "mean" (length-normalized)
     val_every: int = 0  # 0: every max(1, max_steps // 10) steps; the last step always validates
+
+    def __post_init__(self):
+        problems = [
+            f"training {name} must be positive, got {getattr(self, name)}"
+            for name in ("lr", "batch_size", "crop_seconds", "max_steps")
+            if getattr(self, name) <= 0
+        ]
+        problems += [
+            f"training {name} must be non-negative, got {getattr(self, name)}"
+            for name in ("seed", "val_every")
+            if getattr(self, name) < 0
+        ]
+        if self.recon_weight < 0:
+            problems.append("recon_weight must be non-negative")
+        if self.td_mse_reduction not in ("sum", "mean"):
+            problems.append(f"td_mse_reduction must be sum or mean, got {self.td_mse_reduction!r}")
+        if self.crop_seconds > MAX_SECONDS:
+            problems.append(f"training crop_seconds must be at most {MAX_SECONDS:g}, got {self.crop_seconds:g}")
+        if problems:
+            raise ConfigError(" | ".join(problems))
 
 
 @dataclass
@@ -167,7 +189,11 @@ class RunConfig:
         if label_kind not in LABEL_KIND_PAD:
             errors.append(f"label_kind must be one-hot or soft, got {label_kind!r}")
         pad = LABEL_KIND_PAD.get(label_kind, 0)
-        training = TrainingConfig(**given["training"])
+        try:
+            training = TrainingConfig(**given["training"])
+        except ConfigError as exc:
+            errors.append(str(exc))
+            training = None
         try:
             quantizer = QuantizerConfig(given["quantizer"].get("n_classes", 100), pad)
         except ValueError as exc:
@@ -195,39 +221,22 @@ class RunConfig:
         paths = {**given["data"], "out_dir": given["output"].get("dir", cls.out_dir)}
         paths = {name: resolve(p) for name, p in paths.items()}
 
-        for name, value in (
-            ("lr", training.lr),
-            ("batch_size", training.batch_size),
-            ("crop_seconds", training.crop_seconds),
-            ("max_steps", training.max_steps),
-        ):
-            if value <= 0:
-                errors.append(f"training {name} must be positive, got {value}")
-        for name, value in (
-            ("training seed", training.seed),
-            ("training val_every", training.val_every),
-            ("simulate seed", simulate.seed),
-        ):
-            if value < 0:
-                errors.append(f"{name} must be non-negative, got {value}")
-        if training.recon_weight < 0:
-            errors.append("recon_weight must be non-negative")
-        if training.td_mse_reduction not in ("sum", "mean"):
-            errors.append(f"td_mse_reduction must be sum or mean, got {training.td_mse_reduction!r}")
+        if simulate.seed < 0:
+            errors.append(f"simulate seed must be non-negative, got {simulate.seed}")
         if simulate.count < 0 or simulate.holdout_count < 0:
             errors.append("simulate counts must be non-negative")
         if simulate.duration_seconds < 0.2:
             errors.append("simulate duration_seconds must be at least 0.2")
-        for name, value in (
-            ("training crop_seconds", training.crop_seconds),
-            ("simulate duration_seconds", simulate.duration_seconds),
-        ):
-            if value > MAX_SECONDS:
-                errors.append(f"{name} must be at most {MAX_SECONDS:g}, got {value:g}")
-        # Compared as floats: round() would overflow on a huge crop_seconds.
-        if model is not None and 0 < training.crop_seconds * model.sample_rate < model.stft.window_len:
+        if simulate.duration_seconds > MAX_SECONDS:
             errors.append(
-                f"training crop_seconds = {training.crop_seconds:g} is shorter than one analysis window"
+                f"simulate duration_seconds must be at most {MAX_SECONDS:g}, got {simulate.duration_seconds:g}"
+            )
+        # The file's value, so a short crop is reported next to any other [training] fault.
+        # Compared as floats: round() would overflow on a huge crop_seconds.
+        crop = given["training"].get("crop_seconds", TrainingConfig.crop_seconds)
+        if model is not None and 0 < crop * model.sample_rate < model.stft.window_len:
+            errors.append(
+                f"training crop_seconds = {crop:g} is shorter than one analysis window"
                 f" ({model.stft.window_len} samples at {model.sample_rate} Hz)"
             )
         if not (0.0 <= simulate.perturb_prob <= 1.0):

@@ -104,14 +104,6 @@ class Tensor:
     def shape(self):
         return self.values.shape
 
-    @property
-    def ndim(self):
-        return self.values.ndim
-
-    @property
-    def dtype(self):
-        return self.values.dtype
-
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, dtype={self.values.dtype}, requires_grad={self.requires_grad})"
 

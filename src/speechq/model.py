@@ -84,7 +84,6 @@ class GraphOutput:
 
     reconstruction: dc.Tensor | None  # (B, L_out)
     logits: dc.Tensor  # (B, n_classes, T)
-    pooled: dc.Tensor  # (B, n_classes)
     distribution: dc.Tensor  # (B, n_classes)
 
 
@@ -211,7 +210,7 @@ def forward_graph(
     # The softmax runs in float64 regardless of the training precision so
     # the output is a valid distribution at tight tolerance.
     distribution = dc.softmax(dc.cast(pooled, np.float64), axis=1)
-    return GraphOutput(recon, logits, pooled, distribution)
+    return GraphOutput(recon, logits, distribution)
 
 
 def forward(wave: sig.Waveform, cfg: ModelConfig, params: dict) -> np.ndarray:

@@ -39,8 +39,6 @@ class TrainResult:
     final_checkpoint: str
     best_checkpoint: str
     history: list  # (step, td_mse, emd2, total)
-    final_total: float
-    steps: int
 
 
 def save_run_checkpoint(
@@ -288,13 +286,7 @@ def run_training(
                     save_run_checkpoint(best_path, run.model, quant, params, optimizer, step)
 
     save_run_checkpoint(final_path, run.model, quant, params, optimizer, tcfg.max_steps)
-    return TrainResult(
-        final_checkpoint=final_path,
-        best_checkpoint=best_path,
-        history=history,
-        final_total=history[-1][3],
-        steps=tcfg.max_steps,
-    )
+    return TrainResult(final_checkpoint=final_path, best_checkpoint=best_path, history=history)
 
 
 def _validation_total(run: RunConfig, params, val_entries, quant) -> float:

@@ -7,7 +7,7 @@ import os
 import pytest
 
 from speechq import cli
-from speechq.config import MAX_SECONDS, MAX_SNR_DB, ConfigError, RunConfig
+from speechq.config import MAX_SECONDS, MAX_SNR_DB, ConfigError, RunConfig, TrainingConfig
 
 DEFAULTS = {
     "model": {
@@ -428,6 +428,30 @@ path = y
         assert not never.exists()
 
     @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("simulate", ["--seed", "8"]),
+            ("train", ["--seed", "8"]),
+            ("predict", ["--decoder", "max"]),
+            ("eval", ["--decoder", "max"]),
+        ],
+        ids=["simulate-seed", "train-seed", "predict-decoder", "eval-decoder"],
+    )
+    def test_removed_flags_exit_1_and_write_nothing(self, tmp_path, capsys, command, flag):
+        never = tmp_path / "never_created"
+        config = tmp_path / "run.ini"
+        config.write_text(TINY.format(seed=1) + f"\n[data]\nmanifest = m.tsv\n[output]\ndir = {never}\n")
+        args = {
+            "simulate": ["--config", str(config)],
+            "train": ["--config", str(config)],
+            "predict": ["--checkpoint", str(tmp_path / "model.ckpt"), str(tmp_path / "a.wav")],
+            "eval": ["--checkpoint", str(tmp_path / "model.ckpt"), "--manifest", "m.tsv", "--out", str(never)],
+        }[command]
+        assert cli.main([command, *args, *flag]) == 1
+        assert capsys.readouterr() == ("", f"configuration error: unrecognized arguments: {' '.join(flag)}\n")
+        assert os.listdir(tmp_path) == ["run.ini"]
+
+    @pytest.mark.parametrize(
         "section, key, value", [("training", "seed", -1), ("simulate", "seed", -2), ("training", "val_every", -1)]
     )
     def test_negative_seeds_and_val_every_are_rejected(self, tmp_path, section, key, value):
@@ -435,8 +459,7 @@ path = y
         assert errors == {f"{section} {key} must be non-negative, got {value}"}
 
     @pytest.mark.parametrize("command", ["simulate", "train"])
-    @pytest.mark.parametrize("use_flag", [True, False], ids=["flag", "config"])
-    def test_negative_seed_exits_1_and_writes_nothing(self, tmp_path, capsys, command, use_flag):
+    def test_negative_seed_exits_1_and_writes_nothing(self, tmp_path, capsys, command):
         # A real manifest, so train would otherwise reach the parameter initialization.
         data = tmp_path / "data"
         (tmp_path / "sim.ini").write_text(TINY.format(seed=1) + f"\n[output]\ndir = {data}\n")
@@ -444,18 +467,13 @@ path = y
         capsys.readouterr()
         never = tmp_path / "never_created"
         path = tmp_path / "neg.ini"
-        text = TINY.format(seed=1 if use_flag else -2)
+        text = TINY.format(seed=-2)
         path.write_text(text + f"\n[data]\nmanifest = {data / 'manifest.tsv'}\n[output]\ndir = {never}\n")
-        argv = [command, "--config", str(path)] + (["--seed", "-2"] if use_flag else [])
-        assert cli.main(argv) == 1
-        err = capsys.readouterr().err
-        if use_flag:
-            assert err == "configuration error: --seed must be non-negative, got -2\n"
-        else:
-            assert stderr_problems(err, path) == [
-                "training seed must be non-negative, got -2",
-                "simulate seed must be non-negative, got -2",
-            ]
+        assert cli.main([command, "--config", str(path)]) == 1
+        assert stderr_problems(capsys.readouterr().err, path) == [
+            "training seed must be non-negative, got -2",
+            "simulate seed must be non-negative, got -2",
+        ]
         assert not never.exists()
 
     @pytest.mark.parametrize(
@@ -513,6 +531,42 @@ path = y
         assert (tmp_path / "run_50%_%(x)s" / "manifest.tsv").is_file()
 
 
+class TestTrainingConfig:
+    """A TrainingConfig built in Python is checked like the [training] section of a file."""
+
+    @pytest.mark.parametrize(
+        "values, problem",
+        [
+            ({"lr": -1.0}, "training lr must be positive, got -1.0"),
+            ({"batch_size": 0}, "training batch_size must be positive, got 0"),
+            ({"crop_seconds": 0.0}, "training crop_seconds must be positive, got 0.0"),
+            ({"max_steps": 0}, "training max_steps must be positive, got 0"),
+            ({"seed": -1}, "training seed must be non-negative, got -1"),
+            ({"val_every": -2}, "training val_every must be non-negative, got -2"),
+            ({"recon_weight": -1.0}, "recon_weight must be non-negative"),
+            ({"td_mse_reduction": "median"}, "td_mse_reduction must be sum or mean, got 'median'"),
+            ({"crop_seconds": 3600.5}, "training crop_seconds must be at most 3600, got 3600.5"),
+        ],
+        ids=[
+            "lr", "batch_size", "crop_seconds-zero", "max_steps", "seed", "val_every", "recon_weight",
+            "td_mse_reduction", "crop_seconds-past-an-hour",
+        ],
+    )
+    def test_each_bad_value_raises(self, values, problem):
+        with pytest.raises(ConfigError) as info:
+            TrainingConfig(**values)
+        assert str(info.value) == problem
+
+    def test_every_problem_on_one_line(self):
+        with pytest.raises(ConfigError) as info:
+            TrainingConfig(lr=0.0, max_steps=-1, recon_weight=-0.5)
+        assert str(info.value).split(" | ") == [
+            "training lr must be positive, got 0.0",
+            "training max_steps must be positive, got -1",
+            "recon_weight must be non-negative",
+        ]
+
+
 class TestOverrides:
     def write(self, tmp_path, name, seed, out, extra=""):
         path = tmp_path / name
@@ -520,9 +574,10 @@ class TestOverrides:
         return str(path)
 
     def test_simulate_seed_and_out(self, tmp_path, capsys):
+        """``--out`` moves the output and keeps the config's seed."""
         config_dir, flag_dir, ref_dir = tmp_path / "cfg", tmp_path / "flag", tmp_path / "ref"
-        config = self.write(tmp_path, "a.ini", 7, config_dir)
-        assert cli.main(["simulate", "--config", config, "--seed", "8", "--out", str(flag_dir)]) == 0
+        config = self.write(tmp_path, "a.ini", 8, config_dir)
+        assert cli.main(["simulate", "--config", config, "--out", str(flag_dir)]) == 0
         assert cli.main(["simulate", "--config", self.write(tmp_path, "b.ini", 8, ref_dir)]) == 0
         capsys.readouterr()
         assert not config_dir.exists()
@@ -532,12 +587,13 @@ class TestOverrides:
         assert digest(flag_dir / "manifest.tsv") == digest(ref_dir / "manifest.tsv")
 
     def test_train_seed_and_out(self, tmp_path, capsys):
+        """``--out`` moves the checkpoints and keeps the config's seed."""
         data = tmp_path / "data"
         assert cli.main(["simulate", "--config", self.write(tmp_path, "sim.ini", 5, data)]) == 0
         extra = f"\n[data]\nmanifest = {data / 'manifest.tsv'}\n"
         config_dir, flag_dir = tmp_path / "cfg", tmp_path / "flag"
-        config = self.write(tmp_path, "a.ini", 3, config_dir, extra)
-        assert cli.main(["train", "--config", config, "--seed", "8", "--out", str(flag_dir)]) == 0
+        config = self.write(tmp_path, "a.ini", 8, config_dir, extra)
+        assert cli.main(["train", "--config", config, "--out", str(flag_dir)]) == 0
         assert not config_dir.exists()
         seeded = {}
         for seed in (3, 8):

@@ -112,6 +112,43 @@ class TestSrcc:
             assert metrics.srcc(a, b) == pytest.approx(oracle, abs=1e-12)
 
 
+class TestScipyOracle:
+    """scipy.stats as a second, independent oracle, ties included."""
+
+    @staticmethod
+    def pairs():
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 7, 50):
+            yield rng.standard_normal(n), rng.standard_normal(n)
+        for _ in range(40):  # few distinct values, so most vectors hold ties
+            a = rng.integers(0, 3, size=8).astype(float)
+            b = rng.integers(0, 4, size=8).astype(float)
+            if np.all(a == a[0]) or np.all(b == b[0]):
+                continue
+            yield a, b
+
+    def test_rankdata_matches_scipy(self):
+        from scipy import stats
+
+        for n in range(1, 7):
+            for values in itertools.product((0.0, 1.0, 2.0), repeat=n):
+                np.testing.assert_array_equal(metrics.rankdata(values), stats.rankdata(values))
+        values = np.random.default_rng(12).integers(0, 20, size=200).astype(float)
+        np.testing.assert_array_equal(metrics.rankdata(values), stats.rankdata(values))
+
+    def test_lcc_matches_pearsonr(self):
+        from scipy import stats
+
+        for a, b in self.pairs():
+            assert metrics.lcc(a, b) == pytest.approx(stats.pearsonr(a, b).statistic, abs=1e-12)
+
+    def test_srcc_matches_spearmanr(self):
+        from scipy import stats
+
+        for a, b in self.pairs():
+            assert metrics.srcc(a, b) == pytest.approx(stats.spearmanr(a, b).statistic, abs=1e-12)
+
+
 class TestEvalReport:
     def test_single_entry_correlations_undefined(self):
         report = metrics.evaluate_scores([2.0], [2.5])
