@@ -4,7 +4,8 @@
 its ``[simulate] seed`` and ``[training] seed`` keys set the seeds, and
 ``--out`` replaces its ``[output] dir``. ``predict`` prints, per file, the
 expectation-decoded score and then the argmax-decoded one; ``eval`` prints
-the expectation decoder's report and then the argmax decoder's.
+the expectation decoder's report and then the argmax decoder's, on stdout
+only: it writes no file.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data error (also
 any other file a command cannot read or write), 3 numerical failure. A Python
@@ -88,7 +89,6 @@ def _build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="evaluate a trained model against manifest labels")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--manifest", required=True)
-    p_eval.add_argument("--out", default=None, help="also write the reports to this file")
     return parser
 
 
@@ -133,7 +133,7 @@ def cmd_simulate(args) -> int:
         if rirs:
             clean = dt.convolve_rir(clean, rirs[int(rng.integers(0, len(rirs)))])
         noise = dt.synth_noise(sim.duration_seconds, seed=int(rng.integers(1 << 31)), sample_rate=rate)
-        snr = float(rng.uniform(sim.snr_lo, sim.snr_hi))
+        snr = float(rng.uniform(*dt.SNR_RANGE_DB))
         degraded, clean_ref = dt.mix_at_snr(clean, noise, snr)
         perturbed = bool(rng.uniform() < sim.perturb_prob)
         if perturbed:
@@ -200,12 +200,8 @@ def cmd_eval(args) -> int:
     cfg, quant, params, _opt, _step = load_run_checkpoint(args.checkpoint)
     entries = dt.load_manifest(args.manifest, sample_rate=cfg.sample_rate)
     reports = evaluate_entries(cfg, quant, params, entries)
-    lines = [reports[name].to_record(decoder=name) for name in ("expect", "max")]
-    for line in lines:
-        print(line)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+    for name in ("expect", "max"):
+        print(reports[name].to_record(decoder=name))
     return EXIT_OK
 
 

@@ -15,15 +15,17 @@ only when finite) and defaults to the field's default. The exceptions:
 - [simulate] rir_paths is a comma-separated list;
 - [simulate] rir_paths, [data] manifest and val_manifest and [output] dir
   are paths, resolved against the config file's directory;
-- [training] crop_seconds and [simulate] duration_seconds are at most
-  MAX_SECONDS (one hour, ample for utterances of a few seconds), so their
-  sample counts stay representable;
 - a [training] crop_seconds crop holds at least one analysis window at
-  [model] sample_rate;
-- [simulate] snr_lo and snr_hi lie in [-MAX_SNR_DB, MAX_SNR_DB] (300 dB,
-  far past any audible difference), so the noise gain stays finite and
-  nonzero;
-- the seeds and [training] val_every are non-negative.
+  [model] sample_rate.
+
+The depthwise kernel size (model.KERNEL_SIZE) and the simulator's SNR
+range (data.SNR_RANGE_DB) are constants, not keys. The four section
+dataclasses are frozen (edit one with ``dataclasses.replace``) and check
+their own rules when built, from a file or in Python. Among them,
+[training] crop_seconds and [simulate] duration_seconds are at most
+MAX_SECONDS (one hour, ample for utterances of a few seconds), so their
+sample counts stay representable, and the seeds and [training] val_every
+are non-negative. RunConfig stays mutable: ``--out`` sets its out_dir.
 
 Values are literal: ``%`` is not an interpolation character. Validation
 is exhaustive and happens before any work starts; an invalid
@@ -46,15 +48,13 @@ __all__ = ["ConfigError", "TrainingConfig", "SimulateConfig", "RunConfig"]
 
 # Upper bound on the seconds-valued keys crop_seconds and duration_seconds.
 MAX_SECONDS = 3600.0
-# Bound on the magnitude of the SNR keys snr_lo and snr_hi.
-MAX_SNR_DB = 300.0
 
 
 class ConfigError(ValueError):
     """Raised for unusable run configurations."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingConfig:
     """The [training] values; construction raises ConfigError naming every invalid one."""
 
@@ -71,14 +71,14 @@ class TrainingConfig:
         problems = [
             f"training {name} must be positive, got {getattr(self, name)}"
             for name in ("lr", "batch_size", "crop_seconds", "max_steps")
-            if getattr(self, name) <= 0
+            if not getattr(self, name) > 0
         ]
         problems += [
             f"training {name} must be non-negative, got {getattr(self, name)}"
             for name in ("seed", "val_every")
-            if getattr(self, name) < 0
+            if not getattr(self, name) >= 0
         ]
-        if self.recon_weight < 0:
+        if not self.recon_weight >= 0:
             problems.append("recon_weight must be non-negative")
         if self.td_mse_reduction not in ("sum", "mean"):
             problems.append(f"td_mse_reduction must be sum or mean, got {self.td_mse_reduction!r}")
@@ -88,16 +88,31 @@ class TrainingConfig:
             raise ConfigError(" | ".join(problems))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulateConfig:
+    """The [simulate] values; construction raises ConfigError naming every invalid one."""
+
     count: int = 20
     holdout_count: int = 0
     duration_seconds: float = 1.0
     seed: int = 0
-    snr_lo: float = -12.0
-    snr_hi: float = 30.0
     perturb_prob: float = 0.0
     rir_paths: list = field(default_factory=list)
+
+    def __post_init__(self):
+        problems = []
+        if not self.seed >= 0:
+            problems.append(f"simulate seed must be non-negative, got {self.seed}")
+        if not (self.count >= 0 and self.holdout_count >= 0):
+            problems.append("simulate counts must be non-negative")
+        if not self.duration_seconds >= 0.2:
+            problems.append("simulate duration_seconds must be at least 0.2")
+        if self.duration_seconds > MAX_SECONDS:
+            problems.append(f"simulate duration_seconds must be at most {MAX_SECONDS:g}, got {self.duration_seconds:g}")
+        if not 0.0 <= self.perturb_prob <= 1.0:
+            problems.append("perturb_prob must lie in [0, 1]")
+        if problems:
+            raise ConfigError(" | ".join(problems))
 
 
 def _field_types(cls) -> dict:
@@ -118,6 +133,15 @@ _SECTIONS = {
     "data": {"manifest": str, "val_manifest": str},
     "output": {"dir": str},
 }
+
+
+def _build(cls, values: dict, errors: list):
+    """``cls(**values)``, or None with the ValueError it raised appended to ``errors``."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        errors.append(str(exc))
+        return None
 
 
 def _parse(parser, section: str, key: str, kind):
@@ -189,16 +213,9 @@ class RunConfig:
         if label_kind not in LABEL_KIND_PAD:
             errors.append(f"label_kind must be one-hot or soft, got {label_kind!r}")
         pad = LABEL_KIND_PAD.get(label_kind, 0)
-        try:
-            training = TrainingConfig(**given["training"])
-        except ConfigError as exc:
-            errors.append(str(exc))
-            training = None
-        try:
-            quantizer = QuantizerConfig(given["quantizer"].get("n_classes", 100), pad)
-        except ValueError as exc:
-            errors.append(str(exc))
-            quantizer = QuantizerConfig(100, pad)
+        training = _build(TrainingConfig, given["training"], errors)
+        quantizer = _build(QuantizerConfig, {"n_classes": 100, **given["quantizer"], "pad": pad}, errors)
+        quantizer = quantizer or QuantizerConfig(100, pad)
 
         model_values = {**given["model"], "n_classes": quantizer.n_total}
         model_classes = given["model"].get("n_classes", quantizer.n_total)
@@ -207,30 +224,16 @@ class RunConfig:
                 f"model n_classes = {model_classes} must equal quantizer classes + padding"
                 f" = {quantizer.n_total}"
             )
-        try:
-            model = ModelConfig(**model_values)
-        except ValueError as exc:
-            errors.append(str(exc))
-            model = None
+        model = _build(ModelConfig, model_values, errors)
 
         def resolve(p: str) -> str:
             return p if os.path.isabs(p) else os.path.join(base, p)
 
-        simulate = SimulateConfig(**given["simulate"])
-        simulate.rir_paths = [resolve(p) for p in simulate.rir_paths]
+        rir_paths = [resolve(p) for p in given["simulate"].get("rir_paths", [])]
+        simulate = _build(SimulateConfig, {**given["simulate"], "rir_paths": rir_paths}, errors)
         paths = {**given["data"], "out_dir": given["output"].get("dir", cls.out_dir)}
         paths = {name: resolve(p) for name, p in paths.items()}
 
-        if simulate.seed < 0:
-            errors.append(f"simulate seed must be non-negative, got {simulate.seed}")
-        if simulate.count < 0 or simulate.holdout_count < 0:
-            errors.append("simulate counts must be non-negative")
-        if simulate.duration_seconds < 0.2:
-            errors.append("simulate duration_seconds must be at least 0.2")
-        if simulate.duration_seconds > MAX_SECONDS:
-            errors.append(
-                f"simulate duration_seconds must be at most {MAX_SECONDS:g}, got {simulate.duration_seconds:g}"
-            )
         # The file's value, so a short crop is reported next to any other [training] fault.
         # Compared as floats: round() would overflow on a huge crop_seconds.
         crop = given["training"].get("crop_seconds", TrainingConfig.crop_seconds)
@@ -239,14 +242,6 @@ class RunConfig:
                 f"training crop_seconds = {crop:g} is shorter than one analysis window"
                 f" ({model.stft.window_len} samples at {model.sample_rate} Hz)"
             )
-        if not (0.0 <= simulate.perturb_prob <= 1.0):
-            errors.append("perturb_prob must lie in [0, 1]")
-        for name in ("snr_lo", "snr_hi"):
-            value = getattr(simulate, name)
-            if abs(value) > MAX_SNR_DB:
-                errors.append(f"simulate {name} must lie in [-{MAX_SNR_DB:g}, {MAX_SNR_DB:g}] dB, got {value:g}")
-        if simulate.snr_hi < simulate.snr_lo:
-            errors.append("snr_hi must be >= snr_lo")
 
         if errors:
             raise ConfigError("invalid configuration: " + " | ".join(errors))

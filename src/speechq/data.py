@@ -34,9 +34,8 @@ __all__ = [
 
 SYNTH_KINDS = ("tone-complex", "filtered-noise-burst", "chirp")
 
-# Proxy label map anchors: -12 dB SNR -> 1.0, +30 dB -> 4.5, clamped.
-PROXY_SNR_LO = -12.0
-PROXY_SNR_SPAN = 42.0
+# The SNRs the simulator draws from, which proxy_label maps onto [1.0, 4.5], clamped.
+SNR_RANGE_DB = (-12.0, 30.0)
 PROXY_SCORE_LO = 1.0
 PROXY_SCORE_HI = 4.5
 
@@ -175,7 +174,7 @@ def proxy_label(clean: Waveform, degraded: Waveform) -> float:
     """Monotone SNR-derived stand-in for an externally computed quality score.
 
     The SNR of the degradation (clean vs degraded-minus-clean) is mapped
-    affinely from [-12 dB, +30 dB] onto [1.0, 4.5] and clamped. An exact
+    affinely from SNR_RANGE_DB onto [1.0, 4.5] and clamped. An exact
     copy of the clean signal scores 4.5.
     """
     if clean.sample_rate != degraded.sample_rate:
@@ -191,7 +190,8 @@ def proxy_label(clean: Waveform, degraded: Waveform) -> float:
     if p_err == 0.0:
         return PROXY_SCORE_HI
     snr = 10.0 * np.log10(p_clean / p_err)
-    score = PROXY_SCORE_LO + 3.5 * (snr - PROXY_SNR_LO) / PROXY_SNR_SPAN
+    lo, hi = SNR_RANGE_DB
+    score = PROXY_SCORE_LO + 3.5 * (snr - lo) / (hi - lo)
     return float(np.clip(score, PROXY_SCORE_LO, PROXY_SCORE_HI))
 
 

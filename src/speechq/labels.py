@@ -41,14 +41,16 @@ class QuantizerConfig:
     pad: int = 0
 
     def __post_init__(self):
-        for name in ("n_classes", "pad"):
+        """Raises one ValueError that names every invalid field, separated by `` | ``."""
+        problems = []
+        for name, least, rule in (("n_classes", 1, "need at least one class"), ("pad", 0, "pad must be non-negative")):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_classes < 1:
-            raise ValueError("need at least one class")
-        if self.pad < 0:
-            raise ValueError("pad must be non-negative")
+                problems.append(f"{name} must be an integer, got {value!r}")
+            elif value < least:
+                problems.append(rule)
+        if problems:
+            raise ValueError(" | ".join(problems))
 
     @property
     def step(self) -> float:

@@ -29,14 +29,15 @@ __all__ = [
 
 # The reconstruction branch's two 1x1 heads, the real and imaginary mask parts.
 MASK_HEADS = ("mask_real", "mask_imag")
+# Taps of every depthwise convolution; odd, so same-length padding is symmetric.
+KERNEL_SIZE = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     sample_rate: int = 16000
     bottleneck_channels: int = 256
     conv_channels: int = 512
-    kernel_size: int = 3
     blocks_per_repeat: int = 8
     repeats: int = 4
     n_classes: int = 100  # total classes, padding included
@@ -44,20 +45,23 @@ class ModelConfig:
     stft: sig.StftConfig = field(init=False, repr=False, compare=False)  # derived from sample_rate
 
     def __post_init__(self):
-        for name in (
-            "sample_rate", "bottleneck_channels", "conv_channels", "kernel_size",
-            "blocks_per_repeat", "repeats", "n_classes",
-        ):
+        """Raises one ValueError that names every invalid field, separated by `` | ``."""
+        problems = []
+        for name in ("sample_rate", "bottleneck_channels", "conv_channels", "blocks_per_repeat", "repeats", "n_classes"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.kernel_size % 2 != 1:
-            raise ValueError("kernel size must be odd for same-length padding")
+                problems.append(f"{name} must be an integer, got {value!r}")
+            elif value < 1:
+                problems.append(f"{name} must be positive")
+            elif name == "sample_rate":
+                try:
+                    object.__setattr__(self, "stft", sig.StftConfig(value))
+                except ValueError as exc:
+                    problems.append(str(exc))
         if self.dtype not in ("float32", "float64"):
-            raise ValueError("dtype must be float32 or float64")
-        self.stft = sig.StftConfig(self.sample_rate)
+            problems.append("dtype must be float32 or float64")
+        if problems:
+            raise ValueError(" | ".join(problems))
 
     @property
     def np_dtype(self):
@@ -70,8 +74,7 @@ class ModelConfig:
     @property
     def receptive_field(self) -> int:
         """Trunk receptive field in frames."""
-        per_block = self.kernel_size - 1
-        return 1 + per_block * self.repeats * (2**self.blocks_per_repeat - 1)
+        return 1 + (KERNEL_SIZE - 1) * self.repeats * (2**self.blocks_per_repeat - 1)
 
     def to_dict(self) -> dict:
         """The constructor arguments; ``ModelConfig(**cfg.to_dict())`` rebuilds ``cfg``."""
@@ -95,7 +98,7 @@ def param_layout(cfg: ModelConfig):
     ±1/sqrt(fan_in), or a ``float`` constant fill. Names ending in
     ``run_mean`` or ``run_var`` are normalization buffers, not parameters.
     """
-    f_bins, k = cfg.stft.n_bins, cfg.kernel_size
+    f_bins, k = cfg.stft.n_bins, KERNEL_SIZE
     cb, cc = cfg.bottleneck_channels, cfg.conv_channels
     yield from {"entry.w": ((cb, f_bins), f_bins), "entry.b": ((cb,), f_bins)}.items()
     for r in range(cfg.repeats):

@@ -94,7 +94,7 @@ def sqrt_hann(n: int) -> np.ndarray:
     return np.sin(np.pi * np.arange(n) / n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StftConfig:
     """Framing of the analysis/synthesis pair at ``sample_rate``: a square-root
     Hann window of 32 ms, rounded to an even ``window_len`` of samples, hop
@@ -103,16 +103,17 @@ class StftConfig:
 
     sample_rate: int
     window_len: int = field(init=False)
-    window: np.ndarray = field(init=False, repr=False)
+    window: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sample_rate > MAX_SAMPLE_RATE:
             raise ValueError(f"sample rate {self.sample_rate} Hz is above the maximum of {MAX_SAMPLE_RATE} Hz")
         win = int(round(self.sample_rate * 32.0 / 1000.0))
-        self.window_len = win + win % 2  # keep the 2:1 window/hop ratio exact
-        if self.window_len <= 0:
+        window_len = win + win % 2  # keep the 2:1 window/hop ratio exact
+        if window_len <= 0:
             raise ValueError(f"sample rate {self.sample_rate} Hz is too low for a 32 ms window")
-        self.window = sqrt_hann(self.window_len)
+        object.__setattr__(self, "window_len", window_len)
+        object.__setattr__(self, "window", sqrt_hann(window_len))
 
     @property
     def hop_len(self) -> int:

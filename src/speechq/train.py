@@ -33,6 +33,9 @@ __all__ = [
     "load_run_checkpoint",
 ]
 
+# Model keys that older checkpoint headers carry, each with its only legal value.
+RETIRED_MODEL_KEYS = {"norm": "batch", "kernel_size": mdl.KERNEL_SIZE}
+
 
 @dataclass
 class TrainResult:
@@ -67,13 +70,12 @@ def load_run_checkpoint(path):
     Raises:
         CheckpointError: the file is not a checkpoint, its header lacks
             valid model and quantizer entries and a non-negative integer
-            step (a model ``norm`` entry, which older headers carry, must be
-            ``"batch"``), the quantizer's class count differs from the
-            model's, or its arrays do not match the model's parameter
-            names, shapes and dtype. Optimizer state is
-            optional, but each ``opt.m.<p>`` needs its ``opt.v.<p>`` (and the
-            reverse) for a trainable parameter ``p``, with ``p``'s shape
-            and dtype.
+            step (a RETIRED_MODEL_KEYS key must hold its one legal value),
+            the quantizer's class count differs from the model's, or its
+            arrays do not match the model's parameter names, shapes and
+            dtype. Optimizer state is optional, but each ``opt.m.<p>``
+            needs its ``opt.v.<p>`` (and the reverse) for a trainable
+            parameter ``p``, with ``p``'s shape and dtype.
     """
     arrays, header = dc.load_checkpoint(path)
     missing = [key for key in ("model", "quantizer", "step") if key not in header]
@@ -81,10 +83,10 @@ def load_run_checkpoint(path):
         raise dc.CheckpointError(f"{path}: checkpoint header has no {', '.join(missing)}")
     try:
         model_fields = dict(header["model"])
-        # Older headers name the normalization; batch norm is the only one left.
-        norm = model_fields.pop("norm", "batch")
-        if norm != "batch":
-            raise ValueError(f"norm {norm!r} is not supported, only batch norm")
+        for key, legal in RETIRED_MODEL_KEYS.items():
+            value = model_fields.pop(key, legal)
+            if value != legal:
+                raise ValueError(f"{key} {value!r} is not supported, only {legal!r}")
         cfg = ModelConfig(**model_fields)
         quant = QuantizerConfig(**header["quantizer"])
         step = header["step"]

@@ -443,15 +443,20 @@ class TestPredict:
         assert captured.err == f"warning: {stereo}: 2 channels, keeping the first\n"
         assert len(captured.out.splitlines()) == 1
 
-    def test_header_with_batch_norm_key_gives_the_same_results(self, trained_checkpoint, tmp_path, capsys):
-        # Checkpoints written while the normalization was a [model] setting
-        # carry "norm": "batch" in their header.
+    @pytest.mark.parametrize(
+        "older_keys",
+        [{"norm": "batch"}, {"kernel_size": 3}, {"norm": "batch", "kernel_size": 3}],
+        ids=["norm", "kernel_size", "both"],
+    )
+    def test_header_with_batch_norm_key_gives_the_same_results(self, trained_checkpoint, tmp_path, capsys, older_keys):
+        # Checkpoints written while the normalization or the kernel size was a
+        # [model] setting carry "norm": "batch" or "kernel_size": 3 in their header.
         from speechq import diffcore as dc
 
         ckpt, data_dir = trained_checkpoint
         arrays, header = dc.load_checkpoint(ckpt)
-        assert "norm" not in header["model"]
-        header["model"]["norm"] = "batch"
+        assert not older_keys.keys() & header["model"].keys()
+        header["model"].update(older_keys)
         older = tmp_path / "older.ckpt"
         dc.save_checkpoint(older, arrays, header)
         cfg, quant, params, opt_arrays, step = tr.load_run_checkpoint(ckpt)
@@ -518,25 +523,6 @@ class TestEval:
         empty.write_text("")
         assert cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(empty)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"data error: {empty}: manifest has no records"]
-
-    def test_report_written_to_file(self, trained_checkpoint, tmp_path, capsys):
-        ckpt, data_dir = trained_checkpoint
-        out_file = tmp_path / "report.txt"
-        code = cli.main(
-            [
-                "eval",
-                "--checkpoint",
-                str(ckpt),
-                "--manifest",
-                str(data_dir / "manifest.tsv"),
-                "--out",
-                str(out_file),
-            ]
-        )
-        assert code == 0
-        capsys.readouterr()
-        content = out_file.read_text()
-        assert "decoder=expect" in content and "decoder=max" in content
 
 
 class TestBadInputs:
@@ -728,7 +714,7 @@ class TestBadInputs:
         [
             ({"step": 3}, "has no model, quantizer"),
             ({"model": {}, "quantizer": {"n_classes": 10}}, "has no step"),
-            ({"model": {"kernel_size": 4}, "quantizer": {"n_classes": 10}, "step": 0}, "kernel size must be odd"),
+            ({"model": {"conv_channels": 0}, "quantizer": {"n_classes": 10}, "step": 0}, "conv_channels must be positive"),
             ({"model": {"colour": 1}, "quantizer": {"n_classes": 10}, "step": 0}, "unexpected keyword"),
             ({"model": {"stft": 1}, "quantizer": {"n_classes": 10}, "step": 0}, "invalid run settings"),
             ({"model": {}, "quantizer": {"n_classes": 0}, "step": 0}, "need at least one class"),
@@ -752,7 +738,19 @@ class TestBadInputs:
             ({"model": {"n_classes": 1}, "quantizer": {"n_classes": True}, "step": 0}, "n_classes must be an integer"),
             (
                 {"model": {"norm": "global_layer"}, "quantizer": {"n_classes": 100}, "step": 0},
-                "norm 'global_layer' is not supported, only batch norm",
+                "norm 'global_layer' is not supported, only 'batch'",
+            ),
+            (
+                {"model": {"kernel_size": 5}, "quantizer": {"n_classes": 100}, "step": 0},
+                "kernel_size 5 is not supported, only 3",
+            ),
+            (
+                {
+                    "model": {"repeats": 0, "conv_channels": 0, "dtype": "float16"},
+                    "quantizer": {"n_classes": 100},
+                    "step": 0,
+                },
+                "conv_channels must be positive | repeats must be positive | dtype must be float32 or float64",
             ),
             (
                 {"model": {"sample_rate": 10**13}, "quantizer": {"n_classes": 100}, "step": 0},
@@ -776,6 +774,8 @@ class TestBadInputs:
             "float-quantizer-pad",
             "bool-quantizer-classes",
             "global-layer-norm",
+            "wider-kernel",
+            "several-bad-model-fields",
             "huge-sample-rate",
         ],
     )
@@ -1219,7 +1219,7 @@ class TestUsageErrors:
             ("train", "training", "crop_seconds", "inf"),
             ("train", "training", "recon_weight", "nan"),
             ("simulate", "simulate", "duration_seconds", "inf"),
-            ("simulate", "simulate", "snr_lo", "nan"),
+            ("simulate", "simulate", "perturb_prob", "nan"),
         ],
     )
     def test_non_finite_float_is_config_error(self, tmp_path, capsys, command, section, key, value):

@@ -7,14 +7,16 @@ import os
 import pytest
 
 from speechq import cli
-from speechq.config import MAX_SECONDS, MAX_SNR_DB, ConfigError, RunConfig, TrainingConfig
+from speechq.config import MAX_SECONDS, ConfigError, RunConfig, SimulateConfig, TrainingConfig
+from speechq.labels import QuantizerConfig
+from speechq.model import ModelConfig
+from speechq.signal import StftConfig
 
 DEFAULTS = {
     "model": {
         "sample_rate": 16000,
         "bottleneck_channels": 256,
         "conv_channels": 512,
-        "kernel_size": 3,
         "blocks_per_repeat": 8,
         "repeats": 4,
         "n_classes": 100,
@@ -36,8 +38,6 @@ DEFAULTS = {
         "holdout_count": 0,
         "duration_seconds": 1.0,
         "seed": 0,
-        "snr_lo": -12.0,
-        "snr_hi": 30.0,
         "perturb_prob": 0.0,
         "rir_paths": [],
     },
@@ -49,7 +49,6 @@ EVERY_KEY = """
 sample_rate = 8000
 bottleneck_channels = 16
 conv_channels = 32
-kernel_size = 5
 blocks_per_repeat = 3
 repeats = 2
 n_classes = 24
@@ -74,8 +73,6 @@ count = 7
 holdout_count = 2
 duration_seconds = 1.5
 seed = 4
-snr_lo = -5
-snr_hi = 10.5
 perturb_prob = 0.25
 rir_paths = a.wav
 """
@@ -85,7 +82,6 @@ EVERY_KEY_PARSED = {
         "sample_rate": 8000,
         "bottleneck_channels": 16,
         "conv_channels": 32,
-        "kernel_size": 5,
         "blocks_per_repeat": 3,
         "repeats": 2,
         "n_classes": 24,
@@ -107,8 +103,6 @@ EVERY_KEY_PARSED = {
         "holdout_count": 2,
         "duration_seconds": 1.5,
         "seed": 4,
-        "snr_lo": -5.0,
-        "snr_hi": 10.5,
         "perturb_prob": 0.25,
         "rir_paths": ["a.wav"],
     },
@@ -244,7 +238,7 @@ class TestErrors:
                 """
 [model]
 sample_rate = fast
-kernel_size = 4
+repeats = 0
 n_classes = 7
 
 [quantizer]
@@ -266,8 +260,6 @@ bogus = x
 count = -1
 duration_seconds = 0.1
 perturb_prob = 2
-snr_lo = 10
-snr_hi = 0
 colour = red
 
 [extra]
@@ -281,7 +273,7 @@ a = 1
                     "unknown key 'pad' in section [quantizer]",
                     "model n_classes = 7 must equal quantizer classes + padding = 10",
                     "[model] sample_rate = 'fast' is not a valid int",
-                    "kernel size must be odd for same-length padding",
+                    "repeats must be positive",
                     "training lr must be positive, got -1.0",
                     "unknown key 'beta1' in section [training]",
                     "recon_weight must be non-negative",
@@ -289,7 +281,6 @@ a = 1
                     "simulate counts must be non-negative",
                     "simulate duration_seconds must be at least 0.2",
                     "perturb_prob must lie in [0, 1]",
-                    "snr_hi must be >= snr_lo",
                 },
             ),
             (
@@ -322,11 +313,20 @@ path = y
                 },
             ),
             (
-                "[quantizer]\nn_classes = ten\n[model]\nkernel_size = 4\n",
-                {"[quantizer] n_classes = 'ten' is not a valid int", "kernel size must be odd for same-length padding"},
+                "[quantizer]\nn_classes = ten\n[model]\nconv_channels = 0\n",
+                {"[quantizer] n_classes = 'ten' is not a valid int", "conv_channels must be positive"},
+            ),
+            (
+                "[model]\ndtype = float16\nrepeats = 0\nconv_channels = 0\n[quantizer]\nn_classes = 0\n",
+                {
+                    "need at least one class",
+                    "conv_channels must be positive",
+                    "repeats must be positive",
+                    "dtype must be float32 or float64",
+                },
             ),
         ],
-        ids=["every-section", "fallback-quantizer", "quantizer-parse"],
+        ids=["every-section", "fallback-quantizer", "quantizer-parse", "every-model-field"],
     )
     def test_every_fault_is_reported(self, tmp_path, text, expected):
         assert config_errors(tmp_path, text) == expected
@@ -376,44 +376,20 @@ path = y
         assert stderr_problems(err, path) == [f"{section} {key} must be at most 3600, got 1e+308"]
         assert not never.exists()
 
-    @pytest.mark.parametrize("value", ["300.5", "-300.5", "1e308", "-1e308"])
-    def test_snr_keys_are_bounded(self, tmp_path, value):
-        errors = config_errors(tmp_path, f"[simulate]\nsnr_lo = {value}\nsnr_hi = {value}\n")
-        assert errors == {
-            f"simulate {key} must lie in [-300, 300] dB, got {float(value):g}" for key in ("snr_lo", "snr_hi")
-        }
-
-    @pytest.mark.parametrize("value", ["1e308", "-1e308"])
-    def test_huge_snr_exits_1_and_writes_nothing(self, tmp_path, capsys, value):
-        never = tmp_path / "never_created"
-        text = TINY.format(seed=1) + f"snr_lo = {value}\nsnr_hi = {value}\n\n[output]\ndir = {never}\n"
-        path = tmp_path / "loud.ini"
-        path.write_text(text)
-        assert cli.main(["simulate", "--config", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert stderr_problems(err, path) == [
-            f"simulate {key} must lie in [-300, 300] dB, got {float(value):g}" for key in ("snr_lo", "snr_hi")
-        ]
-        assert not never.exists()
-
-    @pytest.mark.parametrize("value", ["-300", "300"])
-    def test_300_db_is_allowed(self, tmp_path, capsys, value):
-        text = TINY.format(seed=1) + f"snr_lo = {value}\nsnr_hi = {value}\n\n[output]\ndir = {tmp_path / 'out'}\n"
-        assert abs(load(tmp_path, text, name="edge.ini").simulate.snr_lo) == MAX_SNR_DB == 300
-        assert cli.main(["simulate", "--config", str(tmp_path / "edge.ini")]) == 0
-        assert capsys.readouterr().err == ""
-
     @pytest.mark.parametrize(
         "section, key, value",
         [
             ("model", "norm", "batch"),
+            ("model", "kernel_size", "3"),
             ("training", "rank_loss", "true"),
             ("training", "rank_weight", "1.0"),
             ("training", "beta1", "0.9"),
             ("training", "beta2", "0.999"),
             ("quantizer", "pad", "0"),
+            ("simulate", "snr_lo", "-12"),
+            ("simulate", "snr_hi", "30"),
         ],
-        ids=["norm", "rank_loss", "rank_weight", "beta1", "beta2", "pad"],
+        ids=["norm", "kernel_size", "rank_loss", "rank_weight", "beta1", "beta2", "pad", "snr_lo", "snr_hi"],
     )
     @pytest.mark.parametrize("command", ["simulate", "train"])
     def test_removed_keys_exit_1_and_write_nothing(self, tmp_path, capsys, command, section, key, value):
@@ -434,10 +410,12 @@ path = y
             ("train", ["--seed", "8"]),
             ("predict", ["--decoder", "max"]),
             ("eval", ["--decoder", "max"]),
+            ("eval", ["--out", "report.txt"]),
         ],
-        ids=["simulate-seed", "train-seed", "predict-decoder", "eval-decoder"],
+        ids=["simulate-seed", "train-seed", "predict-decoder", "eval-decoder", "eval-out"],
     )
-    def test_removed_flags_exit_1_and_write_nothing(self, tmp_path, capsys, command, flag):
+    def test_removed_flags_exit_1_and_write_nothing(self, tmp_path, capsys, monkeypatch, command, flag):
+        monkeypatch.chdir(tmp_path)  # so a relative report path would land in tmp_path
         never = tmp_path / "never_created"
         config = tmp_path / "run.ini"
         config.write_text(TINY.format(seed=1) + f"\n[data]\nmanifest = m.tsv\n[output]\ndir = {never}\n")
@@ -445,7 +423,7 @@ path = y
             "simulate": ["--config", str(config)],
             "train": ["--config", str(config)],
             "predict": ["--checkpoint", str(tmp_path / "model.ckpt"), str(tmp_path / "a.wav")],
-            "eval": ["--checkpoint", str(tmp_path / "model.ckpt"), "--manifest", "m.tsv", "--out", str(never)],
+            "eval": ["--checkpoint", str(tmp_path / "model.ckpt"), "--manifest", "m.tsv"],
         }[command]
         assert cli.main([command, *args, *flag]) == 1
         assert capsys.readouterr() == ("", f"configuration error: unrecognized arguments: {' '.join(flag)}\n")
@@ -565,6 +543,85 @@ class TestTrainingConfig:
             "training max_steps must be positive, got -1",
             "recon_weight must be non-negative",
         ]
+
+    @pytest.mark.parametrize(
+        "name, problem",
+        [
+            ("lr", "training lr must be positive, got nan"),
+            ("crop_seconds", "training crop_seconds must be positive, got nan"),
+            ("recon_weight", "recon_weight must be non-negative"),
+        ],
+    )
+    def test_nan_raises(self, name, problem):
+        with pytest.raises(ConfigError) as info:
+            TrainingConfig(**{name: float("nan")})
+        assert str(info.value) == problem
+
+
+class TestSimulateConfig:
+    """A SimulateConfig built in Python is checked like the [simulate] section of a file."""
+
+    @pytest.mark.parametrize(
+        "values, problem",
+        [
+            ({"seed": -1}, "simulate seed must be non-negative, got -1"),
+            ({"count": -1}, "simulate counts must be non-negative"),
+            ({"holdout_count": -1}, "simulate counts must be non-negative"),
+            ({"duration_seconds": 0.1}, "simulate duration_seconds must be at least 0.2"),
+            ({"duration_seconds": float("nan")}, "simulate duration_seconds must be at least 0.2"),
+            ({"duration_seconds": 3600.5}, "simulate duration_seconds must be at most 3600, got 3600.5"),
+            ({"perturb_prob": 1.5}, "perturb_prob must lie in [0, 1]"),
+            ({"perturb_prob": float("nan")}, "perturb_prob must lie in [0, 1]"),
+        ],
+        ids=[
+            "seed", "count", "holdout_count", "duration-short", "duration-nan", "duration-past-an-hour",
+            "perturb_prob", "perturb_prob-nan",
+        ],
+    )
+    def test_each_bad_value_raises(self, values, problem):
+        with pytest.raises(ConfigError) as info:
+            SimulateConfig(**values)
+        assert str(info.value) == problem
+
+    def test_every_problem_on_one_line(self):
+        with pytest.raises(ConfigError) as info:
+            SimulateConfig(count=-5, perturb_prob=7)
+        assert str(info.value).split(" | ") == [
+            "simulate counts must be non-negative",
+            "perturb_prob must lie in [0, 1]",
+        ]
+
+
+class TestFrozenSections:
+    @pytest.mark.parametrize(
+        "section, name, value",
+        [
+            (ModelConfig(), "sample_rate", 8000),
+            (ModelConfig(), "stft", StftConfig(8000)),
+            (StftConfig(16000), "window_len", 256),
+            (QuantizerConfig(10), "pad", 2),
+            (TrainingConfig(), "max_steps", 0),
+            (SimulateConfig(), "count", -5),
+        ],
+        ids=["model", "model-stft", "stft", "quantizer", "training", "simulate"],
+    )
+    def test_assignment_raises(self, section, name, value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(section, name, value)
+        assert getattr(section, name) != value
+
+    def test_replace_derives_and_checks_again(self):
+        model = dataclasses.replace(ModelConfig(), sample_rate=8000)
+        assert model.stft == StftConfig(8000) and model.stft.window_len == 256
+        with pytest.raises(ConfigError, match="training max_steps must be positive"):
+            dataclasses.replace(TrainingConfig(), max_steps=0)
+        with pytest.raises(ConfigError, match="simulate counts must be non-negative"):
+            dataclasses.replace(SimulateConfig(), count=-5)
+
+    def test_run_config_out_dir_stays_settable(self, tmp_path):
+        run = load(tmp_path, "")
+        run.out_dir = str(tmp_path / "elsewhere")
+        assert run.out_dir == str(tmp_path / "elsewhere")
 
 
 class TestOverrides:

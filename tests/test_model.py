@@ -201,7 +201,7 @@ class TestScoringForward:
 
 
 class TestParamLayout:
-    @pytest.mark.parametrize("overrides", [{}, {"blocks_per_repeat": 3, "repeats": 2, "kernel_size": 5}])
+    @pytest.mark.parametrize("overrides", [{}, {"blocks_per_repeat": 3, "repeats": 2}])
     def test_matches_init_params(self, overrides):
         cfg = tiny_cfg(**overrides)
         layout = dict(mdl.param_layout(cfg))
@@ -218,7 +218,7 @@ class TestParamLayout:
         cfg = tiny_cfg(dtype=dtype, blocks_per_repeat=3, repeats=2)
         rng = np.random.default_rng(9)
         dt = cfg.np_dtype
-        f, cb, cc, k = cfg.stft.n_bins, cfg.bottleneck_channels, cfg.conv_channels, cfg.kernel_size
+        f, cb, cc, k = cfg.stft.n_bins, cfg.bottleneck_channels, cfg.conv_channels, mdl.KERNEL_SIZE
 
         def uniform(shape, fan_in):
             bound = 1.0 / np.sqrt(fan_in)

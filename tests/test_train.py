@@ -1,6 +1,7 @@
 """The training objective: the step and validation both assemble it through
 losses.joint_loss, and must give what the separate assemblies gave before."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -207,9 +208,7 @@ class TestStreamedEntries:
     def test_training_is_bit_equal(self, tmp_path):
         streamed, in_memory = self.manifest_and_memory(tmp_path)
         run = tiny_run(recon_weight=0.5, reduction="mean")
-        run.training.crop_seconds = 0.2
-        run.training.max_steps = 4
-        run.training.val_every = 2
+        run.training = dataclasses.replace(run.training, crop_seconds=0.2, max_steps=4, val_every=2)
         finals = []
         for name, entries in (("streamed", streamed), ("memory", in_memory)):
             run.out_dir = str(tmp_path / name)
@@ -225,7 +224,7 @@ class TestStreamedEntries:
 def test_crop_shorter_than_a_window_fails_before_any_output(tmp_path):
     # crop_seconds changed after parsing: 160 samples, under the 512-sample window.
     run = tiny_run()
-    run.training.crop_seconds = 0.01
+    run.training = dataclasses.replace(run.training, crop_seconds=0.01)
     run.out_dir = str(tmp_path / "run")
     entries = [dt.DatasetEntry(dt.synth_clean("chirp", 0.25, seed=i), None, 2.0) for i in range(2)]
     assert len(entries[0].degraded) == 4000
