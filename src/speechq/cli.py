@@ -8,8 +8,9 @@ the expectation decoder's report and then the argmax decoder's, on stdout
 only: it writes no file.
 
 Exit codes: 0 success, 1 usage/configuration error, 2 data error (also
-any other file a command cannot read or write), 3 numerical failure. A Python
-warning raised while a command runs is printed as one
+any other file a command cannot read or write, and an input too large for
+the memory at hand: ``data error: out of memory: <message>``), 3 numerical
+failure. A Python warning raised while a command runs is printed as one
 ``warning: <message>`` line on stderr.
 
 ``main`` owns the process, so it also tunes the C allocator through
@@ -228,6 +229,9 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
         except (ManifestError, WavFormatError, CheckpointError, OSError) as exc:
             print(f"data error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except MemoryError as exc:
+            print(f"data error: out of memory: {exc}", file=sys.stderr)
             return EXIT_DATA
         except FloatingPointError as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)

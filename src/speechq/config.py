@@ -12,7 +12,7 @@ only when finite) and defaults to the field's default. The exceptions:
   sets [quantizer] pad (0 for one-hot, 2 for soft), which is not a key;
 - [model] n_classes defaults to, and must equal, the quantizer's classes
   plus padding;
-- [simulate] rir_paths is a comma-separated list;
+- [simulate] rir_paths is a comma-separated list, parsed to a tuple;
 - [simulate] rir_paths, [data] manifest and val_manifest and [output] dir
   are paths, resolved against the config file's directory;
 - a [training] crop_seconds crop holds at least one analysis window at
@@ -39,7 +39,7 @@ import configparser
 import math
 import os
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .labels import QuantizerConfig
 from .model import ModelConfig
@@ -97,7 +97,7 @@ class SimulateConfig:
     duration_seconds: float = 1.0
     seed: int = 0
     perturb_prob: float = 0.0
-    rir_paths: list = field(default_factory=list)
+    rir_paths: tuple = ()
 
     def __post_init__(self):
         problems = []
@@ -146,8 +146,8 @@ def _build(cls, values: dict, errors: list):
 
 def _parse(parser, section: str, key: str, kind):
     raw = parser.get(section, key)
-    if kind is list:
-        return [p.strip() for p in raw.split(",") if p.strip()]
+    if kind is tuple:
+        return tuple(p.strip() for p in raw.split(",") if p.strip())
     value = kind(raw)
     if kind is float and not math.isfinite(value):
         raise ValueError("not finite")
@@ -229,7 +229,7 @@ class RunConfig:
         def resolve(p: str) -> str:
             return p if os.path.isabs(p) else os.path.join(base, p)
 
-        rir_paths = [resolve(p) for p in given["simulate"].get("rir_paths", [])]
+        rir_paths = tuple(resolve(p) for p in given["simulate"].get("rir_paths", ()))
         simulate = _build(SimulateConfig, {**given["simulate"], "rir_paths": rir_paths}, errors)
         paths = {**given["data"], "out_dir": given["output"].get("dir", cls.out_dir)}
         paths = {name: resolve(p) for name, p in paths.items()}

@@ -27,10 +27,8 @@ parameters, Adam's two moments and, per op, only:
 - conv1d_depthwise_dilated: its input (for the kernel gradient), or the
   recipe of a train-mode batch-norm input;
 - mul: its inputs; softmax: its output;
-- complex_mask_apply: the inputs the other side's gradient reads (the
-  spectrogram, when only the mask needs gradients);
-- add, sub, scale, sum, mean, cast, cumsum, istft_synthesis:
-  shapes and dtypes only.
+- istft_synthesis: the spectrogram's real and imaginary parts;
+- add, sub, scale, sum, mean, cast, cumsum: shapes and dtypes only.
 
 An op output that no VJP reads (a PReLU output, the last 1x1 conv of a
 residual block, the mask heads) or that it reads through a recipe (a
@@ -532,61 +530,34 @@ def conv1d_depthwise_dilated(x, kernel, bias, dilation: int) -> Tensor:
 # spectral ops
 
 
-def complex_mask_apply(mask_real, mask_imag, spec_real, spec_imag) -> Tensor:
-    """Complex multiply of a real/imaginary mask pair with a spectrogram.
+def istft_synthesis(mask_real, mask_imag, spec: np.ndarray, cfg: StftConfig) -> Tensor:
+    """Differentiable inverse STFT of a constant (B, F, T) complex spectrogram
+    under a complex mask, given as its real and imaginary parts.
 
-    All four inputs share one shape; the output stacks the masked real and
-    imaginary parts along a new leading axis of size 2.
+    The masked spectrum is formed in the masks' dtype and resynthesized as
+    :func:`speechq.signal.istft` does, into (B, L) with L = (T - 1) * hop +
+    window. Only the masks get gradients.
     """
     mr, mi = as_tensor(mask_real), as_tensor(mask_imag)
-    yr, yi = as_tensor(spec_real), as_tensor(spec_imag)
-    shape = mr.values.shape
-    for t in (mi, yr, yi):
-        if t.values.shape != shape:
-            raise ValueError("mask/spectrogram shapes must all match")
-    out_r = mr.values * yr.values - mi.values * yi.values
-    out_i = mr.values * yi.values + mi.values * yr.values
-    mr_grad, mi_grad, yr_grad, yi_grad = (t.requires_grad for t in (mr, mi, yr, yi))
-    # The mask gradients read the spectrogram and the other way round.
-    read_mr, read_mi = (_keep(mr), _keep(mi)) if yr_grad or yi_grad else (None, None)
-    read_yr, read_yi = (_keep(yr), _keep(yi)) if mr_grad or mi_grad else (None, None)
+    shape, dtype = mr.values.shape, mr.values.dtype
+    if len(shape) != 3 or shape[1] != cfg.n_bins or mi.values.shape != shape or spec.shape != shape:
+        raise ValueError(
+            f"expected (B, {cfg.n_bins}, T) masks and spectrogram, got {shape}, {mi.values.shape} and {spec.shape}"
+        )
+    yr, yi = spec.real.astype(dtype), spec.imag.astype(dtype)
+    masked = np.empty(shape, dtype=np.complex64 if dtype == np.float32 else np.complex128)
+    masked.real = mr.values * yr - mi.values * yi
+    masked.imag = mr.values * yi + mi.values * yr
 
     def vjp(g):
-        g0, g1 = g[0], g[1]
-        gmr = g0 * read_yr() + g1 * read_yi() if mr_grad else None
-        gmi = -g0 * read_yi() + g1 * read_yr() if mi_grad else None
-        gyr = g0 * read_mr() + g1 * read_mi() if yr_grad else None
-        gyi = -g0 * read_mi() + g1 * read_mr() if yi_grad else None
-        return gmr, gmi, gyr, gyi
+        # C-ordered copies: the reductions downstream sum in memory order, so
+        # a transposed layout would change their rounding.
+        sg = _synthesize_adjoint(g, shape[2], cfg)
+        g0 = np.ascontiguousarray(sg.real, dtype=dtype)
+        g1 = np.ascontiguousarray(sg.imag, dtype=dtype)
+        return g0 * yr + g1 * yi, -g0 * yi + g1 * yr
 
-    return _make(np.stack([out_r, out_i]), (mr, mi, yr, yi), vjp)
-
-
-def istft_synthesis(spec_stack, cfg: StftConfig) -> Tensor:
-    """Differentiable inverse STFT of a (2, B, F, T) real/imaginary stack.
-
-    Mirrors :func:`speechq.signal.istft` numerically; output is (B, L) with
-    L = (T - 1) * hop + window.
-    """
-    x = as_tensor(spec_stack)
-    if x.values.ndim != 4 or x.values.shape[0] != 2 or x.values.shape[2] != cfg.n_bins:
-        raise ValueError(f"expected (2, B, {cfg.n_bins}, T) stack, got {x.values.shape}")
-    shape, dtype = x.values.shape, x.values.dtype
-    n_frames = shape[3]
-    cdtype = np.complex64 if dtype == np.float32 else np.complex128
-    spec = (x.values[0] + 1j * x.values[1]).astype(cdtype)
-    out = _synthesize(spec, cfg)
-
-    def vjp(g):
-        # Filled into a C-ordered array: the reductions downstream sum in
-        # memory order, so a transposed layout would change their rounding.
-        sg = _synthesize_adjoint(g, n_frames, cfg)
-        grad = np.empty(shape, dtype=dtype)
-        grad[0] = sg.real
-        grad[1] = sg.imag
-        return (grad,)
-
-    return _make(out, (x,), vjp)
+    return _make(_synthesize(masked, cfg), (mr, mi), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -200,13 +200,7 @@ def forward_graph(
     recon = None
     if compute_reconstruction:
         mask_r, mask_i = (dc.conv1d_pointwise(h, params[f"{head}.w"], params[f"{head}.b"]) for head in MASK_HEADS)
-        masked = dc.complex_mask_apply(
-            mask_r,
-            mask_i,
-            dc.constant(specs.real.astype(dt)),
-            dc.constant(specs.imag.astype(dt)),
-        )
-        recon = dc.istft_synthesis(masked, cfg.stft)
+        recon = dc.istft_synthesis(mask_r, mask_i, specs, cfg.stft)
 
     logits = dc.conv1d_pointwise(h, params["quality.w"], params["quality.b"])
     pooled = dc.mean(logits, axis=2)

@@ -399,11 +399,8 @@ def _synthesize(spec: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """Windowed overlap-add synthesis of (..., F, T) complex spectra into (..., L).
 
     The imaginary parts of the DC and Nyquist bins cannot contribute to a
-    real signal and are discarded explicitly.
+    real signal; ``irfft`` ignores them.
     """
-    spec = np.array(spec)
-    spec[..., 0, :] = spec[..., 0, :].real
-    spec[..., -1, :] = spec[..., -1, :].real
     frames = np.fft.irfft(np.swapaxes(spec, -1, -2), n=cfg.window_len, axis=-1)  # (..., T, window_len)
     frames *= cfg.window.astype(frames.dtype)
     out = _overlap_add(frames, cfg.hop_len)

@@ -282,7 +282,7 @@ def run_training(
             if step % val_every == 0 or step == tcfg.max_steps:
                 if log_stream is not None:
                     log_stream(f"step {step}/{tcfg.max_steps} total={total_value:.4f}")
-                score = _validation_total(run, params, val_entries, quant) if val_entries else total_value
+                score = _validation_total(run, params, val_entries, quant, use_recon) if val_entries else total_value
                 if score <= best_total:
                     best_total = score
                     save_run_checkpoint(best_path, run.model, quant, params, optimizer, step)
@@ -291,14 +291,17 @@ def run_training(
     return TrainResult(final_checkpoint=final_path, best_checkpoint=best_path, history=history)
 
 
-def _validation_total(run: RunConfig, params, val_entries, quant) -> float:
-    """Mean joint objective over the validation entries, eval mode, no graph recorded."""
+def _validation_total(run: RunConfig, params, val_entries, quant, use_recon: bool) -> float:
+    """Mean joint objective over the validation entries, eval mode, no graph recorded.
+
+    ``use_recon`` is the training run's choice of objective, so a run that
+    trains quality only is scored without its untrained mask heads.
+    """
     frozen = {name: dc.constant(t.values) for name, t in params.items()}
     targets = lb.targets([e.label for e in val_entries], quant)
     total = 0.0
     for entry, row in zip(val_entries, targets):
-        use_clean = run.training.recon_weight > 0 and entry.clean is not None
-        clean = entry.clean.samples[None, :] if use_clean else None
+        clean = entry.clean.samples[None, :] if use_recon and entry.clean is not None else None
         loss, _recon, _emd = _objective(
             run, frozen, entry.degraded.samples[None, :], clean, row[None, :], training=False
         )

@@ -46,6 +46,7 @@ def _primitive_cases(rng):
     dilation = int(rng.integers(1, 5))
     stft_cfg = sig.StftConfig(500)
     run_mean, run_var = dc.Tensor(np.zeros(c)), dc.Tensor(np.ones(c))
+    spec = rng.standard_normal((b, 9, 5)) + 1j * rng.standard_normal((b, 9, 5))
     cases = {
         "conv1d_pointwise": (
             lambda x, w, bias: dc.conv1d_pointwise(x, w, bias),
@@ -72,16 +73,12 @@ def _primitive_cases(rng):
         "sum": (lambda x: dc.sum(x, axis=-1), [rng.standard_normal((b, t))]),
         "add": (lambda x, y: dc.add(x, y), [rng.standard_normal((c, t)), rng.standard_normal((c, t))]),
         "mul": (lambda x, y: dc.mul(x, y), [rng.standard_normal((c, t)), rng.standard_normal((c, t))]),
-        "complex_mask_apply": (
-            lambda mr, mi, yr, yi: dc.complex_mask_apply(mr, mi, yr, yi),
-            [rng.standard_normal((b, c, t)) for _ in range(4)],
-        ),
         "cumsum": (lambda x: dc.cumsum(x), [rng.standard_normal((b, t))]),
         "cast": (lambda x: dc.cast(x, np.float64), [rng.standard_normal(t)]),
         "scale": (lambda x: dc.scale(x, -1.7), [rng.standard_normal(t)]),
         "istft_synthesis": (
-            lambda s: dc.istft_synthesis(s, stft_cfg),
-            [rng.standard_normal((2, b, 9, 5))],
+            lambda mr, mi: dc.istft_synthesis(mr, mi, spec, stft_cfg),
+            [rng.standard_normal((b, 9, 5)) for _ in range(2)],
         ),
     }
     return cases

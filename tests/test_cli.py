@@ -565,6 +565,22 @@ class TestBadInputs:
             ["predict", "--checkpoint", fresh_checkpoint, short], capsys, "shorter than one window"
         )
 
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_out_of_memory_exits_2_in_one_line(self, fresh_checkpoint, wav, tmp_path, capsys, monkeypatch, command):
+        # A stand-in for an input too long to score; nothing is allocated.
+        def scoring_too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.29 GiB for an array with shape (1, 257, 1200001)")
+
+        monkeypatch.setattr(mdl, "forward", scoring_too_large)
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"degraded_path\tlabel\n{wav}\t2.0\n")
+        argv = {"predict": [wav], "eval": ["--manifest", manifest]}[command]
+        self.assert_data_error(
+            [command, "--checkpoint", fresh_checkpoint, *argv],
+            capsys,
+            "data error: out of memory: Unable to allocate 2.29 GiB",
+        )
+
     def test_short_wav_eval(self, fresh_checkpoint, tmp_path, capsys):
         from speechq.signal import Waveform, save_wav
 

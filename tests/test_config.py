@@ -39,7 +39,7 @@ DEFAULTS = {
         "duration_seconds": 1.0,
         "seed": 0,
         "perturb_prob": 0.0,
-        "rir_paths": [],
+        "rir_paths": (),
     },
 }
 
@@ -104,7 +104,7 @@ EVERY_KEY_PARSED = {
         "duration_seconds": 1.5,
         "seed": 4,
         "perturb_prob": 0.25,
-        "rir_paths": ["a.wav"],
+        "rir_paths": ("a.wav",),
     },
 }
 
@@ -186,7 +186,7 @@ class TestParse:
     def test_every_key_parses_to_its_type(self, tmp_path):
         values = section_values(load(tmp_path, EVERY_KEY))
         assert values == EVERY_KEY_PARSED | {
-            "simulate": EVERY_KEY_PARSED["simulate"] | {"rir_paths": [os.path.join(str(tmp_path), "a.wav")]}
+            "simulate": EVERY_KEY_PARSED["simulate"] | {"rir_paths": (os.path.join(str(tmp_path), "a.wav"),)}
         }
         for section, expected in EVERY_KEY_PARSED.items():
             for key, value in expected.items():
@@ -204,7 +204,7 @@ class TestParse:
     def test_rir_paths_split_on_commas(self, tmp_path, raw, expected):
         # Relative paths resolve against the config file's directory.
         paths = load(tmp_path, f"[simulate]\nrir_paths = {raw}\n").simulate.rir_paths
-        assert paths == [os.path.join(str(tmp_path), p) for p in expected]
+        assert paths == tuple(os.path.join(str(tmp_path), p) for p in expected)
 
     def test_data_and_output_paths_resolve_against_config_dir(self, tmp_path):
         sub = tmp_path / "configs"
@@ -617,6 +617,18 @@ class TestFrozenSections:
             dataclasses.replace(TrainingConfig(), max_steps=0)
         with pytest.raises(ConfigError, match="simulate counts must be non-negative"):
             dataclasses.replace(SimulateConfig(), count=-5)
+
+    def test_simulate_rir_paths_cannot_be_edited_in_place(self, tmp_path):
+        sim = load(tmp_path, "[simulate]\nrir_paths = a.wav, b.wav\n").simulate
+        assert type(sim.rir_paths) is tuple
+        with pytest.raises(AttributeError):
+            sim.rir_paths.append("c.wav")
+        assert len(sim.rir_paths) == 2
+
+    def test_simulate_section_hashes(self, tmp_path):
+        sim = load(tmp_path, "[simulate]\nrir_paths = a.wav\n").simulate
+        assert hash(sim) == hash(dataclasses.replace(sim))
+        assert hash(SimulateConfig()) == hash(SimulateConfig())
 
     def test_run_config_out_dir_stays_settable(self, tmp_path):
         run = load(tmp_path, "")

@@ -315,18 +315,23 @@ class TestGradientChecks:
 
         assert dc.gradient_check(fn, [x, gamma, beta, w, b]) < 1e-5
 
-    def test_complex_mask_apply(self):
-        rng = np.random.default_rng(5)
-        tensors = [dc.parameter(randn(rng, 2, 5, 4)) for _ in range(4)]
-        err = dc.gradient_check(lambda *a: dc.complex_mask_apply(*a), tensors)
-        assert err < 1e-6
-
     def test_istft_synthesis(self):
         rng = np.random.default_rng(6)
         cfg = StftConfig(500)
-        spec = dc.parameter(randn(rng, 2, 2, 9, 5))
-        err = dc.gradient_check(lambda s: dc.istft_synthesis(s, cfg), [spec])
+        spec = randn(rng, 2, 9, 5) + 1j * randn(rng, 2, 9, 5)
+        masks = [dc.parameter(randn(rng, 2, 9, 5)) for _ in range(2)]
+        err = dc.gradient_check(lambda mr, mi: dc.istft_synthesis(mr, mi, spec, cfg), masks)
         assert err < 1e-6
+
+    @pytest.mark.parametrize(
+        "mask_shape, spec_shape",
+        [((2, 9, 5), (2, 9, 4)), ((2, 8, 5), (2, 8, 5)), ((9, 5), (9, 5))],
+        ids=["spec-frames", "bins", "unbatched"],
+    )
+    def test_istft_synthesis_rejects_mismatched_shapes(self, mask_shape, spec_shape):
+        mask = dc.parameter(np.ones(mask_shape))
+        with pytest.raises(ValueError, match="masks and spectrogram"):
+            dc.istft_synthesis(mask, mask, np.ones(spec_shape, dtype=complex), StftConfig(500))
 
 
 class TestBatchNormEval:

@@ -134,22 +134,27 @@ class TestOverlapAdd:
         rng = np.random.default_rng(7)
         n_frames = 7
         cdtype = np.complex64 if dtype == np.float32 else np.complex128
-        spec = random_spec(rng, cfg, n_frames, cdtype, lead=(3,))
-        stack = dc.parameter(np.stack([spec.real, spec.imag]).astype(dtype))
-        out = dc.istft_synthesis(stack, cfg)
+        # The model's spectrogram is complex128 at either training precision.
+        spec = random_spec(rng, cfg, n_frames, np.complex128, lead=(3,))
+        mr, mi = (rng.standard_normal(spec.shape).astype(dtype) for _ in range(2))
+        out = dc.istft_synthesis(dc.parameter(mr), dc.parameter(mi), spec, cfg)
+        yr, yi = spec.real.astype(dtype), spec.imag.astype(dtype)
         for b in range(3):
-            assert_identical(out.values[b], loop_synthesize(spec[b], cfg))
+            masked = (mr[b] * yr[b] - mi[b] * yi[b]) + 1j * (mr[b] * yi[b] + mi[b] * yr[b])
+            assert_identical(out.values[b], loop_synthesize(masked.astype(cdtype), cfg))
 
         g = rng.standard_normal(out.shape).astype(dtype)
-        (grad,) = out._vjp(g)
-        assert grad.dtype == dtype
-        # Reductions over this gradient sum in memory order, so its layout
-        # is part of the bit-exact contract with the per-row code.
-        assert grad.flags.c_contiguous
+        gmr, gmi = out._vjp(g)
+        for grad in (gmr, gmi):
+            assert grad.dtype == dtype
+            assert grad.shape == spec.shape
+            # Reductions over these gradients sum in memory order, so their
+            # layout is part of the bit-exact contract with the per-row code.
+            assert grad.flags.c_contiguous
         for b in range(3):
             ref = loop_synthesize_adjoint(g[b], n_frames, cfg)
-            assert np.array_equal(grad[0, b], ref.real)
-            assert np.array_equal(grad[1, b], ref.imag)
+            assert np.array_equal(gmr[b], ref.real * yr[b] + ref.imag * yi[b])
+            assert np.array_equal(gmi[b], -ref.real * yi[b] + ref.imag * yr[b])
 
 
 # Copies of the select-, padding- and temporary-based kernels that prelu,

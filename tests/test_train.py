@@ -109,7 +109,7 @@ class TestValidationTotal:
         run = tiny_run(recon_weight, reduction)
         params = trained_like(run.model)
         entries = make_entries(CLEAN_PATTERNS[clean])
-        got = tr._validation_total(run, params, entries, run.quantizer)
+        got = tr._validation_total(run, params, entries, run.quantizer, use_recon=recon_weight > 0)
         want = old_validation_total(run, params, entries, run.quantizer)
         if recon_weight in (0.0, 1.0):
             assert got == want
@@ -120,10 +120,37 @@ class TestValidationTotal:
         run = tiny_run()
         params = trained_like(run.model)
         before = {name: t.values.copy() for name, t in params.items()}
-        tr._validation_total(run, params, make_entries([True, False]), run.quantizer)
+        tr._validation_total(run, params, make_entries([True, False]), run.quantizer, use_recon=True)
         assert all(t.grad is None for t in params.values())
         for name, t in params.items():
             np.testing.assert_array_equal(t.values, before[name])
+
+    def test_quality_only_run_scores_validation_without_reconstruction(self, tmp_path, monkeypatch):
+        # Training entries without clean references train emd2 alone, so the
+        # validation entries' clean references must not add the td_mse of mask
+        # heads that Adam never updates.
+        scores = []
+
+        def spy(*args, **kwargs):
+            scores.append(validation_total(*args, **kwargs))
+            return scores[-1]
+
+        validation_total = tr._validation_total
+        monkeypatch.setattr(tr, "_validation_total", spy)
+        run = tiny_run()
+        run.training = dataclasses.replace(run.training, crop_seconds=0.2, max_steps=4, val_every=1)
+        val = make_entries([True, True, True])
+        runs = []
+        for name, val_entries in (("clean", val), ("stripped", [dataclasses.replace(e, clean=None) for e in val])):
+            scores.clear()
+            run.out_dir = str(tmp_path / name)
+            result = tr.run_training(run, make_entries([False] * 4), val_entries=val_entries)
+            runs.append((list(scores), dc.load_checkpoint(result.best_checkpoint)))
+        (got_scores, (arrays, header)), (want_scores, (want_arrays, want_header)) = runs
+        assert got_scores == want_scores
+        assert header == want_header
+        for name in want_arrays:
+            np.testing.assert_array_equal(arrays[name], want_arrays[name], err_msg=name)
 
 
 class TestStepLosses:
