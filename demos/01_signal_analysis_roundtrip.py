@@ -5,7 +5,7 @@ Run: python demos/01_signal_analysis_roundtrip.py
 
 import numpy as np
 
-from speechq import StftConfig, Waveform, istft, lps, stft
+from speechq.signal import StftConfig, Waveform, istft, lps, stft
 from speechq.data import synth_clean
 
 cfg = StftConfig(16000)

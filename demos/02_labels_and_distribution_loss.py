@@ -9,7 +9,8 @@ Run: python demos/02_labels_and_distribution_loss.py
 
 import numpy as np
 
-from speechq import QuantizerConfig, decode_expect, decode_max, emd2, one_hot, quantize, soft_label
+from speechq.labels import QuantizerConfig, decode_expect, decode_max, one_hot, quantize, soft_label
+from speechq.losses import emd2
 
 quant = QuantizerConfig(n_classes=100)
 print(f"{quant.n_classes} classes of width {quant.step} over [-0.5, 4.5]")

@@ -10,10 +10,11 @@ import tempfile
 
 import numpy as np
 
-from speechq import ModelConfig, QuantizerConfig
 from speechq import data as dt
 from speechq import train as tr
 from speechq.config import RunConfig, SimulateConfig, TrainingConfig
+from speechq.labels import QuantizerConfig
+from speechq.model import ModelConfig
 
 # Eight synthetic utterances whose proxy labels sweep the score range.
 entries = []

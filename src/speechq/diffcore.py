@@ -832,8 +832,9 @@ def save_checkpoint(path, arrays: dict, header: dict) -> None:
     The file is written under a temporary name in the target's directory
     and renamed over ``path`` once complete, so ``path`` holds its old
     contents or the whole new checkpoint, never a partial one; on an error
-    the temporary file is removed. This protects against a process crash,
-    not against a power loss: nothing is flushed to disk (no fsync).
+    the temporary file is removed, and an ``OSError`` of the write names
+    ``path``. This protects against a process crash, not against a power
+    loss: nothing is flushed to disk (no fsync).
     """
     head = dict(header)
     head["format_version"] = _FORMAT_VERSION
@@ -845,8 +846,10 @@ def save_checkpoint(path, arrays: dict, header: dict) -> None:
         with fh:
             _write_checkpoint(fh, blob, arrays)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         os.remove(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None and exc.filename is None:
+            exc.filename = path
         raise
 
 

@@ -51,16 +51,16 @@ def save_run_checkpoint(
     params: dict,
     optimizer: dc.Adam | None = None,
     step: int = 0,
+    best_total: float = np.inf,
 ) -> None:
+    """``best_total`` is the run's best validation score so far; the header
+    stores it only when finite, and a header without it reads as ``inf``."""
     arrays = {name: t.values for name, t in params.items()}
     if optimizer is not None:
         arrays.update(optimizer.state_arrays())
-    header = {
-        "model": cfg.to_dict(),
-        "quantizer": asdict(quant),
-        "step": int(step),
-        "has_optimizer": optimizer is not None,
-    }
+    header = {"model": cfg.to_dict(), "quantizer": asdict(quant), "step": int(step)}
+    if np.isfinite(best_total):
+        header["best_total"] = float(best_total)
     dc.save_checkpoint(path, arrays, header)
 
 
@@ -70,13 +70,20 @@ def load_run_checkpoint(path):
     Raises:
         CheckpointError: the file is not a checkpoint, its header lacks
             valid model and quantizer entries and a non-negative integer
-            step (a RETIRED_MODEL_KEYS key must hold its one legal value),
+            step (a RETIRED_MODEL_KEYS key must hold its one legal value,
+            and ``best_total``, when present, a number other than NaN),
             the quantizer's class count differs from the model's, or its
             arrays do not match the model's parameter names, shapes and
             dtype. Optimizer state is optional, but each ``opt.m.<p>``
             needs its ``opt.v.<p>`` (and the reverse) for a trainable
             parameter ``p``, with ``p``'s shape and dtype.
     """
+    return _read_run_checkpoint(path)[:5]
+
+
+def _read_run_checkpoint(path):
+    """load_run_checkpoint's tuple and the header's best validation score,
+    ``inf`` when the header has none."""
     arrays, header = dc.load_checkpoint(path)
     missing = [key for key in ("model", "quantizer", "step") if key not in header]
     if missing:
@@ -92,6 +99,9 @@ def load_run_checkpoint(path):
         step = header["step"]
         if isinstance(step, bool) or not isinstance(step, int) or step < 0:
             raise ValueError(f"step must be a non-negative integer, got {step!r}")
+        best_total = header.get("best_total", np.inf)
+        if isinstance(best_total, bool) or not isinstance(best_total, (int, float)) or best_total != best_total:
+            raise ValueError(f"best_total must be a number, got {best_total!r}")
     except (TypeError, ValueError, AttributeError) as exc:
         raise dc.CheckpointError(f"{path}: invalid run settings in checkpoint header: {exc}") from exc
     if quant.n_total != cfg.n_classes:
@@ -126,7 +136,23 @@ def load_run_checkpoint(path):
         name: dc.Tensor(arr, requires_grad=not mdl.is_buffer(name)) for name, arr in arrays.items() if name in layout
     }
     opt_arrays = {name: arr for name, arr in arrays.items() if name not in layout}
-    return cfg, quant, params, opt_arrays, step
+    return cfg, quant, params, opt_arrays, step, best_total
+
+
+def _truncate_log(path, step: int) -> None:
+    """Keep a training log's complete lines up to ``step`` and drop the rest,
+    which a run resumed at ``step`` writes again."""
+    try:
+        with open(path, "rb+") as fh:
+            end = 0
+            for line in fh:
+                head = line.partition(b" ")[0].removeprefix(b"step=")
+                if not (line.endswith(b"\n") and head.isdigit() and int(head) <= step):
+                    break
+                end += len(line)
+            fh.truncate(end)
+    except FileNotFoundError:
+        pass
 
 
 def _config_mismatch(saved, wanted, section: str) -> str | None:
@@ -198,13 +224,19 @@ def run_training(
 ) -> TrainResult:
     """Optimize the joint objective with Adam over the given entries.
 
-    Writes an append-only training log plus `final.ckpt` and `best.ckpt`
-    under ``run.out_dir``. ``resume_from`` continues a checkpointed run; the
-    model and quantizer settings must match the ones stored in the
-    checkpoint, or ``CheckpointError`` names the first that differs; a
-    checkpoint at or past ``max_steps`` is a ``CheckpointError`` too. A crop
-    shorter than one analysis window raises ``WavFormatError``; these checks
-    run before ``run.out_dir`` is created. A non-finite value raises
+    Writes a training log plus `final.ckpt` and `best.ckpt` under
+    ``run.out_dir``; every validation step flushes the log and then writes
+    `best.ckpt` (when the score improves) and `final.ckpt`, so a killed run
+    resumes from its last validation. ``resume_from`` continues a
+    checkpointed run; the model and quantizer settings must match the ones
+    stored in the checkpoint, or ``CheckpointError`` names the first that
+    differs; a checkpoint at or past ``max_steps`` is a ``CheckpointError``
+    too. The resumed run keeps the log's lines up to the checkpoint's step
+    and, if ``run.out_dir`` holds a `best.ckpt`, the checkpoint's best
+    validation score. A fresh run starts a new log
+    and raises ``FileExistsError`` if ``run.out_dir`` holds a checkpoint. A
+    crop shorter than one analysis window raises ``WavFormatError``; these
+    checks run before ``run.out_dir`` is created. A non-finite value raises
     ``FloatingPointError`` naming the step.
     """
     if not entries:
@@ -218,7 +250,7 @@ def run_training(
     use_recon = tcfg.recon_weight > 0 and any(e.clean is not None for e in entries)
 
     if resume_from is not None:
-        cfg, ck_quant, params, opt_arrays, start_step = load_run_checkpoint(resume_from)
+        cfg, ck_quant, params, opt_arrays, start_step, best_total = _read_run_checkpoint(resume_from)
         # The quantizer first: its class count also sets the model's.
         mismatch = _config_mismatch(ck_quant, quant, "quantizer") or _config_mismatch(cfg, run.model, "model")
         if mismatch:
@@ -230,7 +262,7 @@ def run_training(
                 f"{resume_from}: checkpoint is at step {start_step}, not before [training] max_steps {tcfg.max_steps}"
             )
     else:
-        params, opt_arrays, start_step = mdl.init_params(run.model, seed=tcfg.seed), {}, 0
+        params, opt_arrays, start_step, best_total = mdl.init_params(run.model, seed=tcfg.seed), {}, 0, np.inf
     trained = {k: v for k, v in params.items() if use_recon or k.partition(".")[0] not in mdl.MASK_HEADS}
     optimizer = dc.Adam(trained, lr=tcfg.lr)
     if opt_arrays:
@@ -246,12 +278,16 @@ def run_training(
     crop = min(round(tcfg.crop_seconds * run.model.sample_rate), min(len(e.degraded) for e in entries))
     run.model.stft.num_frames(crop)  # a crop shorter than one window fails before any output
 
-    os.makedirs(out_dir, exist_ok=True)
-    log_path = os.path.join(out_dir, "train_log.txt")
-    history = []
-    best_total = np.inf
     best_path = os.path.join(out_dir, "best.ckpt")
     final_path = os.path.join(out_dir, "final.ckpt")
+    if resume_from is None and (os.path.exists(final_path) or os.path.exists(best_path)):
+        raise FileExistsError(f"{out_dir} holds a checkpoint; resume it with --checkpoint or train elsewhere")
+    if not os.path.exists(best_path):
+        best_total = np.inf  # no best.ckpt here to keep: select among the steps this run trains
+    os.makedirs(out_dir, exist_ok=True)
+    log_path = os.path.join(out_dir, "train_log.txt")
+    _truncate_log(log_path, start_step)  # a fresh run, at step 0, starts an empty log
+    history = []
     val_every = tcfg.val_every if tcfg.val_every > 0 else max(1, tcfg.max_steps // 10)
 
     with open(log_path, "a", encoding="utf-8") as log:
@@ -283,11 +319,11 @@ def run_training(
                 if log_stream is not None:
                     log_stream(f"step {step}/{tcfg.max_steps} total={total_value:.4f}")
                 score = _validation_total(run, params, val_entries, quant, use_recon) if val_entries else total_value
+                log.flush()
                 if score <= best_total:
                     best_total = score
-                    save_run_checkpoint(best_path, run.model, quant, params, optimizer, step)
-
-    save_run_checkpoint(final_path, run.model, quant, params, optimizer, tcfg.max_steps)
+                    save_run_checkpoint(best_path, run.model, quant, params, optimizer, step, best_total)
+                save_run_checkpoint(final_path, run.model, quant, params, optimizer, step, best_total)
     return TrainResult(final_checkpoint=final_path, best_checkpoint=best_path, history=history)
 
 

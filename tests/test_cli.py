@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import os
@@ -289,6 +290,42 @@ class TestTrain:
         assert full_params.keys() == resumed_params.keys()
         for name in full_params:
             np.testing.assert_array_equal(full_params[name], resumed_params[name])
+
+    def test_fresh_run_into_a_used_directory_exits_2_before_writing(self, tmp_path, capsys):
+        data_dir = simulate_dataset(tmp_path, count=4, seed=15)
+        run_dir = tmp_path / "run"
+        config = write_config(
+            tmp_path,
+            TINY_MODEL.format(steps=4)
+            + f"\n[data]\nmanifest = {data_dir / 'manifest.tsv'}\n[output]\ndir = {run_dir}\n",
+        )
+        assert cli.main(["train", "--config", config]) == 0
+        capsys.readouterr()
+        before = {name: file_digest(run_dir / name) for name in sorted(os.listdir(run_dir))}
+        assert cli.main(["train", "--config", config]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"data error: {run_dir} holds a checkpoint; resume it with --checkpoint or train elsewhere\n",
+        )
+        assert {name: file_digest(run_dir / name) for name in sorted(os.listdir(run_dir))} == before
+        (run_dir / "final.ckpt").unlink()  # best.ckpt alone marks the directory as used too
+        assert cli.main(["train", "--config", config]) == 2
+
+    def test_fresh_run_starts_a_new_log(self, tmp_path, capsys):
+        # A run killed before its first validation leaves a log and no checkpoint.
+        data_dir = simulate_dataset(tmp_path, count=4, seed=15)
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "train_log.txt").write_text("step=1 td_mse=1.0 emd2=1.0 total=2.0 time=t\nstep=2 td_")
+        config = write_config(
+            tmp_path,
+            TINY_MODEL.format(steps=4)
+            + f"\n[data]\nmanifest = {data_dir / 'manifest.tsv'}\n[output]\ndir = {run_dir}\n",
+        )
+        assert cli.main(["train", "--config", config]) == 0
+        log_lines = (run_dir / "train_log.txt").read_text().splitlines()
+        assert [line.split()[0] for line in log_lines] == ["step=1", "step=2", "step=3", "step=4"]
+        assert "td_mse=1.000000" not in log_lines[0]
 
     def test_soft_labels_with_zero_pad_rejected_before_side_effects(self, tmp_path, capsys):
         run_dir = tmp_path / "never_created"
@@ -651,6 +688,26 @@ class TestBadInputs:
         assert capsys.readouterr() == ("", f"data error: {expected}\n")
         assert not (tmp_path / "run").exists()
 
+    def test_failed_checkpoint_write_names_its_path(self, tmp_path, capsys, monkeypatch):
+        from speechq import diffcore as dc
+
+        def too_large(fh, blob, arrays):
+            fh.write(blob)
+            raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+
+        data_dir = simulate_dataset(tmp_path, count=2, seed=31)
+        run_dir = tmp_path / "run"
+        config = write_config(
+            tmp_path,
+            TINY_MODEL.format(steps=2)
+            + f"\n[data]\nmanifest = {data_dir / 'manifest.tsv'}\n[output]\ndir = {run_dir}\n",
+        )
+        capsys.readouterr()
+        monkeypatch.setattr(dc, "_write_checkpoint", too_large)
+        expected = f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '{run_dir / 'best.ckpt'}'"
+        self.assert_data_error(["train", "--config", config], capsys, expected)
+        assert os.listdir(run_dir) == ["train_log.txt"]
+
     def test_binary_manifest(self, fresh_checkpoint, tmp_path, capsys):
         manifest = tmp_path / "m.tsv"
         manifest.write_bytes(bytes(range(256)))
@@ -772,6 +829,14 @@ class TestBadInputs:
                 {"model": {"sample_rate": 10**13}, "quantizer": {"n_classes": 100}, "step": 0},
                 "sample rate 10000000000000 Hz is above the maximum of 384000 Hz",
             ),
+            (
+                {"model": {}, "quantizer": {"n_classes": 100}, "step": 0, "best_total": "0.5"},
+                "best_total must be a number, got '0.5'",
+            ),
+            (
+                {"model": {}, "quantizer": {"n_classes": 100}, "step": 0, "best_total": float("nan")},
+                "best_total must be a number, got nan",
+            ),
         ],
         ids=[
             "no-model",
@@ -793,6 +858,8 @@ class TestBadInputs:
             "wider-kernel",
             "several-bad-model-fields",
             "huge-sample-rate",
+            "text-best-total",
+            "nan-best-total",
         ],
     )
     def test_checkpoint_without_valid_run_settings(self, wav, tmp_path, capsys, header, expected):

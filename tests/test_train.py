@@ -283,3 +283,103 @@ def test_resumed_optimizer_adopts_the_loaded_moments(tmp_path, monkeypatch):
     for name in resumed.params:
         np.testing.assert_array_equal(resumed.m[name], optimizer.m[name])
         np.testing.assert_array_equal(resumed.v[name], optimizer.v[name])
+
+
+class TestKilledRun:
+    """A run killed between two steps resumes from its final.ckpt, in the same
+    directory, to the checkpoints and log of the uninterrupted run."""
+
+    @staticmethod
+    def setup():
+        # Validation scores 1423, 1493, 3718 and 5849 at steps 3, 6, 9 and 12:
+        # best.ckpt stays at step 3, so a resume that forgot the best score
+        # would overwrite it at step 9.
+        run = tiny_run()
+        run.training = dataclasses.replace(run.training, crop_seconds=0.2, max_steps=12, val_every=3, lr=1e-2)
+        entries = make_entries([True, False, True, True])
+        return run, entries, entries[:2]
+
+    @staticmethod
+    def outputs(out_dir):
+        """Both checkpoints' (array bytes, header) and the log without its time= fields."""
+        ckpts = {}
+        for name in ("final.ckpt", "best.ckpt"):
+            arrays, header = dc.load_checkpoint(os.path.join(out_dir, name))
+            ckpts[name] = ({k: (a.dtype, a.shape, a.tobytes()) for k, a in arrays.items()}, header)
+        with open(os.path.join(out_dir, "train_log.txt"), encoding="utf-8") as fh:
+            log = [line.rpartition(" time=")[0] for line in fh]
+        return ckpts, log
+
+    @staticmethod
+    def kill_at(monkeypatch, step, train):
+        """Run ``train`` with Adam's ``step``-th update raising KeyboardInterrupt."""
+        adam_step, calls = dc.Adam.step, iter(range(1, step + 1))
+
+        def crash(self):
+            if next(calls) == step:
+                raise KeyboardInterrupt
+            adam_step(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dc.Adam, "step", crash)
+            with pytest.raises(KeyboardInterrupt):
+                train()
+
+    @pytest.mark.parametrize("kill_step", [7, 8], ids=["after-validation", "between-validations"])
+    def test_resume_from_final_matches_the_uninterrupted_run(self, tmp_path, monkeypatch, kill_step):
+        run, entries, val = self.setup()
+        run.out_dir = str(tmp_path / "whole")
+        tr.run_training(run, entries, val_entries=val)
+        want = self.outputs(run.out_dir)
+        assert want[0]["best.ckpt"][1]["step"] == 3
+
+        run.out_dir = str(tmp_path / "killed")
+        self.kill_at(monkeypatch, kill_step, lambda: tr.run_training(run, entries, val_entries=val))
+        assert dc.load_checkpoint(tmp_path / "killed" / "final.ckpt")[1]["step"] == 6
+        tr.run_training(run, entries, val_entries=val, resume_from=str(tmp_path / "killed" / "final.ckpt"))
+        assert self.outputs(run.out_dir) == want
+
+    def test_resume_into_another_directory_selects_its_own_best(self, tmp_path, monkeypatch):
+        # That directory has no best.ckpt to keep, so the run writes one of its own steps.
+        run, entries, val = self.setup()
+        run.out_dir = str(tmp_path / "killed")
+        self.kill_at(monkeypatch, 7, lambda: tr.run_training(run, entries, val_entries=val))
+        run.out_dir = str(tmp_path / "elsewhere")
+        result = tr.run_training(run, entries, val_entries=val, resume_from=str(tmp_path / "killed" / "final.ckpt"))
+        assert dc.load_checkpoint(result.best_checkpoint)[1]["step"] == 9
+
+    def test_fresh_run_after_a_kill_before_the_first_validation(self, tmp_path, monkeypatch):
+        run, entries, val = self.setup()
+        run.out_dir = str(tmp_path / "whole")
+        tr.run_training(run, entries, val_entries=val)
+        want = self.outputs(run.out_dir)
+
+        run.out_dir = str(tmp_path / "killed")
+        self.kill_at(monkeypatch, 3, lambda: tr.run_training(run, entries, val_entries=val))
+        assert os.listdir(run.out_dir) == ["train_log.txt"]
+        tr.run_training(run, entries, val_entries=val)
+        assert self.outputs(run.out_dir) == want
+
+
+def test_truncated_log_keeps_complete_lines_up_to_the_step(tmp_path):
+    log = tmp_path / "train_log.txt"
+    lines = [f"step={s} td_mse=0.1 emd2=0.2 total=0.3 time=t\n" for s in range(1, 5)]
+    log.write_text("".join(lines) + "step=5 td_m")
+    tr._truncate_log(log, 3)
+    assert log.read_text() == "".join(lines[:3])
+    log.write_text(lines[0] + "step=2 td_mse")  # an incomplete line goes, whatever its step
+    tr._truncate_log(log, 2)
+    assert log.read_text() == lines[0]
+    tr._truncate_log(tmp_path / "absent.txt", 2)
+    assert not (tmp_path / "absent.txt").exists()
+
+
+def test_checkpoint_header_carries_the_best_validation_score(tmp_path):
+    run = tiny_run()
+    params = mdl.init_params(run.model, seed=1)
+    tr.save_run_checkpoint(tmp_path / "plain.ckpt", run.model, run.quantizer, params)
+    tr.save_run_checkpoint(tmp_path / "best.ckpt", run.model, run.quantizer, params, step=4, best_total=0.1 + 0.2)
+    assert dc.load_checkpoint(tmp_path / "plain.ckpt")[1].keys() == {"model", "quantizer", "step", "format_version"}
+    assert tr._read_run_checkpoint(tmp_path / "plain.ckpt")[5] == np.inf
+    assert tr._read_run_checkpoint(tmp_path / "best.ckpt")[5] == 0.1 + 0.2
+    assert len(tr.load_run_checkpoint(tmp_path / "best.ckpt")) == 5
