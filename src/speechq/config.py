@@ -7,7 +7,6 @@ the init field names of ModelConfig, QuantizerConfig, TrainingConfig and
 SimulateConfig. Each value parses to its field's annotated type (float
 only when finite) and defaults to the field's default. The exceptions:
 
-- [quantizer] n_classes defaults to 100;
 - [training] label_kind (one-hot or soft) is a key but not a field: it
   sets [quantizer] pad (0 for one-hot, 2 for soft), which is not a key;
 - [model] n_classes defaults to, and must equal, the quantizer's classes
@@ -44,14 +43,20 @@ from dataclasses import dataclass, fields
 from .labels import QuantizerConfig
 from .model import ModelConfig
 
-__all__ = ["ConfigError", "TrainingConfig", "SimulateConfig", "RunConfig"]
-
 # Upper bound on the seconds-valued keys crop_seconds and duration_seconds.
 MAX_SECONDS = 3600.0
 
 
 class ConfigError(ValueError):
     """Raised for unusable run configurations."""
+
+
+def _integer_problems(section, prefix: str, names: tuple) -> tuple[list, set]:
+    """One message per named field of ``section`` that holds no int (a bool is
+    none), and the set of those fields, which skip their value rules."""
+    values = {name: getattr(section, name) for name in names}
+    not_ints = {name for name, v in values.items() if isinstance(v, bool) or not isinstance(v, int)}
+    return [f"{prefix} {name} must be an integer, got {values[name]!r}" for name in names if name in not_ints], not_ints
 
 
 @dataclass(frozen=True)
@@ -68,15 +73,16 @@ class TrainingConfig:
     val_every: int = 0  # 0: every max(1, max_steps // 10) steps; the last step always validates
 
     def __post_init__(self):
-        problems = [
+        problems, not_ints = _integer_problems(self, "training", ("batch_size", "max_steps", "seed", "val_every"))
+        problems += [
             f"training {name} must be positive, got {getattr(self, name)}"
             for name in ("lr", "batch_size", "crop_seconds", "max_steps")
-            if not getattr(self, name) > 0
+            if name not in not_ints and not getattr(self, name) > 0
         ]
         problems += [
             f"training {name} must be non-negative, got {getattr(self, name)}"
             for name in ("seed", "val_every")
-            if not getattr(self, name) >= 0
+            if name not in not_ints and not getattr(self, name) >= 0
         ]
         if not self.recon_weight >= 0:
             problems.append("recon_weight must be non-negative")
@@ -100,10 +106,10 @@ class SimulateConfig:
     rir_paths: tuple = ()
 
     def __post_init__(self):
-        problems = []
-        if not self.seed >= 0:
+        problems, not_ints = _integer_problems(self, "simulate", ("count", "holdout_count", "seed"))
+        if "seed" not in not_ints and not self.seed >= 0:
             problems.append(f"simulate seed must be non-negative, got {self.seed}")
-        if not (self.count >= 0 and self.holdout_count >= 0):
+        if any(name not in not_ints and getattr(self, name) < 0 for name in ("count", "holdout_count")):
             problems.append("simulate counts must be non-negative")
         if not self.duration_seconds >= 0.2:
             problems.append("simulate duration_seconds must be at least 0.2")
@@ -111,6 +117,8 @@ class SimulateConfig:
             problems.append(f"simulate duration_seconds must be at most {MAX_SECONDS:g}, got {self.duration_seconds:g}")
         if not 0.0 <= self.perturb_prob <= 1.0:
             problems.append("perturb_prob must lie in [0, 1]")
+        if not (isinstance(self.rir_paths, tuple) and all(isinstance(p, str) for p in self.rir_paths)):
+            problems.append(f"simulate rir_paths must be a tuple of str, got {self.rir_paths!r}")
         if problems:
             raise ConfigError(" | ".join(problems))
 
@@ -214,8 +222,8 @@ class RunConfig:
             errors.append(f"label_kind must be one-hot or soft, got {label_kind!r}")
         pad = LABEL_KIND_PAD.get(label_kind, 0)
         training = _build(TrainingConfig, given["training"], errors)
-        quantizer = _build(QuantizerConfig, {"n_classes": 100, **given["quantizer"], "pad": pad}, errors)
-        quantizer = quantizer or QuantizerConfig(100, pad)
+        quantizer = _build(QuantizerConfig, {**given["quantizer"], "pad": pad}, errors)
+        quantizer = quantizer or QuantizerConfig(pad=pad)
 
         model_values = {**given["model"], "n_classes": quantizer.n_total}
         model_classes = given["model"].get("n_classes", quantizer.n_total)

@@ -18,20 +18,6 @@ from .labels import SCORE_HI, SCORE_LO
 # load_wav stays importable from this module: perfbench's tracer wraps speechq.data.load_wav.
 from .signal import StftConfig, Waveform, WavReader, istft, load_wav, stft  # noqa: F401
 
-__all__ = [
-    "DatasetEntry",
-    "ManifestError",
-    "mix_at_snr",
-    "convolve_rir",
-    "perturb_bins",
-    "perturb_spectrogram",
-    "proxy_label",
-    "load_manifest",
-    "save_manifest",
-    "synth_clean",
-    "synth_noise",
-]
-
 SYNTH_KINDS = ("tone-complex", "filtered-noise-burst", "chirp")
 
 # The SNRs the simulator draws from, which proxy_label maps onto [1.0, 4.5], clamped.
@@ -191,7 +177,7 @@ def proxy_label(clean: Waveform, degraded: Waveform) -> float:
         return PROXY_SCORE_HI
     snr = 10.0 * np.log10(p_clean / p_err)
     lo, hi = SNR_RANGE_DB
-    score = PROXY_SCORE_LO + 3.5 * (snr - lo) / (hi - lo)
+    score = PROXY_SCORE_LO + (PROXY_SCORE_HI - PROXY_SCORE_LO) * (snr - lo) / (hi - lo)
     return float(np.clip(score, PROXY_SCORE_LO, PROXY_SCORE_HI))
 
 

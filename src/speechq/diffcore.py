@@ -51,19 +51,6 @@ import numpy as np
 
 from .signal import StftConfig, _synthesize, _synthesize_adjoint
 
-__all__ = [
-    "Tensor",
-    "parameter",
-    "constant",
-    "as_tensor",
-    "backward",
-    "gradient_check",
-    "Adam",
-    "save_checkpoint",
-    "load_checkpoint",
-    "CheckpointError",
-]
-
 
 class Tensor:
     """A value in the computation graph.

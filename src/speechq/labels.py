@@ -12,17 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "QuantizerConfig",
-    "quantize",
-    "one_hot",
-    "soft_label",
-    "targets",
-    "decode_max",
-    "decode_expect",
-    "validate_distribution",
-]
-
 SCORE_LO = -0.5
 SCORE_HI = 4.5
 
@@ -37,7 +26,7 @@ class QuantizerConfig:
     pad = 0 for one-hot targets, pad = 2 for soft labels.
     """
 
-    n_classes: int
+    n_classes: int = 100
     pad: int = 0
 
     def __post_init__(self):

@@ -12,8 +12,6 @@ import numpy as np
 
 from . import diffcore as dc
 
-__all__ = ["emd2", "td_mse", "joint_loss"]
-
 
 def emd2(p_hat, p) -> dc.Tensor:
     """Squared earth mover's distance between distributions over ordered classes.

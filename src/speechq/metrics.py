@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EvalReport", "mse_metric", "lcc", "srcc", "rankdata", "evaluate_scores"]
-
 
 @dataclass
 class EvalReport:

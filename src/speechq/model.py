@@ -18,15 +18,6 @@ import numpy as np
 from . import diffcore as dc
 from . import signal as sig
 
-__all__ = [
-    "ModelConfig",
-    "MASK_HEADS",
-    "param_layout",
-    "init_params",
-    "forward",
-    "forward_graph",
-]
-
 # The reconstruction branch's two 1x1 heads, the real and imaginary mask parts.
 MASK_HEADS = ("mask_real", "mask_imag")
 # Taps of every depthwise convolution; odd, so same-length padding is symmetric.

@@ -35,18 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "Waveform",
-    "StftConfig",
-    "WavFormatError",
-    "WavReader",
-    "load_wav",
-    "save_wav",
-    "stft",
-    "istft",
-    "lps",
-]
-
 LPS_FLOOR = 1e-12
 
 # The highest common PCM sample rate. A higher rate is a bad header or

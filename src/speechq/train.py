@@ -25,14 +25,6 @@ from .data import DatasetEntry
 from .labels import QuantizerConfig
 from .model import ModelConfig
 
-__all__ = [
-    "TrainResult",
-    "run_training",
-    "evaluate_entries",
-    "save_run_checkpoint",
-    "load_run_checkpoint",
-]
-
 # Model keys that older checkpoint headers carry, each with its only legal value.
 RETIRED_MODEL_KEYS = {"norm": "batch", "kernel_size": mdl.KERNEL_SIZE}
 
@@ -233,11 +225,11 @@ def run_training(
     differs; a checkpoint at or past ``max_steps`` is a ``CheckpointError``
     too. The resumed run keeps the log's lines up to the checkpoint's step
     and, if ``run.out_dir`` holds a `best.ckpt`, the checkpoint's best
-    validation score. A fresh run starts a new log
-    and raises ``FileExistsError`` if ``run.out_dir`` holds a checkpoint. A
-    crop shorter than one analysis window raises ``WavFormatError``; these
-    checks run before ``run.out_dir`` is created. A non-finite value raises
-    ``FloatingPointError`` naming the step.
+    validation score; a fresh run starts a new log. A ``run.out_dir`` that
+    holds a checkpoint raises ``FileExistsError`` unless it is the directory
+    of ``resume_from``. A crop shorter than one analysis window raises
+    ``WavFormatError``; these checks run before ``run.out_dir`` is created.
+    A non-finite value raises ``FloatingPointError`` naming the step.
     """
     if not entries:
         raise ValueError("no training entries")
@@ -280,7 +272,10 @@ def run_training(
 
     best_path = os.path.join(out_dir, "best.ckpt")
     final_path = os.path.join(out_dir, "final.ckpt")
-    if resume_from is None and (os.path.exists(final_path) or os.path.exists(best_path)):
+    # A run writes only into a directory without checkpoints or into the one it resumes.
+    if (os.path.exists(final_path) or os.path.exists(best_path)) and not (
+        resume_from is not None and os.path.samefile(os.path.dirname(os.path.abspath(resume_from)), out_dir)
+    ):
         raise FileExistsError(f"{out_dir} holds a checkpoint; resume it with --checkpoint or train elsewhere")
     if not os.path.exists(best_path):
         best_total = np.inf  # no best.ckpt here to keep: select among the steps this run trains

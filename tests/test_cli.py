@@ -311,6 +311,28 @@ class TestTrain:
         (run_dir / "final.ckpt").unlink()  # best.ckpt alone marks the directory as used too
         assert cli.main(["train", "--config", config]) == 2
 
+    def test_resume_into_another_runs_directory_exits_2_before_writing(self, tmp_path, capsys):
+        # Resuming run A into run B's directory would append A's steps to B's log
+        # and leave B's best.ckpt next to a final.ckpt of A's.
+        data_dir = simulate_dataset(tmp_path, count=4, seed=15)
+        manifest = f"\n[data]\nmanifest = {data_dir / 'manifest.tsv'}\n"
+        config_a = write_config(tmp_path, TINY_MODEL.format(steps=4) + manifest, name="a.ini")
+        config_b = write_config(
+            tmp_path, TINY_MODEL.format(steps=6).replace("seed = 3", "seed = 4") + manifest, name="b.ini"
+        )
+        a_dir, b_dir = tmp_path / "A", tmp_path / "B"
+        assert cli.main(["train", "--config", config_a, "--out", str(a_dir)]) == 0
+        assert cli.main(["train", "--config", config_b, "--out", str(b_dir)]) == 0
+        capsys.readouterr()
+        before = {name: file_digest(b_dir / name) for name in sorted(os.listdir(b_dir))}
+        resume = ["train", "--config", config_b, "--checkpoint", str(a_dir / "final.ckpt"), "--out", str(b_dir)]
+        assert cli.main(resume) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"data error: {b_dir} holds a checkpoint; resume it with --checkpoint or train elsewhere\n",
+        )
+        assert {name: file_digest(b_dir / name) for name in sorted(os.listdir(b_dir))} == before
+
     def test_fresh_run_starts_a_new_log(self, tmp_path, capsys):
         # A run killed before its first validation leaves a log and no checkpoint.
         data_dir = simulate_dataset(tmp_path, count=4, seed=15)

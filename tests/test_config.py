@@ -524,10 +524,15 @@ class TestTrainingConfig:
             ({"recon_weight": -1.0}, "recon_weight must be non-negative"),
             ({"td_mse_reduction": "median"}, "td_mse_reduction must be sum or mean, got 'median'"),
             ({"crop_seconds": 3600.5}, "training crop_seconds must be at most 3600, got 3600.5"),
+            ({"max_steps": 2.5}, "training max_steps must be an integer, got 2.5"),
+            ({"batch_size": 2.5}, "training batch_size must be an integer, got 2.5"),
+            ({"val_every": 1.5}, "training val_every must be an integer, got 1.5"),
+            ({"seed": True}, "training seed must be an integer, got True"),
         ],
         ids=[
             "lr", "batch_size", "crop_seconds-zero", "max_steps", "seed", "val_every", "recon_weight",
-            "td_mse_reduction", "crop_seconds-past-an-hour",
+            "td_mse_reduction", "crop_seconds-past-an-hour", "max_steps-float", "batch_size-float",
+            "val_every-float", "seed-bool",
         ],
     )
     def test_each_bad_value_raises(self, values, problem):
@@ -572,10 +577,16 @@ class TestSimulateConfig:
             ({"duration_seconds": 3600.5}, "simulate duration_seconds must be at most 3600, got 3600.5"),
             ({"perturb_prob": 1.5}, "perturb_prob must lie in [0, 1]"),
             ({"perturb_prob": float("nan")}, "perturb_prob must lie in [0, 1]"),
+            ({"count": 2.5}, "simulate count must be an integer, got 2.5"),
+            ({"holdout_count": False}, "simulate holdout_count must be an integer, got False"),
+            ({"seed": 1.0}, "simulate seed must be an integer, got 1.0"),
+            ({"rir_paths": ["a.wav"]}, "simulate rir_paths must be a tuple of str, got ['a.wav']"),
+            ({"rir_paths": ("a.wav", 1)}, "simulate rir_paths must be a tuple of str, got ('a.wav', 1)"),
         ],
         ids=[
             "seed", "count", "holdout_count", "duration-short", "duration-nan", "duration-past-an-hour",
-            "perturb_prob", "perturb_prob-nan",
+            "perturb_prob", "perturb_prob-nan", "count-float", "holdout_count-bool", "seed-float",
+            "rir_paths-list", "rir_paths-not-str",
         ],
     )
     def test_each_bad_value_raises(self, values, problem):
