@@ -4,8 +4,8 @@ A run is described by an INI-style text file with [model], [quantizer],
 [training], [data], [simulate] and [output] sections of key = value
 pairs. The keys of [model], [quantizer], [training] and [simulate] are
 the init field names of ModelConfig, QuantizerConfig, TrainingConfig and
-SimulateConfig. Each value parses to its field's annotated type (float
-only when finite) and defaults to the field's default. The exceptions:
+SimulateConfig. Each value parses to its field's annotated type, or stays
+text when it does not, and defaults to the field's default. The exceptions:
 
 - [training] label_kind (one-hot or soft) is a key but not a field: it
   sets [quantizer] pad (0 for one-hot, 2 for soft), which is not a key;
@@ -20,11 +20,14 @@ only when finite) and defaults to the field's default. The exceptions:
 The depthwise kernel size (model.KERNEL_SIZE) and the simulator's SNR
 range (data.SNR_RANGE_DB) are constants, not keys. The four section
 dataclasses are frozen (edit one with ``dataclasses.replace``) and check
-their own rules when built, from a file or in Python. Among them,
-[training] crop_seconds and [simulate] duration_seconds are at most
-MAX_SECONDS (one hour, ample for utterances of a few seconds), so their
-sample counts stay representable, and the seeds and [training] val_every
-are non-negative. RunConfig stays mutable: ``--out`` sets its out_dir.
+their own fields when built, from a file or in Python, one rule per field
+that covers its type and its range. An integer is an int and not a bool;
+a number is an int or a float, not a bool, and finite, so NaN and +-inf
+fail every number rule. Each broken rule reads ``<section> <field> must
+be <rule>, got <value!r>``. Among the rules, [training] crop_seconds and
+[simulate] duration_seconds are at most MAX_SECONDS (one hour, ample for
+utterances of a few seconds), so their sample counts stay representable.
+RunConfig stays mutable: ``--out`` sets its out_dir.
 
 Values are literal: ``%`` is not an interpolation character. Validation
 is exhaustive and happens before any work starts; an invalid
@@ -51,12 +54,28 @@ class ConfigError(ValueError):
     """Raised for unusable run configurations."""
 
 
-def _integer_problems(section, prefix: str, names: tuple) -> tuple[list, set]:
-    """One message per named field of ``section`` that holds no int (a bool is
-    none), and the set of those fields, which skip their value rules."""
-    values = {name: getattr(section, name) for name in names}
-    not_ints = {name for name, v in values.items() if isinstance(v, bool) or not isinstance(v, int)}
-    return [f"{prefix} {name} must be an integer, got {values[name]!r}" for name in names if name in not_ints], not_ints
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value) -> bool:
+    return _integer(value) or isinstance(value, float) and math.isfinite(value)
+
+
+# A field's rule: its text in the message and its predicate, which covers type and range.
+_POSITIVE_INTEGER = ("a positive integer", lambda v: _integer(v) and v > 0)
+_NON_NEGATIVE_INTEGER = ("a non-negative integer", lambda v: _integer(v) and v >= 0)
+
+
+def _check(section: str, config, rules: dict) -> None:
+    """Raise one ConfigError that names every field of ``config`` breaking its rule."""
+    problems = [
+        f"{section} {name} must be {rule}, got {getattr(config, name)!r}"
+        for name, (rule, ok) in rules.items()
+        if not ok(getattr(config, name))
+    ]
+    if problems:
+        raise ConfigError(" | ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -73,25 +92,16 @@ class TrainingConfig:
     val_every: int = 0  # 0: every max(1, max_steps // 10) steps; the last step always validates
 
     def __post_init__(self):
-        problems, not_ints = _integer_problems(self, "training", ("batch_size", "max_steps", "seed", "val_every"))
-        problems += [
-            f"training {name} must be positive, got {getattr(self, name)}"
-            for name in ("lr", "batch_size", "crop_seconds", "max_steps")
-            if name not in not_ints and not getattr(self, name) > 0
-        ]
-        problems += [
-            f"training {name} must be non-negative, got {getattr(self, name)}"
-            for name in ("seed", "val_every")
-            if name not in not_ints and not getattr(self, name) >= 0
-        ]
-        if not self.recon_weight >= 0:
-            problems.append("recon_weight must be non-negative")
-        if self.td_mse_reduction not in ("sum", "mean"):
-            problems.append(f"td_mse_reduction must be sum or mean, got {self.td_mse_reduction!r}")
-        if self.crop_seconds > MAX_SECONDS:
-            problems.append(f"training crop_seconds must be at most {MAX_SECONDS:g}, got {self.crop_seconds:g}")
-        if problems:
-            raise ConfigError(" | ".join(problems))
+        _check("training", self, {
+            "lr": ("a positive number", lambda v: _number(v) and v > 0),
+            "batch_size": _POSITIVE_INTEGER,
+            "crop_seconds": (f"a number in (0, {MAX_SECONDS:g}]", lambda v: _number(v) and 0 < v <= MAX_SECONDS),
+            "max_steps": _POSITIVE_INTEGER,
+            "seed": _NON_NEGATIVE_INTEGER,
+            "recon_weight": ("a non-negative number", lambda v: _number(v) and v >= 0),
+            "td_mse_reduction": ("sum or mean", lambda v: v in ("sum", "mean")),
+            "val_every": _NON_NEGATIVE_INTEGER,
+        })
 
 
 @dataclass(frozen=True)
@@ -106,21 +116,16 @@ class SimulateConfig:
     rir_paths: tuple = ()
 
     def __post_init__(self):
-        problems, not_ints = _integer_problems(self, "simulate", ("count", "holdout_count", "seed"))
-        if "seed" not in not_ints and not self.seed >= 0:
-            problems.append(f"simulate seed must be non-negative, got {self.seed}")
-        if any(name not in not_ints and getattr(self, name) < 0 for name in ("count", "holdout_count")):
-            problems.append("simulate counts must be non-negative")
-        if not self.duration_seconds >= 0.2:
-            problems.append("simulate duration_seconds must be at least 0.2")
-        if self.duration_seconds > MAX_SECONDS:
-            problems.append(f"simulate duration_seconds must be at most {MAX_SECONDS:g}, got {self.duration_seconds:g}")
-        if not 0.0 <= self.perturb_prob <= 1.0:
-            problems.append("perturb_prob must lie in [0, 1]")
-        if not (isinstance(self.rir_paths, tuple) and all(isinstance(p, str) for p in self.rir_paths)):
-            problems.append(f"simulate rir_paths must be a tuple of str, got {self.rir_paths!r}")
-        if problems:
-            raise ConfigError(" | ".join(problems))
+        _check("simulate", self, {
+            "count": _NON_NEGATIVE_INTEGER,
+            "holdout_count": _NON_NEGATIVE_INTEGER,
+            "duration_seconds": (
+                f"a number in [0.2, {MAX_SECONDS:g}]", lambda v: _number(v) and 0.2 <= v <= MAX_SECONDS
+            ),
+            "seed": _NON_NEGATIVE_INTEGER,
+            "perturb_prob": ("a number in [0, 1]", lambda v: _number(v) and 0 <= v <= 1),
+            "rir_paths": ("a tuple of str", lambda v: isinstance(v, tuple) and all(isinstance(p, str) for p in v)),
+        })
 
 
 def _field_types(cls) -> dict:
@@ -152,18 +157,19 @@ def _build(cls, values: dict, errors: list):
         return None
 
 
-def _parse(parser, section: str, key: str, kind):
-    raw = parser.get(section, key)
+def _parse(raw: str, kind):
+    """``raw`` converted to ``kind``, or ``raw`` itself when it does not convert,
+    which its field's rule then rejects."""
     if kind is tuple:
         return tuple(p.strip() for p in raw.split(",") if p.strip())
-    value = kind(raw)
-    if kind is float and not math.isfinite(value):
-        raise ValueError("not finite")
-    return value
+    try:
+        return kind(raw)
+    except ValueError:
+        return raw
 
 
 def _read_section(parser, section: str, types: dict, errors: list) -> dict:
-    """The section's valid values by key; unknown keys and bad values go to ``errors``."""
+    """The section's values by key; unknown keys go to ``errors``."""
     values = {}
     if not parser.has_section(section):
         return values
@@ -171,11 +177,7 @@ def _read_section(parser, section: str, types: dict, errors: list) -> dict:
         if key not in types:
             errors.append(f"unknown key {key!r} in section [{section}]")
             continue
-        try:
-            values[key] = _parse(parser, section, key, types[key])
-        except ValueError:
-            raw = parser.get(section, key)
-            errors.append(f"[{section}] {key} = {raw!r} is not a valid {types[key].__name__}")
+        values[key] = _parse(parser.get(section, key), types[key])
     return values
 
 
@@ -219,20 +221,21 @@ class RunConfig:
 
         label_kind = given["training"].pop("label_kind", "one-hot")
         if label_kind not in LABEL_KIND_PAD:
-            errors.append(f"label_kind must be one-hot or soft, got {label_kind!r}")
+            errors.append(f"training label_kind must be one-hot or soft, got {label_kind!r}")
         pad = LABEL_KIND_PAD.get(label_kind, 0)
         training = _build(TrainingConfig, given["training"], errors)
         quantizer = _build(QuantizerConfig, {**given["quantizer"], "pad": pad}, errors)
         quantizer = quantizer or QuantizerConfig(pad=pad)
 
-        model_values = {**given["model"], "n_classes": quantizer.n_total}
+        # An n_classes that did not parse is left to the model's rule.
         model_classes = given["model"].get("n_classes", quantizer.n_total)
-        if model_classes != quantizer.n_total:
+        if isinstance(model_classes, int) and model_classes != quantizer.n_total:
             errors.append(
                 f"model n_classes = {model_classes} must equal quantizer classes + padding"
                 f" = {quantizer.n_total}"
             )
-        model = _build(ModelConfig, model_values, errors)
+            model_classes = quantizer.n_total
+        model = _build(ModelConfig, {**given["model"], "n_classes": model_classes}, errors)
 
         def resolve(p: str) -> str:
             return p if os.path.isabs(p) else os.path.join(base, p)
@@ -242,10 +245,11 @@ class RunConfig:
         paths = {**given["data"], "out_dir": given["output"].get("dir", cls.out_dir)}
         paths = {name: resolve(p) for name, p in paths.items()}
 
-        # The file's value, so a short crop is reported next to any other [training] fault.
-        # Compared as floats: round() would overflow on a huge crop_seconds.
+        # The file's value, so a short crop is reported next to any other [training] fault;
+        # one that did not parse is a str. Compared as floats: round() would overflow on
+        # a huge crop_seconds.
         crop = given["training"].get("crop_seconds", TrainingConfig.crop_seconds)
-        if model is not None and 0 < crop * model.sample_rate < model.stft.window_len:
+        if model is not None and isinstance(crop, float) and 0 < crop * model.sample_rate < model.stft.window_len:
             errors.append(
                 f"training crop_seconds = {crop:g} is shorter than one analysis window"
                 f" ({model.stft.window_len} samples at {model.sample_rate} Hz)"

@@ -193,8 +193,9 @@ def load_manifest(path, sample_rate: int | None = None) -> list[DatasetEntry]:
     tab- or comma-separated. Paths resolve relative to the manifest.
     A manifest without records raises ManifestError, and so do malformed
     records: all are reported together, on one line separated by `` | ``,
-    with their line numbers, among them a clean reference shorter than its
-    degraded file and a degraded file shorter than one analysis window.
+    with their line numbers in the file (blank lines are skipped but
+    counted), among them a clean reference shorter than its degraded file
+    and a degraded file shorter than one analysis window.
 
     Every WAV is read and decoded completely here, then dropped: an entry
     keeps a :class:`WavReader` per file (path, rate, size and sample layout),
@@ -210,24 +211,24 @@ def load_manifest(path, sample_rate: int | None = None) -> list[DatasetEntry]:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ManifestError(f"{path}: not a UTF-8 text manifest: {exc}") from exc
-    lines = [ln for ln in lines if ln.strip()]
-    if not lines:
-        raise ManifestError(f"{path}: manifest has no records")
-    sep = "\t" if "\t" in lines[0] else ","
-    header = [h.strip() for h in lines[0].split(sep)]
+    # Non-blank lines with their line numbers in the file; the first is the header.
+    records = [(lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip()]
+    head = records.pop(0)[1] if records else ""
+    sep = "\t" if "\t" in head else ","
+    header = [h.strip() for h in head.split(sep)]
     required = {"degraded_path", "label"}
     allowed = required | {"clean_path"}
-    if not required.issubset(header) or not set(header).issubset(allowed):
+    if head and (not required.issubset(header) or not set(header).issubset(allowed)):
         raise ManifestError(
             f"{path}: header must name degraded_path, optional clean_path, label; got {header}"
         )
+    if not records:
+        raise ManifestError(f"{path}: manifest has no records")
     col = {name: header.index(name) for name in header}
     base = os.path.dirname(os.path.abspath(path))
     entries: list[DatasetEntry] = []
     problems: list[str] = []
-    if len(lines) == 1:
-        raise ManifestError(f"{path}: manifest has no records")
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in records:
         fields = [f.strip() for f in line.split(sep)]
         if len(fields) != len(header):
             problems.append(f"line {lineno}: expected {len(header)} fields, got {len(fields)}")

@@ -28,7 +28,8 @@ parameters, Adam's two moments and, per op, only:
   recipe of a train-mode batch-norm input;
 - mul: its inputs; softmax: its output;
 - istft_synthesis: the spectrogram's real and imaginary parts;
-- add, sub, scale, sum, mean, cast, cumsum: shapes and dtypes only.
+- add, scale, sum, mean, cast, cumsum: shapes and dtypes only (sub is
+  add and scale).
 
 An op output that no VJP reads (a PReLU output, the last 1x1 conv of a
 residual block, the mask heads) or that it reads through a recipe (a
@@ -58,10 +59,10 @@ class Tensor:
     ``values`` is the forward result, ``grad`` is filled by
     :func:`backward` for every leaf with ``requires_grad``. An op output
     that requires gradients records its VJP and its inputs on a
-    :class:`_Node`; ``_vjp`` and ``_parents`` read (and ``_vjp`` writes)
-    that node, and are ``None`` and ``()`` on a leaf. ``_recompute`` is
-    the recipe of a train-mode :func:`batch_norm` output (see
-    :func:`_keep`) and ``None`` on every other tensor.
+    :class:`_Node`; ``_vjp`` reads and writes that node's VJP, and is
+    ``None`` on a leaf. ``_recompute`` is the recipe of a train-mode
+    :func:`batch_norm` output (see :func:`_keep`) and ``None`` on every
+    other tensor.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "_node", "_recompute")
@@ -80,10 +81,6 @@ class Tensor:
     @_vjp.setter
     def _vjp(self, vjp):
         self._node._vjp = vjp
-
-    @property
-    def _parents(self) -> tuple:
-        return () if self._node is None else self._node._parents
 
     @property
     def shape(self):
@@ -185,17 +182,9 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    v = a.values - b.values
-    a_shape = a.values.shape if a.requires_grad else None
-    b_shape = b.values.shape if b.requires_grad else None
-
-    def vjp(g):
-        ga = _unbroadcast(g, a_shape) if a_shape is not None else None
-        gb = -_unbroadcast(g, b_shape) if b_shape is not None else None
-        return ga, gb
-
-    return _make(v, (a, b), vjp)
+    """``a + (-b)``: the negation is exact, so this rounds as ``a - b`` does,
+    forward and backward."""
+    return add(a, scale(b, -1.0))
 
 
 def mul(a, b) -> Tensor:
@@ -569,12 +558,11 @@ def backward(loss: Tensor) -> None:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.values.shape}")
     if not loss.requires_grad:
         raise ValueError("loss is not connected to any tensor that requires gradients")
-    # The walk visits op nodes and the leaves they record; a leaf reads as a
-    # node with no VJP and no parents.
+    # The walk visits op nodes only; the leaves they record just take gradients.
     root = _graph_ref(loss)
     topo: list = []
     seen: set[int] = set()
-    stack: list[tuple[object, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)] if isinstance(root, _Node) else []
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -587,7 +575,7 @@ def backward(loss: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p is not None and id(p) not in seen:
+            if isinstance(p, _Node) and id(p) not in seen:
                 stack.append((p, False))
     root.grad = np.ones_like(loss.values)
     # Reverse topological order; popping lets each node go as soon as its
@@ -595,8 +583,6 @@ def backward(loss: Tensor) -> None:
     while topo:
         node = topo.pop()
         vjp, parents, g = node._vjp, node._parents, node.grad
-        if vjp is None:
-            continue
         node._vjp, node._parents, node.grad = _released, (), None
         if g is None:
             continue

@@ -32,12 +32,10 @@ class QuantizerConfig:
     def __post_init__(self):
         """Raises one ValueError that names every invalid field, separated by `` | ``."""
         problems = []
-        for name, least, rule in (("n_classes", 1, "need at least one class"), ("pad", 0, "pad must be non-negative")):
+        for name, least, rule in (("n_classes", 1, "a positive integer"), ("pad", 0, "a non-negative integer")):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                problems.append(f"{name} must be an integer, got {value!r}")
-            elif value < least:
-                problems.append(rule)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                problems.append(f"quantizer {name} must be {rule}, got {value!r}")
         if problems:
             raise ValueError(" | ".join(problems))
 

@@ -40,17 +40,15 @@ class ModelConfig:
         problems = []
         for name in ("sample_rate", "bottleneck_channels", "conv_channels", "blocks_per_repeat", "repeats", "n_classes"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                problems.append(f"{name} must be an integer, got {value!r}")
-            elif value < 1:
-                problems.append(f"{name} must be positive")
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                problems.append(f"model {name} must be a positive integer, got {value!r}")
             elif name == "sample_rate":
                 try:
                     object.__setattr__(self, "stft", sig.StftConfig(value))
                 except ValueError as exc:
                     problems.append(str(exc))
         if self.dtype not in ("float32", "float64"):
-            problems.append("dtype must be float32 or float64")
+            problems.append(f"model dtype must be float32 or float64, got {self.dtype!r}")
         if problems:
             raise ValueError(" | ".join(problems))
 

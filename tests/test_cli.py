@@ -809,18 +809,18 @@ class TestBadInputs:
         [
             ({"step": 3}, "has no model, quantizer"),
             ({"model": {}, "quantizer": {"n_classes": 10}}, "has no step"),
-            ({"model": {"conv_channels": 0}, "quantizer": {"n_classes": 10}, "step": 0}, "conv_channels must be positive"),
+            ({"model": {"conv_channels": 0}, "quantizer": {"n_classes": 10}, "step": 0}, "model conv_channels must be a positive integer, got 0"),
             ({"model": {"colour": 1}, "quantizer": {"n_classes": 10}, "step": 0}, "unexpected keyword"),
             ({"model": {"stft": 1}, "quantizer": {"n_classes": 10}, "step": 0}, "invalid run settings"),
-            ({"model": {}, "quantizer": {"n_classes": 0}, "step": 0}, "need at least one class"),
+            ({"model": {}, "quantizer": {"n_classes": 0}, "step": 0}, "quantizer n_classes must be a positive integer, got 0"),
             ({"model": {}, "quantizer": {"n_classes": 10}, "step": "last"}, "step must be a non-negative integer"),
             ({"model": {}, "quantizer": {"n_classes": 10}, "step": float("inf")}, "got inf"),
             ({"model": {}, "quantizer": {"n_classes": 10}, "step": -4}, "got -4"),
             (
                 {"model": {"blocks_per_repeat": 2.0}, "quantizer": {"n_classes": 10}, "step": 0},
-                "blocks_per_repeat must be an integer",
+                "model blocks_per_repeat must be a positive integer, got 2.0",
             ),
-            ({"model": {"repeats": True}, "quantizer": {"n_classes": 10}, "step": 0}, "repeats must be an integer"),
+            ({"model": {"repeats": True}, "quantizer": {"n_classes": 10}, "step": 0}, "model repeats must be a positive integer, got True"),
             (
                 {"model": {"n_classes": 10}, "quantizer": {"n_classes": 9}, "step": 0},
                 "quantizer has 9 classes but the model has 10",
@@ -828,9 +828,9 @@ class TestBadInputs:
             ({"model": {}, "quantizer": {"n_classes": 100}, "step": 0}, "arrays do not match the model: missing entry.w"),
             (
                 {"model": {"n_classes": 15}, "quantizer": {"n_classes": 10, "pad": 2.5}, "step": 0},
-                "pad must be an integer",
+                "quantizer pad must be a non-negative integer, got 2.5",
             ),
-            ({"model": {"n_classes": 1}, "quantizer": {"n_classes": True}, "step": 0}, "n_classes must be an integer"),
+            ({"model": {"n_classes": 1}, "quantizer": {"n_classes": True}, "step": 0}, "quantizer n_classes must be a positive integer, got True"),
             (
                 {"model": {"norm": "global_layer"}, "quantizer": {"n_classes": 100}, "step": 0},
                 "norm 'global_layer' is not supported, only 'batch'",
@@ -845,7 +845,8 @@ class TestBadInputs:
                     "quantizer": {"n_classes": 100},
                     "step": 0,
                 },
-                "conv_channels must be positive | repeats must be positive | dtype must be float32 or float64",
+                "model conv_channels must be a positive integer, got 0 | model repeats must be a positive integer, got 0"
+                " | model dtype must be float32 or float64, got 'float16'",
             ),
             (
                 {"model": {"sample_rate": 10**13}, "quantizer": {"n_classes": 100}, "step": 0},
@@ -1337,7 +1338,11 @@ class TestUsageErrors:
         capsys.readouterr()
         assert cli.main([command, "--config", config]) == 1
         err = capsys.readouterr().err
-        assert err == (
-            f"configuration error: {config}: invalid configuration: [{section}] {key} = '{value}' is not a valid float\n"
-        )
+        rule = {
+            "crop_seconds": "a number in (0, 3600]",
+            "recon_weight": "a non-negative number",
+            "duration_seconds": "a number in [0.2, 3600]",
+            "perturb_prob": "a number in [0, 1]",
+        }[key]
+        assert err == f"configuration error: {config}: invalid configuration: {section} {key} must be {rule}, got {value}\n"
         assert not out.exists()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import os
 
 import pytest
@@ -269,18 +270,18 @@ a = 1
                     "unknown section [extra]",
                     "unknown key 'bogus' in section [data]",
                     "unknown key 'colour' in section [simulate]",
-                    "[training] batch_size = '2.5' is not a valid int",
+                    "training batch_size must be a positive integer, got '2.5'",
                     "unknown key 'pad' in section [quantizer]",
                     "model n_classes = 7 must equal quantizer classes + padding = 10",
-                    "[model] sample_rate = 'fast' is not a valid int",
-                    "repeats must be positive",
-                    "training lr must be positive, got -1.0",
+                    "model sample_rate must be a positive integer, got 'fast'",
+                    "model repeats must be a positive integer, got 0",
+                    "training lr must be a positive number, got -1.0",
                     "unknown key 'beta1' in section [training]",
-                    "recon_weight must be non-negative",
-                    "td_mse_reduction must be sum or mean, got 'median'",
-                    "simulate counts must be non-negative",
-                    "simulate duration_seconds must be at least 0.2",
-                    "perturb_prob must lie in [0, 1]",
+                    "training recon_weight must be a non-negative number, got -0.5",
+                    "training td_mse_reduction must be sum or mean, got 'median'",
+                    "simulate count must be a non-negative integer, got -1",
+                    "simulate duration_seconds must be a number in [0.2, 3600], got 0.1",
+                    "simulate perturb_prob must be a number in [0, 1], got 2.0",
                 },
             ),
             (
@@ -304,29 +305,38 @@ path = y
 """,
                 {
                     "unknown key 'path' in section [output]",
-                    "label_kind must be one-hot or soft, got 'hard'",
-                    "need at least one class",
-                    "dtype must be float32 or float64",
-                    "training crop_seconds must be positive, got 0.0",
-                    "training max_steps must be positive, got -3",
+                    "training label_kind must be one-hot or soft, got 'hard'",
+                    "quantizer n_classes must be a positive integer, got 0",
+                    "model dtype must be float32 or float64, got 'float16'",
+                    "training crop_seconds must be a number in (0, 3600], got 0.0",
+                    "training max_steps must be a positive integer, got -3",
                     "unknown key 'beta2' in section [training]",
                 },
             ),
             (
                 "[quantizer]\nn_classes = ten\n[model]\nconv_channels = 0\n",
-                {"[quantizer] n_classes = 'ten' is not a valid int", "conv_channels must be positive"},
+                {
+                    "quantizer n_classes must be a positive integer, got 'ten'",
+                    "model conv_channels must be a positive integer, got 0",
+                },
             ),
             (
                 "[model]\ndtype = float16\nrepeats = 0\nconv_channels = 0\n[quantizer]\nn_classes = 0\n",
                 {
-                    "need at least one class",
-                    "conv_channels must be positive",
-                    "repeats must be positive",
-                    "dtype must be float32 or float64",
+                    "quantizer n_classes must be a positive integer, got 0",
+                    "model conv_channels must be a positive integer, got 0",
+                    "model repeats must be a positive integer, got 0",
+                    "model dtype must be float32 or float64, got 'float16'",
                 },
             ),
+            ("[model]\nn_classes = ten\n", {"model n_classes must be a positive integer, got 'ten'"}),
+            ("[training]\nlr = fast\n", {"training lr must be a positive number, got 'fast'"}),
+            ("[training]\ncrop_seconds = short\n", {"training crop_seconds must be a number in (0, 3600], got 'short'"}),
         ],
-        ids=["every-section", "fallback-quantizer", "quantizer-parse", "every-model-field"],
+        ids=[
+            "every-section", "fallback-quantizer", "quantizer-parse", "every-model-field", "model-classes-text",
+            "lr-text", "crop-text",
+        ],
     )
     def test_every_fault_is_reported(self, tmp_path, text, expected):
         assert config_errors(tmp_path, text) == expected
@@ -344,14 +354,15 @@ path = y
             argv += ["--out", str(never)]
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("configuration error: ") and "max_steps must be positive" in err
+        assert err.startswith("configuration error: ") and "max_steps must be a positive integer" in err
         assert not never.exists()
 
     @pytest.mark.parametrize("value", ["3600.5", "1e308"])
     @pytest.mark.parametrize("section, key", [("training", "crop_seconds"), ("simulate", "duration_seconds")])
     def test_seconds_keys_are_bounded(self, tmp_path, section, key, value):
         errors = config_errors(tmp_path, TINY.format(seed=1).replace(f"{key} = 0.5", f"{key} = {value}"))
-        assert errors == {f"{section} {key} must be at most 3600, got {float(value):g}"}
+        rule = {"crop_seconds": "a number in (0, 3600]", "duration_seconds": "a number in [0.2, 3600]"}[key]
+        assert errors == {f"{section} {key} must be {rule}, got {float(value):g}"}
 
     def test_one_hour_is_allowed(self, tmp_path):
         text = TINY.format(seed=1).replace("crop_seconds = 0.5", "crop_seconds = 3600")
@@ -373,7 +384,8 @@ path = y
         capsys.readouterr()
         assert cli.main([command, "--config", str(path)]) == 1
         err = capsys.readouterr().err
-        assert stderr_problems(err, path) == [f"{section} {key} must be at most 3600, got 1e+308"]
+        rule = {"crop_seconds": "a number in (0, 3600]", "duration_seconds": "a number in [0.2, 3600]"}[key]
+        assert stderr_problems(err, path) == [f"{section} {key} must be {rule}, got 1e+308"]
         assert not never.exists()
 
     @pytest.mark.parametrize(
@@ -434,7 +446,7 @@ path = y
     )
     def test_negative_seeds_and_val_every_are_rejected(self, tmp_path, section, key, value):
         errors = config_errors(tmp_path, f"[{section}]\n{key} = {value}\n")
-        assert errors == {f"{section} {key} must be non-negative, got {value}"}
+        assert errors == {f"{section} {key} must be a non-negative integer, got {value}"}
 
     @pytest.mark.parametrize("command", ["simulate", "train"])
     def test_negative_seed_exits_1_and_writes_nothing(self, tmp_path, capsys, command):
@@ -449,8 +461,8 @@ path = y
         path.write_text(text + f"\n[data]\nmanifest = {data / 'manifest.tsv'}\n[output]\ndir = {never}\n")
         assert cli.main([command, "--config", str(path)]) == 1
         assert stderr_problems(capsys.readouterr().err, path) == [
-            "training seed must be non-negative, got -2",
-            "simulate seed must be non-negative, got -2",
+            "training seed must be a non-negative integer, got -2",
+            "simulate seed must be a non-negative integer, got -2",
         ]
         assert not never.exists()
 
@@ -515,24 +527,28 @@ class TestTrainingConfig:
     @pytest.mark.parametrize(
         "values, problem",
         [
-            ({"lr": -1.0}, "training lr must be positive, got -1.0"),
-            ({"batch_size": 0}, "training batch_size must be positive, got 0"),
-            ({"crop_seconds": 0.0}, "training crop_seconds must be positive, got 0.0"),
-            ({"max_steps": 0}, "training max_steps must be positive, got 0"),
-            ({"seed": -1}, "training seed must be non-negative, got -1"),
-            ({"val_every": -2}, "training val_every must be non-negative, got -2"),
-            ({"recon_weight": -1.0}, "recon_weight must be non-negative"),
-            ({"td_mse_reduction": "median"}, "td_mse_reduction must be sum or mean, got 'median'"),
-            ({"crop_seconds": 3600.5}, "training crop_seconds must be at most 3600, got 3600.5"),
-            ({"max_steps": 2.5}, "training max_steps must be an integer, got 2.5"),
-            ({"batch_size": 2.5}, "training batch_size must be an integer, got 2.5"),
-            ({"val_every": 1.5}, "training val_every must be an integer, got 1.5"),
-            ({"seed": True}, "training seed must be an integer, got True"),
+            ({"lr": -1.0}, "training lr must be a positive number, got -1.0"),
+            ({"batch_size": 0}, "training batch_size must be a positive integer, got 0"),
+            ({"crop_seconds": 0.0}, "training crop_seconds must be a number in (0, 3600], got 0.0"),
+            ({"max_steps": 0}, "training max_steps must be a positive integer, got 0"),
+            ({"seed": -1}, "training seed must be a non-negative integer, got -1"),
+            ({"val_every": -2}, "training val_every must be a non-negative integer, got -2"),
+            ({"recon_weight": -1.0}, "training recon_weight must be a non-negative number, got -1.0"),
+            ({"td_mse_reduction": "median"}, "training td_mse_reduction must be sum or mean, got 'median'"),
+            ({"crop_seconds": 3600.5}, "training crop_seconds must be a number in (0, 3600], got 3600.5"),
+            ({"max_steps": 2.5}, "training max_steps must be a positive integer, got 2.5"),
+            ({"batch_size": 2.5}, "training batch_size must be a positive integer, got 2.5"),
+            ({"val_every": 1.5}, "training val_every must be a non-negative integer, got 1.5"),
+            ({"seed": True}, "training seed must be a non-negative integer, got True"),
+            ({"lr": "0.1"}, "training lr must be a positive number, got '0.1'"),
+            ({"recon_weight": None}, "training recon_weight must be a non-negative number, got None"),
+            ({"lr": math.inf}, "training lr must be a positive number, got inf"),
+            ({"recon_weight": math.inf}, "training recon_weight must be a non-negative number, got inf"),
         ],
         ids=[
             "lr", "batch_size", "crop_seconds-zero", "max_steps", "seed", "val_every", "recon_weight",
             "td_mse_reduction", "crop_seconds-past-an-hour", "max_steps-float", "batch_size-float",
-            "val_every-float", "seed-bool",
+            "val_every-float", "seed-bool", "lr-str", "recon_weight-none", "lr-inf", "recon_weight-inf",
         ],
     )
     def test_each_bad_value_raises(self, values, problem):
@@ -544,23 +560,32 @@ class TestTrainingConfig:
         with pytest.raises(ConfigError) as info:
             TrainingConfig(lr=0.0, max_steps=-1, recon_weight=-0.5)
         assert str(info.value).split(" | ") == [
-            "training lr must be positive, got 0.0",
-            "training max_steps must be positive, got -1",
-            "recon_weight must be non-negative",
+            "training lr must be a positive number, got 0.0",
+            "training max_steps must be a positive integer, got -1",
+            "training recon_weight must be a non-negative number, got -0.5",
         ]
 
     @pytest.mark.parametrize(
         "name, problem",
         [
-            ("lr", "training lr must be positive, got nan"),
-            ("crop_seconds", "training crop_seconds must be positive, got nan"),
-            ("recon_weight", "recon_weight must be non-negative"),
+            ("lr", "training lr must be a positive number, got nan"),
+            ("crop_seconds", "training crop_seconds must be a number in (0, 3600], got nan"),
+            ("recon_weight", "training recon_weight must be a non-negative number, got nan"),
         ],
+        ids=["lr", "crop_seconds", "recon_weight"],
     )
     def test_nan_raises(self, name, problem):
         with pytest.raises(ConfigError) as info:
             TrainingConfig(**{name: float("nan")})
         assert str(info.value) == problem
+
+
+    @pytest.mark.parametrize("name", ["lr", "crop_seconds", "recon_weight"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_file_and_python_give_one_message(self, tmp_path, name, value):
+        with pytest.raises(ConfigError) as info:
+            TrainingConfig(**{name: value})
+        assert config_errors(tmp_path, f"[training]\n{name} = {value}\n") == {str(info.value)}
 
 
 class TestSimulateConfig:
@@ -569,24 +594,26 @@ class TestSimulateConfig:
     @pytest.mark.parametrize(
         "values, problem",
         [
-            ({"seed": -1}, "simulate seed must be non-negative, got -1"),
-            ({"count": -1}, "simulate counts must be non-negative"),
-            ({"holdout_count": -1}, "simulate counts must be non-negative"),
-            ({"duration_seconds": 0.1}, "simulate duration_seconds must be at least 0.2"),
-            ({"duration_seconds": float("nan")}, "simulate duration_seconds must be at least 0.2"),
-            ({"duration_seconds": 3600.5}, "simulate duration_seconds must be at most 3600, got 3600.5"),
-            ({"perturb_prob": 1.5}, "perturb_prob must lie in [0, 1]"),
-            ({"perturb_prob": float("nan")}, "perturb_prob must lie in [0, 1]"),
-            ({"count": 2.5}, "simulate count must be an integer, got 2.5"),
-            ({"holdout_count": False}, "simulate holdout_count must be an integer, got False"),
-            ({"seed": 1.0}, "simulate seed must be an integer, got 1.0"),
+            ({"seed": -1}, "simulate seed must be a non-negative integer, got -1"),
+            ({"count": -1}, "simulate count must be a non-negative integer, got -1"),
+            ({"holdout_count": -1}, "simulate holdout_count must be a non-negative integer, got -1"),
+            ({"duration_seconds": 0.1}, "simulate duration_seconds must be a number in [0.2, 3600], got 0.1"),
+            ({"duration_seconds": float("nan")}, "simulate duration_seconds must be a number in [0.2, 3600], got nan"),
+            ({"duration_seconds": 3600.5}, "simulate duration_seconds must be a number in [0.2, 3600], got 3600.5"),
+            ({"perturb_prob": 1.5}, "simulate perturb_prob must be a number in [0, 1], got 1.5"),
+            ({"perturb_prob": float("nan")}, "simulate perturb_prob must be a number in [0, 1], got nan"),
+            ({"count": 2.5}, "simulate count must be a non-negative integer, got 2.5"),
+            ({"holdout_count": False}, "simulate holdout_count must be a non-negative integer, got False"),
+            ({"seed": 1.0}, "simulate seed must be a non-negative integer, got 1.0"),
             ({"rir_paths": ["a.wav"]}, "simulate rir_paths must be a tuple of str, got ['a.wav']"),
             ({"rir_paths": ("a.wav", 1)}, "simulate rir_paths must be a tuple of str, got ('a.wav', 1)"),
+            ({"perturb_prob": None}, "simulate perturb_prob must be a number in [0, 1], got None"),
+            ({"duration_seconds": "1"}, "simulate duration_seconds must be a number in [0.2, 3600], got '1'"),
         ],
         ids=[
             "seed", "count", "holdout_count", "duration-short", "duration-nan", "duration-past-an-hour",
             "perturb_prob", "perturb_prob-nan", "count-float", "holdout_count-bool", "seed-float",
-            "rir_paths-list", "rir_paths-not-str",
+            "rir_paths-list", "rir_paths-not-str", "perturb_prob-none", "duration_seconds-str",
         ],
     )
     def test_each_bad_value_raises(self, values, problem):
@@ -598,9 +625,10 @@ class TestSimulateConfig:
         with pytest.raises(ConfigError) as info:
             SimulateConfig(count=-5, perturb_prob=7)
         assert str(info.value).split(" | ") == [
-            "simulate counts must be non-negative",
-            "perturb_prob must lie in [0, 1]",
+            "simulate count must be a non-negative integer, got -5",
+            "simulate perturb_prob must be a number in [0, 1], got 7",
         ]
+
 
 
 class TestFrozenSections:
@@ -624,9 +652,9 @@ class TestFrozenSections:
     def test_replace_derives_and_checks_again(self):
         model = dataclasses.replace(ModelConfig(), sample_rate=8000)
         assert model.stft == StftConfig(8000) and model.stft.window_len == 256
-        with pytest.raises(ConfigError, match="training max_steps must be positive"):
+        with pytest.raises(ConfigError, match="training max_steps must be a positive integer"):
             dataclasses.replace(TrainingConfig(), max_steps=0)
-        with pytest.raises(ConfigError, match="simulate counts must be non-negative"):
+        with pytest.raises(ConfigError, match="simulate count must be a non-negative integer"):
             dataclasses.replace(SimulateConfig(), count=-5)
 
     def test_simulate_rir_paths_cannot_be_edited_in_place(self, tmp_path):

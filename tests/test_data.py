@@ -241,6 +241,13 @@ class TestManifest:
         with pytest.raises(dt.ManifestError, match=r"line 2.*5\.2"):
             dt.load_manifest(path)
 
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_text("degraded_path\tclean_path\tlabel\n\n\nx.wav\t\tnotanumber\n")
+        with pytest.raises(dt.ManifestError) as info:
+            dt.load_manifest(path)
+        assert str(info.value) == f"{path}: invalid manifest: line 4: label 'notanumber' is not a number"
+
     def test_missing_clean_path_allowed(self, tmp_path):
         records = self.write_entry_wavs(tmp_path, n=1)
         path = tmp_path / "m.tsv"

@@ -129,10 +129,10 @@ def retaining_backward(loss):
             continue
         seen.add(id(node))
         stack.append((node, True))
-        stack.extend((p, False) for p in node._parents if p is not None and id(p) not in seen)
+        stack.extend((p, False) for p in node._parents if isinstance(p, dc._Node) and id(p) not in seen)
     root.grad = np.ones_like(loss.values)
     for node in reversed(topo):
-        if node._vjp is None or node.grad is None:
+        if node.grad is None:
             continue
         for parent, g in zip(node._parents, node._vjp(node.grad)):
             if g is not None and parent is not None:
@@ -164,7 +164,7 @@ class TestGraphRelease:
         dc.backward(total)
         del out
         assert [ref for ref in inner if ref() is not None] == []
-        assert total._parents == ()
+        assert total._node._parents == ()
 
     def test_outputs_no_vjp_reads_die_before_backward(self, monkeypatch):
         # The caller holds only the loss and the params. PReLU outputs (the
@@ -283,6 +283,28 @@ class TestGradientChecks:
     def test_softmax(self):
         x = dc.parameter(np.random.default_rng(3).standard_normal(10))
         assert dc.gradient_check(lambda x: dc.softmax(x, axis=-1), [x]) < 1e-6
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda x: dc.mean(x, axis=-1, keepdims=True),
+            lambda x: dc.mean(x),
+            lambda x: dc.sum(x),
+        ],
+        ids=["mean-keepdims", "mean-all", "sum-all"],
+    )
+    def test_reductions(self, fn):
+        x = dc.parameter(np.random.default_rng(14).standard_normal((3, 7)))
+        assert dc.gradient_check(fn, [x]) < 1e-6
+
+    @pytest.mark.parametrize("op", [dc.add, dc.mul, dc.sub], ids=["add", "mul", "sub"])
+    @pytest.mark.parametrize("b_shape", [(3, 1), (7,), ()], ids=["column", "row", "scalar"])
+    def test_broadcasting_binary_ops(self, op, b_shape):
+        # As in td_mse's (B, L) - (B, 1); both sides' gradients sum back to their shapes.
+        rng = np.random.default_rng(15)
+        a, b = dc.parameter(randn(rng, 3, 7)), dc.parameter(randn(rng, *b_shape))
+        assert dc.gradient_check(op, [a, b]) < 1e-6
+        assert dc.gradient_check(lambda b, a: op(a, b), [b, a]) < 1e-6
 
     def test_batch_norm_train(self):
         rng = np.random.default_rng(4)

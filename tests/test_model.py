@@ -194,7 +194,7 @@ class TestScoringForward:
         mdl.forward(make_wave(0.5, seed=32), cfg, params)
         (out,) = outputs
         assert out.reconstruction is None
-        assert not out.distribution.requires_grad and out.distribution._parents == ()
+        assert not out.distribution.requires_grad and out.distribution._node is None
         assert all(t.grad is None for t in params.values())
         for name, t in params.items():
             np.testing.assert_array_equal(t.values, before[name])

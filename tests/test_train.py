@@ -2,6 +2,7 @@
 losses.joint_loss, and must give what the separate assemblies gave before."""
 
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -15,7 +16,7 @@ from speechq import losses
 from speechq import model as mdl
 from speechq import signal as sig
 from speechq import train as tr
-from speechq.config import RunConfig, SimulateConfig, TrainingConfig
+from speechq.config import ConfigError, RunConfig, SimulateConfig, TrainingConfig
 from speechq.signal import load_wav, save_wav
 
 CLEAN_PATTERNS = {"all": [True, True, True], "none": [False, False, False], "mixed": [True, False, True]}
@@ -257,6 +258,16 @@ def test_crop_shorter_than_a_window_fails_before_any_output(tmp_path):
     assert len(entries[0].degraded) == 4000
     with pytest.raises(sig.WavFormatError, match="shorter than one window"):
         tr.run_training(run, entries)
+    assert not os.path.exists(run.out_dir)
+
+
+def test_infinite_lr_fails_before_any_output(tmp_path):
+    # lr = inf set in Python breaks the [training] rule, as in a file, before training starts.
+    run = tiny_run()
+    run.out_dir = str(tmp_path / "run")
+    with pytest.raises(ConfigError, match=r"^training lr must be a positive number, got inf$"):
+        run.training = dataclasses.replace(run.training, crop_seconds=0.2, max_steps=2, lr=math.inf)
+        tr.run_training(run, make_entries([True] * 3))
     assert not os.path.exists(run.out_dir)
 
 
