@@ -1,4 +1,10 @@
-"""Evaluation statistics between predicted and ground-truth scores."""
+"""Evaluation statistics between predicted and ground-truth scores.
+
+A correlation without a value, over fewer than two pairs or with a zero
+denominator (a constant vector), is None, which a report prints as
+``undefined``; it is never reported as zero. Score vectors that are
+empty, of unequal length or not finite are a ValueError.
+"""
 
 from __future__ import annotations
 
@@ -9,11 +15,8 @@ import numpy as np
 
 @dataclass
 class EvalReport:
-    """MSE plus linear and rank correlation over n score pairs.
-
-    Correlations are None when undefined (fewer than two samples or a
-    constant vector); they are never silently reported as zero.
-    """
+    """MSE plus linear and rank correlation over n score pairs; a correlation
+    is None when undefined."""
 
     mse: float
     lcc: float | None
@@ -21,76 +24,50 @@ class EvalReport:
     n: int
 
     def to_record(self, **extra) -> str:
-        fields = dict(extra)
-        fields["mse"] = f"{self.mse:.6f}"
-        fields["lcc"] = "undefined" if self.lcc is None else f"{self.lcc:.6f}"
-        fields["srcc"] = "undefined" if self.srcc is None else f"{self.srcc:.6f}"
-        fields["n"] = str(self.n)
+        corr = {k: "undefined" if v is None else f"{v:.6f}" for k, v in (("lcc", self.lcc), ("srcc", self.srcc))}
+        fields = {**extra, "mse": f"{self.mse:.6f}", **corr, "n": str(self.n)}
         return " ".join(f"{k}={v}" for k, v in fields.items())
 
 
-def _check_pair(pred, truth, min_len: int = 1):
+def _check_pair(pred, truth):
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
-    if pred.ndim != 1 or truth.shape != pred.shape:
-        raise ValueError(f"score vectors must be 1-D and equal length, got {pred.shape} / {truth.shape}")
-    if pred.size < min_len:
-        raise ValueError(f"need at least {min_len} samples, got {pred.size}")
+    if pred.ndim != 1 or truth.shape != pred.shape or pred.size == 0:
+        raise ValueError(f"score vectors must be 1-D, non-empty and equal length, got {pred.shape} / {truth.shape}")
+    if not (np.isfinite(pred).all() and np.isfinite(truth).all()):
+        raise ValueError("score vectors must hold finite numbers")
     return pred, truth
 
 
 def mse_metric(pred, truth) -> float:
     """Mean squared difference between predicted and true scores."""
-    pred, truth = _check_pair(pred, truth, min_len=1)
+    pred, truth = _check_pair(pred, truth)
     return float(np.mean((pred - truth) ** 2))
 
 
-def lcc(pred, truth) -> float:
-    """Pearson linear correlation coefficient.
-
-    Raises ValueError for constant inputs, where the statistic is undefined.
-    """
-    pred, truth = _check_pair(pred, truth, min_len=2)
+def lcc(pred, truth) -> float | None:
+    """Pearson linear correlation coefficient; None for one pair or a constant vector."""
+    pred, truth = _check_pair(pred, truth)
     a = pred - pred.mean()
     b = truth - truth.mean()
     denom = np.sqrt(np.sum(a * a) * np.sum(b * b))
-    if denom == 0.0:
-        raise ValueError("correlation undefined for a constant score vector")
-    return float(np.sum(a * b) / denom)
+    return None if denom == 0.0 else float(np.sum(a * b) / denom)
 
 
 def rankdata(values) -> np.ndarray:
-    """1-based ranks; tied values share the mean of the ranks they span."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    i = 0
-    while i < values.size:
-        j = i + 1
-        while j < values.size and values[order[j]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + 1 + j)
-        i = j
-    return ranks
+    """1-based ranks; tied values share the mean of the ranks they span:
+    a group of c ties ending at sorted position k ranks k - (c - 1) / 2."""
+    _, group, counts = np.unique(np.asarray(values, dtype=np.float64), return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[group]
 
 
-def srcc(pred, truth) -> float:
-    """Spearman rank correlation: Pearson correlation of average-tied ranks."""
-    pred, truth = _check_pair(pred, truth, min_len=2)
+def srcc(pred, truth) -> float | None:
+    """Spearman rank correlation: Pearson correlation of average-tied ranks, or None."""
+    pred, truth = _check_pair(pred, truth)
     return lcc(rankdata(pred), rankdata(truth))
 
 
 def evaluate_scores(pred, truth) -> EvalReport:
-    """Full report; correlations degrade to None instead of raising."""
-    pred, truth = _check_pair(pred, truth, min_len=1)
-    report = EvalReport(mse=mse_metric(pred, truth), lcc=None, srcc=None, n=pred.size)
-    if pred.size >= 2:
-        try:
-            report.lcc = lcc(pred, truth)
-        except ValueError:
-            pass
-        try:
-            report.srcc = srcc(pred, truth)
-        except ValueError:
-            pass
-    return report
+    """MSE, LCC and SRCC of predicted against true scores."""
+    pred, truth = _check_pair(pred, truth)
+    return EvalReport(mse=mse_metric(pred, truth), lcc=lcc(pred, truth), srcc=srcc(pred, truth), n=pred.size)

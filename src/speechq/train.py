@@ -63,7 +63,7 @@ def load_run_checkpoint(path):
         CheckpointError: the file is not a checkpoint, its header lacks
             valid model and quantizer entries and a non-negative integer
             step (a RETIRED_MODEL_KEYS key must hold its one legal value,
-            and ``best_total``, when present, a number other than NaN),
+            and ``best_total``, when present, a finite number),
             the quantizer's class count differs from the model's, or its
             arrays do not match the model's parameter names, shapes and
             dtype. Optimizer state is optional, but each ``opt.m.<p>``
@@ -92,8 +92,8 @@ def _read_run_checkpoint(path):
         if isinstance(step, bool) or not isinstance(step, int) or step < 0:
             raise ValueError(f"step must be a non-negative integer, got {step!r}")
         best_total = header.get("best_total", np.inf)
-        if isinstance(best_total, bool) or not isinstance(best_total, (int, float)) or best_total != best_total:
-            raise ValueError(f"best_total must be a number, got {best_total!r}")
+        if "best_total" in header and not (type(best_total) in (int, float) and -np.inf < best_total < np.inf):
+            raise ValueError(f"best_total must be a finite number, got {best_total!r}")
     except (TypeError, ValueError, AttributeError) as exc:
         raise dc.CheckpointError(f"{path}: invalid run settings in checkpoint header: {exc}") from exc
     if quant.n_total != cfg.n_classes:
@@ -227,8 +227,9 @@ def run_training(
     and, if ``run.out_dir`` holds a `best.ckpt`, the checkpoint's best
     validation score; a fresh run starts a new log. A ``run.out_dir`` that
     holds a checkpoint raises ``FileExistsError`` unless it is the directory
-    of ``resume_from``. A crop shorter than one analysis window raises
-    ``WavFormatError``; these checks run before ``run.out_dir`` is created.
+    of ``resume_from``. A training or validation entry at another rate than
+    the model's raises ``ValueError`` and a crop shorter than one analysis
+    window ``WavFormatError``; these checks run before ``run.out_dir`` is created.
     A non-finite value raises ``FloatingPointError`` naming the step.
     """
     if not entries:
@@ -261,11 +262,10 @@ def run_training(
         optimizer.load_state(opt_arrays, start_step)
     del opt_arrays  # the optimizer adopted its moments; the rest is unused
 
-    for entry in entries:
-        if entry.degraded.sample_rate != run.model.sample_rate:
-            raise ValueError(
-                f"entry rate {entry.degraded.sample_rate} != model rate {run.model.sample_rate}"
-            )
+    for kind, group in (("training", entries), ("validation", val_entries or ())):
+        for entry in group:
+            if entry.degraded.sample_rate != run.model.sample_rate:
+                raise ValueError(f"{kind} entry rate {entry.degraded.sample_rate} != model rate {run.model.sample_rate}")
     targets = lb.targets([e.label for e in entries], quant)
     crop = min(round(tcfg.crop_seconds * run.model.sample_rate), min(len(e.degraded) for e in entries))
     run.model.stft.num_frames(crop)  # a crop shorter than one window fails before any output
@@ -342,15 +342,11 @@ def _validation_total(run: RunConfig, params, val_entries, quant, use_recon: boo
 
 def evaluate_entries(cfg: ModelConfig, quant: QuantizerConfig, params: dict, entries) -> dict:
     """EvalReports keyed by decoder, mirroring the two score readouts."""
-    scores = {"expect": [], "max": []}
-    for entry in entries:
-        dist = mdl.forward(entry.degraded, cfg, params)
-        scores["expect"].append(lb.decode_expect(dist, quant))
-        scores["max"].append(lb.decode_max(dist, quant))
-    scores = {name: np.array(values) for name, values in scores.items()}
-    scores["truth"] = np.array([entry.label for entry in entries])
-    return {
-        "expect": metrics.evaluate_scores(scores["expect"], scores["truth"]),
-        "max": metrics.evaluate_scores(scores["max"], scores["truth"]),
-        "scores": scores,
+    dists = [mdl.forward(entry.degraded, cfg, params) for entry in entries]
+    scores = {
+        "expect": np.array([lb.decode_expect(d, quant) for d in dists]),
+        "max": np.array([lb.decode_max(d, quant) for d in dists]),
+        "truth": np.array([entry.label for entry in entries]),
     }
+    reports = {name: metrics.evaluate_scores(scores[name], scores["truth"]) for name in ("expect", "max")}
+    return {**reports, "scores": scores}

@@ -854,11 +854,11 @@ class TestBadInputs:
             ),
             (
                 {"model": {}, "quantizer": {"n_classes": 100}, "step": 0, "best_total": "0.5"},
-                "best_total must be a number, got '0.5'",
+                "best_total must be a finite number, got '0.5'",
             ),
             (
                 {"model": {}, "quantizer": {"n_classes": 100}, "step": 0, "best_total": float("nan")},
-                "best_total must be a number, got nan",
+                "best_total must be a finite number, got nan",
             ),
         ],
         ids=[
@@ -1000,6 +1000,30 @@ class TestBadInputs:
             "[training] label_kind is 'one-hot' in the checkpoint but 'soft' in the configuration",
         )
         assert not (tmp_path / "run" / "final.ckpt").exists()
+
+    def test_resume_of_an_infinite_best_total_exits_2_before_writing(self, trained_checkpoint, tmp_path, capsys):
+        # A best of -inf would never be beaten, so best.ckpt would never be rewritten.
+        from speechq import diffcore as dc
+
+        ckpt, data_dir = trained_checkpoint
+        run_dir = tmp_path / "run"
+        shutil.copytree(ckpt.parent, run_dir)
+        arrays, header = dc.load_checkpoint(run_dir / "final.ckpt")
+        dc.save_checkpoint(run_dir / "final.ckpt", arrays, {**header, "best_total": float("-inf")})
+        with open(run_dir / "final.ckpt", "rb") as fh:
+            assert b'"best_total": -Infinity' in fh.read(4096)
+        config = write_config(
+            tmp_path,
+            TINY_MODEL.format(steps=10)
+            + f"\n[data]\nmanifest = {data_dir / 'manifest.tsv'}\n[output]\ndir = {run_dir}\n",
+        )
+        before = {name: file_digest(run_dir / name) for name in sorted(os.listdir(run_dir))}
+        self.assert_data_error(
+            ["train", "--config", config, "--checkpoint", run_dir / "final.ckpt"],
+            capsys,
+            "best_total must be a finite number, got -inf",
+        )
+        assert {name: file_digest(run_dir / name) for name in sorted(os.listdir(run_dir))} == before
 
     @pytest.mark.parametrize(
         "samples, rate, expected",

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from speechq import metrics
 
@@ -67,8 +69,14 @@ class TestLcc:
             assert metrics.lcc(a, b) == pytest.approx(pearson_oracle(a, b), abs=1e-12)
 
     def test_constant_vector_undefined(self):
-        with pytest.raises(ValueError, match="constant"):
-            metrics.lcc([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+        assert metrics.lcc([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None
+        assert metrics.srcc([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None
+        assert metrics.lcc([1.0, 2.0, 3.0], [2.0, 2.0, 2.0]) is None
+        assert metrics.srcc([1.0, 2.0, 3.0], [2.0, 2.0, 2.0]) is None
+
+    def test_single_pair_undefined(self):
+        assert metrics.lcc([2.0], [2.5]) is None
+        assert metrics.srcc([2.0], [2.5]) is None
 
 
 class TestSrcc:
@@ -110,6 +118,32 @@ class TestSrcc:
                 continue
             oracle = pearson_oracle(ranks_by_permutation_oracle(a), ranks_by_permutation_oracle(b))
             assert metrics.srcc(a, b) == pytest.approx(oracle, abs=1e-12)
+
+
+@pytest.mark.parametrize("fn", [metrics.mse_metric, metrics.lcc, metrics.srcc, metrics.evaluate_scores])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("side", ["pred", "truth"])
+def test_non_finite_scores_rejected(fn, bad, side):
+    good, odd = [1.0, 2.0, 3.0], [bad, 2.0, 3.0]
+    with pytest.raises(ValueError, match="finite"):
+        fn(*((odd, good) if side == "pred" else (good, odd)))
+
+
+@pytest.mark.parametrize("fn", [metrics.mse_metric, metrics.lcc, metrics.srcc, metrics.evaluate_scores])
+def test_empty_or_unequal_vectors_rejected(fn):
+    with pytest.raises(ValueError):
+        fn([], [])
+    with pytest.raises(ValueError):
+        fn([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.integers(0, 4), max_size=12))
+def test_rankdata_matches_scipy_average_ranks(values):
+    from scipy import stats
+
+    values = np.array(values, dtype=np.float64)
+    np.testing.assert_array_equal(metrics.rankdata(values), stats.rankdata(values, method="average"))
 
 
 class TestScipyOracle:

@@ -271,6 +271,19 @@ def test_infinite_lr_fails_before_any_output(tmp_path):
     assert not os.path.exists(run.out_dir)
 
 
+@pytest.mark.parametrize("which", ["training", "validation"])
+def test_entry_at_another_rate_fails_before_any_output(tmp_path, which):
+    run = tiny_run()
+    run.training = dataclasses.replace(run.training, crop_seconds=0.2, max_steps=2)
+    run.out_dir = str(tmp_path / "run")
+    entries = make_entries([True] * 3)
+    slow = [dt.DatasetEntry(sig.Waveform(e.degraded.samples, 8000), None, e.label) for e in entries]
+    train, val = (slow, entries) if which == "training" else (entries, slow)
+    with pytest.raises(ValueError, match=rf"^{which} entry rate 8000 != model rate 16000$"):
+        tr.run_training(run, train, val)
+    assert not os.path.exists(run.out_dir)
+
+
 def test_resumed_optimizer_adopts_the_loaded_moments(tmp_path, monkeypatch):
     # A bound below the entry and mask-head weights (2,056 elements) leaves
     # them ungrouped at this model size.
