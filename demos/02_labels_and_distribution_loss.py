@@ -9,7 +9,7 @@ Run: python demos/02_labels_and_distribution_loss.py
 
 import numpy as np
 
-from speechq.labels import QuantizerConfig, decode_expect, decode_max, one_hot, quantize, soft_label
+from speechq.labels import QuantizerConfig, decode_expect, decode_max, quantize, targets
 from speechq.losses import emd2
 
 quant = QuantizerConfig(n_classes=100)
@@ -17,13 +17,15 @@ print(f"{quant.n_classes} classes of width {quant.step} over [-0.5, 4.5]")
 
 score = 3.07
 nu = quantize(score, quant)
-decoded = decode_max(one_hot(nu, quant), quant)
+decoded = decode_max(targets([score], quant)[0], quant)
 print(f"score {score} -> class {nu} -> decoded midpoint {decoded}")
 
 # Ordered-class sensitivity: predictions at growing class distance.
-target = one_hot(50, quant)
+# One-hot target rows at every class midpoint: row nu - 1 is class nu.
+one_hot = targets(quant.midpoints(), quant)
+target = one_hot[50 - 1]
 for predicted_class in (51, 55, 70):
-    pred = one_hot(predicted_class, quant)
+    pred = one_hot[predicted_class - 1]
     eps = 1e-12
     xent = -np.sum(target * np.log(pred + eps))
     cdf_loss = float(emd2(pred, target).values)
@@ -35,7 +37,7 @@ for predicted_class in (51, 55, 70):
 # Soft labels spread one-hot mass over neighbors; pad classes absorb the
 # kernel at the range boundaries.
 soft_quant = QuantizerConfig(n_classes=100, pad=2)
-p = soft_label(1, soft_quant)
+p = targets([-0.5], soft_quant)[0]  # the lowest score, in class 1
 print(f"soft label at the bottom class: first five masses {p[:5]}, total {p.sum():.1f}")
 
 uniform = np.full(100, 0.01)

@@ -2,7 +2,10 @@
 
 ``simulate`` and ``train`` read an INI run configuration (``--config``);
 its ``[simulate] seed`` and ``[training] seed`` keys set the seeds, and
-``--out`` replaces its ``[output] dir``. ``predict`` prints, per file, the
+``--out`` replaces its ``[output] dir``. ``simulate`` writes no data set
+into a directory that holds one (a ``manifest.tsv`` or
+``manifest_holdout.tsv``): the old set's other manifest would name the
+new WAVs with old labels. ``predict`` prints, per file, the
 expectation-decoded score and then the argmax-decoded one; ``eval`` prints
 the expectation decoder's report and then the argmax decoder's, on stdout
 only: it writes no file.
@@ -121,9 +124,11 @@ def cmd_simulate(args) -> int:
     run = _load_run(args)
     sim = run.simulate
     rate = run.model.sample_rate
+    out_dir = run.out_dir
+    if any(os.path.exists(os.path.join(out_dir, name)) for name in ("manifest.tsv", "manifest_holdout.tsv")):
+        raise FileExistsError(f"{out_dir} holds a simulated data set; simulate elsewhere")
     # Loaded before anything is written, so a bad impulse response leaves no output.
     rirs = [_load_rir(p, rate, round(sim.duration_seconds * rate)) for p in sim.rir_paths]
-    out_dir = run.out_dir
     wav_dir = os.path.join(out_dir, "wavs")
     os.makedirs(wav_dir, exist_ok=True)
 

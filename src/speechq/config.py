@@ -8,7 +8,8 @@ SimulateConfig. Each value parses to its field's annotated type, or stays
 text when it does not, and defaults to the field's default. The exceptions:
 
 - [training] label_kind (one-hot or soft) is a key but not a field: it
-  sets [quantizer] pad (0 for one-hot, 2 for soft), which is not a key;
+  sets [quantizer] pad, which is not a key, to the kind's entry of
+  labels.LABEL_KIND_PAD (0 for one-hot, 2 for soft);
 - [model] n_classes defaults to, and must equal, the quantizer's classes
   plus padding;
 - [simulate] rir_paths is a comma-separated list, parsed to a tuple;
@@ -43,11 +44,13 @@ import os
 import typing
 from dataclasses import dataclass, fields
 
-from .labels import QuantizerConfig
+from .labels import LABEL_KIND_PAD, QuantizerConfig
 from .model import ModelConfig
 
 # Upper bound on the seconds-valued keys crop_seconds and duration_seconds.
 MAX_SECONDS = 3600.0
+# The message of the rule that the model's class count is the quantizer's classes plus padding.
+CLASS_COUNT_RULE = "model n_classes = {} must equal quantizer classes + padding = {}"
 
 
 class ConfigError(ValueError):
@@ -133,9 +136,6 @@ def _field_types(cls) -> dict:
     hints = typing.get_type_hints(cls)
     return {f.name: hints[f.name] for f in fields(cls) if f.init}
 
-
-# [training] label_kind -> [quantizer] pad.
-LABEL_KIND_PAD = {"one-hot": 0, "soft": 2}
 
 # Section -> key -> parse type. [data] and [output] hold the RunConfig paths.
 _SECTIONS = {
@@ -230,10 +230,7 @@ class RunConfig:
         # An n_classes that did not parse is left to the model's rule.
         model_classes = given["model"].get("n_classes", quantizer.n_total)
         if isinstance(model_classes, int) and model_classes != quantizer.n_total:
-            errors.append(
-                f"model n_classes = {model_classes} must equal quantizer classes + padding"
-                f" = {quantizer.n_total}"
-            )
+            errors.append(CLASS_COUNT_RULE.format(model_classes, quantizer.n_total))
             model_classes = quantizer.n_total
         model = _build(ModelConfig, {**given["model"], "n_classes": model_classes}, errors)
 

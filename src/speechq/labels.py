@@ -2,8 +2,9 @@
 
 Scores live in [-0.5, 4.5] and are split into N equal classes of width
 5/N; class n covers the half-open interval (-0.5 + (n-1)*step,
--0.5 + n*step]. Soft labels need two extra classes padded onto each end
-of the range so the fixed smoothing kernel never runs off the vector.
+-0.5 + n*step]. A label kind is a kernel of class masses centred on the
+true class; each end of the range is padded with the kernel's half-width
+in classes, so the kernel never runs off the vector.
 """
 
 from __future__ import annotations
@@ -15,16 +16,15 @@ import numpy as np
 SCORE_LO = -0.5
 SCORE_HI = 4.5
 
-# Smoothing kernel for soft labels: mass at the true class and +-1, +-2.
-SOFT_KERNEL = (0.1, 0.2, 0.4, 0.2, 0.1)
+# Each label kind's class masses, centred on the true class.
+LABEL_KERNELS = {"one-hot": (1.0,), "soft": (0.1, 0.2, 0.4, 0.2, 0.1)}
+# [training] label_kind -> QuantizerConfig.pad: the kernel's half-width.
+LABEL_KIND_PAD = {kind: len(kernel) // 2 for kind, kernel in LABEL_KERNELS.items()}
 
 
 @dataclass(frozen=True)
 class QuantizerConfig:
-    """Number of score classes plus the boundary padding per side.
-
-    pad = 0 for one-hot targets, pad = 2 for soft labels.
-    """
+    """Number of score classes plus the boundary padding per side: a label kind's pad."""
 
     n_classes: int = 100
     pad: int = 0
@@ -32,10 +32,10 @@ class QuantizerConfig:
     def __post_init__(self):
         """Raises one ValueError that names every invalid field, separated by `` | ``."""
         problems = []
-        for name, least, rule in (("n_classes", 1, "a positive integer"), ("pad", 0, "a non-negative integer")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                problems.append(f"quantizer {name} must be {rule}, got {value!r}")
+        if isinstance(self.n_classes, bool) or not isinstance(self.n_classes, int) or self.n_classes < 1:
+            problems.append(f"quantizer n_classes must be a positive integer, got {self.n_classes!r}")
+        if isinstance(self.pad, bool) or not isinstance(self.pad, int) or self.pad not in LABEL_KIND_PAD.values():
+            problems.append(f"quantizer pad must be {' or '.join(map(str, LABEL_KIND_PAD.values()))}, got {self.pad!r}")
         if problems:
             raise ValueError(" | ".join(problems))
 
@@ -68,40 +68,16 @@ def quantize(score: float, cfg: QuantizerConfig) -> int:
     return min(max(nu, 1), cfg.n_classes)
 
 
-def one_hot(nu: int, cfg: QuantizerConfig) -> np.ndarray:
-    """One-hot target distribution; requires an unpadded config."""
-    if cfg.pad != 0:
-        raise ValueError("one-hot labels use pad = 0")
-    if not (1 <= nu <= cfg.n_classes):
-        raise ValueError(f"class index {nu} outside 1..{cfg.n_classes}")
-    p = np.zeros(cfg.n_total)
-    p[nu - 1] = 1.0
-    return p
-
-
-def soft_label(nu: int, cfg: QuantizerConfig) -> np.ndarray:
-    """Fixed-kernel soft target centered on the true class.
-
-    Kernel mass that falls past the score range lands on the boundary pad
-    classes and is kept there (no renormalization), which is what the pad
-    classes exist for.
-    """
-    if cfg.pad < 2:
-        raise ValueError("soft labels need pad >= 2")
-    if not (1 <= nu <= cfg.n_classes):
-        raise ValueError(f"class index {nu} outside 1..{cfg.n_classes}")
-    p = np.zeros(cfg.n_total)
-    center = (nu - 1) + cfg.pad
-    for offset, mass in zip((-2, -1, 0, 1, 2), SOFT_KERNEL):
-        p[center + offset] = mass
-    return p
-
-
 def targets(scores, cfg: QuantizerConfig) -> np.ndarray:
-    """Target distributions, one row per score: one-hot for an unpadded
-    quantizer, soft labels for a padded one."""
-    label = one_hot if cfg.pad == 0 else soft_label
-    return np.stack([label(quantize(score, cfg), cfg) for score in scores])
+    """Float64 target rows, one per score: the kernel of the label kind whose pad
+    is ``cfg.pad``, centred on the score's class at padded index class - 1 + pad.
+    Mass past the score range stays on the pad classes, which exist for it."""
+    kernel = {len(k) // 2: k for k in LABEL_KERNELS.values()}[cfg.pad]
+    rows = np.zeros((len(scores), cfg.n_total))
+    for row, score in zip(rows, scores):
+        start = quantize(score, cfg) - 1  # the kernel starts pad classes before its centre
+        row[start : start + len(kernel)] = kernel
+    return rows
 
 
 def validate_distribution(p, cfg: QuantizerConfig) -> np.ndarray:

@@ -3,7 +3,9 @@
 A correlation without a value, over fewer than two pairs or with a zero
 denominator (a constant vector), is None, which a report prints as
 ``undefined``; it is never reported as zero. Score vectors that are
-empty, of unequal length or not finite are a ValueError.
+empty, of unequal length or not finite are a ValueError. Squares and
+products are taken of vectors scaled by a power of two, which is exact,
+so they overflow or underflow only where the statistic itself would.
 """
 
 from __future__ import annotations
@@ -39,17 +41,24 @@ def _check_pair(pred, truth):
     return pred, truth
 
 
+def _unit_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """``x / 2**e`` and ``e``, where 2**e brings the largest magnitude into [0.5, 1)."""
+    e = int(np.frexp(np.max(np.abs(x)))[1])
+    return np.ldexp(x, -e), e
+
+
 def mse_metric(pred, truth) -> float:
     """Mean squared difference between predicted and true scores."""
     pred, truth = _check_pair(pred, truth)
-    return float(np.mean((pred - truth) ** 2))
+    d, e = _unit_scaled(pred - truth)
+    return float(np.ldexp(np.mean(d**2), 2 * e))
 
 
 def lcc(pred, truth) -> float | None:
     """Pearson linear correlation coefficient; None for one pair or a constant vector."""
     pred, truth = _check_pair(pred, truth)
-    a = pred - pred.mean()
-    b = truth - truth.mean()
+    # Scaled before centring too, so that a sum near the float range's end cannot overflow.
+    a, b = (_unit_scaled(x - x.mean())[0] for x in (_unit_scaled(pred)[0], _unit_scaled(truth)[0]))
     denom = np.sqrt(np.sum(a * a) * np.sum(b * b))
     return None if denom == 0.0 else float(np.sum(a * b) / denom)
 

@@ -20,9 +20,9 @@ from . import labels as lb
 from . import losses
 from . import metrics
 from . import model as mdl
-from .config import LABEL_KIND_PAD, RunConfig
+from .config import CLASS_COUNT_RULE, ConfigError, RunConfig
 from .data import DatasetEntry
-from .labels import QuantizerConfig
+from .labels import LABEL_KIND_PAD, QuantizerConfig
 from .model import ModelConfig
 
 # Model keys that older checkpoint headers carry, each with its only legal value.
@@ -155,7 +155,7 @@ def _config_mismatch(saved, wanted, section: str) -> str | None:
         ours, theirs = getattr(saved, f.name), getattr(wanted, f.name)
         if f.compare and ours != theirs:
             key = f"[{section}] {f.name}"
-            if key == "[quantizer] pad" and ours in kinds and theirs in kinds:
+            if key == "[quantizer] pad":
                 key, ours, theirs = "[training] label_kind", kinds[ours], kinds[theirs]
             return f"{key} is {ours!r} in the checkpoint but {theirs!r} in the configuration"
     return None
@@ -227,16 +227,20 @@ def run_training(
     and, if ``run.out_dir`` holds a `best.ckpt`, the checkpoint's best
     validation score; a fresh run starts a new log. A ``run.out_dir`` that
     holds a checkpoint raises ``FileExistsError`` unless it is the directory
-    of ``resume_from``. A training or validation entry at another rate than
-    the model's raises ``ValueError`` and a crop shorter than one analysis
-    window ``WavFormatError``; these checks run before ``run.out_dir`` is created.
+    of ``resume_from``. A model whose class count is not the quantizer's
+    classes plus padding raises ``ConfigError``, a training or validation
+    entry at another rate than the model's ``ValueError`` and a crop shorter
+    than one analysis window ``WavFormatError``; these checks run before
+    ``run.out_dir`` is created.
     A non-finite value raises ``FloatingPointError`` naming the step.
     """
+    quant = run.quantizer
+    if run.model.n_classes != quant.n_total:
+        raise ConfigError(CLASS_COUNT_RULE.format(run.model.n_classes, quant.n_total))
     if not entries:
         raise ValueError("no training entries")
     tcfg = run.training
     out_dir = run.out_dir
-    quant = run.quantizer
 
     # With a quality-only objective the mask heads receive no gradients,
     # so they stay out of the optimizer entirely.

@@ -191,6 +191,17 @@ class TestSimulate:
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
         assert not out.exists()
 
+    def test_used_directory_exits_2_and_changes_nothing(self, tmp_path, capsys):
+        # A second set in the first's directory would leave its holdout manifest
+        # naming rewritten WAVs with the old labels.
+        out = simulate_dataset(tmp_path, count=4, holdout=2, seed=13)
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        config = write_config(tmp_path, TINY_MODEL.format(steps=5) + SIMULATE.format(count=6, holdout=0, seed=5, out=out))
+        capsys.readouterr()
+        assert cli.main(["simulate", "--config", config]) == 2
+        assert capsys.readouterr().err == f"data error: {out} holds a simulated data set; simulate elsewhere\n"
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+
     def test_low_sample_rate_keeps_the_fundamental(self, tmp_path, capsys):
         # At 400 Hz every tone-complex fundamental (90-280 Hz) lies above 0.45 x rate.
         out = tmp_path / "low"
@@ -828,7 +839,7 @@ class TestBadInputs:
             ({"model": {}, "quantizer": {"n_classes": 100}, "step": 0}, "arrays do not match the model: missing entry.w"),
             (
                 {"model": {"n_classes": 15}, "quantizer": {"n_classes": 10, "pad": 2.5}, "step": 0},
-                "quantizer pad must be a non-negative integer, got 2.5",
+                "quantizer pad must be 0 or 2, got 2.5",
             ),
             ({"model": {"n_classes": 1}, "quantizer": {"n_classes": True}, "step": 0}, "quantizer n_classes must be a positive integer, got True"),
             (

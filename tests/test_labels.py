@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,29 +32,30 @@ class TestQuantize:
                 lb.quantize(bad, cfg)
 
 
+def class_target(nu: int, cfg):
+    """The target row of class nu: ``targets`` at the class's midpoint."""
+    return lb.targets([cfg.midpoints()[cfg.pad + nu - 1]], cfg)[0]
+
+
 class TestOneHot:
     def test_center_class(self):
         cfg = lb.QuantizerConfig(5)
-        np.testing.assert_array_equal(lb.one_hot(3, cfg), [0, 0, 1, 0, 0])
+        np.testing.assert_array_equal(class_target(3, cfg), [0, 0, 1, 0, 0])
 
     def test_first_class(self):
         cfg = lb.QuantizerConfig(5)
-        np.testing.assert_array_equal(lb.one_hot(1, cfg), [1, 0, 0, 0, 0])
+        np.testing.assert_array_equal(class_target(1, cfg), [1, 0, 0, 0, 0])
 
     def test_sums_to_one_for_all_classes(self):
         cfg = lb.QuantizerConfig(7)
         for nu in range(1, 8):
-            assert lb.one_hot(nu, cfg).sum() == 1.0
-
-    def test_requires_unpadded_config(self):
-        with pytest.raises(ValueError, match="pad"):
-            lb.one_hot(1, lb.QuantizerConfig(5, pad=2))
+            assert class_target(nu, cfg).sum() == 1.0
 
 
 class TestSoftLabel:
     def test_centered_kernel(self):
         cfg = lb.QuantizerConfig(10, pad=2)
-        p = lb.soft_label(5, cfg)
+        p = class_target(5, cfg)
         assert p.shape == (14,)
         center = 4 + 2  # 0-based padded position of class 5
         np.testing.assert_allclose(p[center - 2 : center + 3], [0.1, 0.2, 0.4, 0.2, 0.1])
@@ -61,51 +63,52 @@ class TestSoftLabel:
 
     def test_boundary_mass_lands_on_pad_classes(self):
         cfg = lb.QuantizerConfig(10, pad=2)
-        p = lb.soft_label(1, cfg)
+        p = class_target(1, cfg)
         np.testing.assert_allclose(p[:5], [0.1, 0.2, 0.4, 0.2, 0.1])
         assert math.fsum(p) == 1.0
-        top = lb.soft_label(10, cfg)
+        top = class_target(10, cfg)
         np.testing.assert_allclose(top[-5:], [0.1, 0.2, 0.4, 0.2, 0.1])
 
     def test_every_class_sums_to_one(self):
         cfg = lb.QuantizerConfig(10, pad=2)
         for nu in range(1, 11):
-            assert math.fsum(lb.soft_label(nu, cfg)) == 1.0
-
-    def test_needs_pad_two(self):
-        with pytest.raises(ValueError, match="pad"):
-            lb.soft_label(3, lb.QuantizerConfig(10, pad=0))
+            assert math.fsum(class_target(nu, cfg)) == 1.0
 
 
 class TestTargets:
-    """The padding alone picks the target kind: one-hot rows at pad 0, soft rows above."""
+    """The padding alone picks the label kind: one-hot rows at pad 0, soft rows at pad 2."""
 
-    SCORES = [-0.5, 0.7, 2.0, 4.5]
+    SCORES = [-0.5, 0.7, 2.0, 4.5]  # classes 1, 3, 5 and 10 of 10
+
+    def test_each_kind_pads_by_its_kernels_half_width(self):
+        assert lb.LABEL_KIND_PAD == {"one-hot": 0, "soft": 2}
 
     def test_unpadded_quantizer_gives_one_hot_rows(self):
-        cfg = lb.QuantizerConfig(10)
-        want = np.stack([lb.one_hot(lb.quantize(s, cfg), cfg) for s in self.SCORES])
-        np.testing.assert_array_equal(lb.targets(self.SCORES, cfg), want)
+        got = lb.targets(self.SCORES, lb.QuantizerConfig(10))
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, np.eye(10)[[0, 2, 4, 9]])
 
     def test_padded_quantizer_gives_soft_rows(self):
-        cfg = lb.QuantizerConfig(10, pad=2)
-        want = np.stack([lb.soft_label(lb.quantize(s, cfg), cfg) for s in self.SCORES])
-        np.testing.assert_array_equal(lb.targets(self.SCORES, cfg), want)
+        want = np.zeros((4, 14))
+        for row, nu in zip(want, (1, 3, 5, 10)):
+            row[nu - 1 : nu + 4] = [0.1, 0.2, 0.4, 0.2, 0.1]
+        np.testing.assert_array_equal(lb.targets(self.SCORES, lb.QuantizerConfig(10, pad=2)), want)
 
-    def test_pad_one_is_rejected(self):
-        with pytest.raises(ValueError, match="soft labels need pad >= 2"):
-            lb.targets([2.0], lb.QuantizerConfig(10, pad=1))
+    @pytest.mark.parametrize("pad", [1, 3, True, 2.0])
+    def test_pad_must_be_a_label_kinds_pad(self, pad):
+        with pytest.raises(ValueError, match=re.escape(f"quantizer pad must be 0 or 2, got {pad!r}")):
+            lb.QuantizerConfig(10, pad=pad)
 
 
 class TestDecodeMax:
     def test_midpoint_of_unpadded_class(self):
         # -0.5 + (50 - 1) * 0.05 + 0.05 / 2
         cfg = lb.QuantizerConfig(100)
-        assert lb.decode_max(lb.one_hot(50, cfg), cfg) == pytest.approx(1.975, abs=1e-12)
+        assert lb.decode_max(class_target(50, cfg), cfg) == pytest.approx(1.975, abs=1e-12)
 
     def test_one_hot_first_class_n5(self):
         cfg = lb.QuantizerConfig(5)
-        assert lb.decode_max(lb.one_hot(1, cfg), cfg) == pytest.approx(0.0, abs=1e-12)
+        assert lb.decode_max(class_target(1, cfg), cfg) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_ties_break_low(self):
         cfg = lb.QuantizerConfig(4)
@@ -129,7 +132,7 @@ class TestDecodeExpect:
     def test_one_hot_matches_decode_max(self):
         cfg = lb.QuantizerConfig(17)
         for nu in (1, 5, 17):
-            p = lb.one_hot(nu, cfg)
+            p = class_target(nu, cfg)
             assert lb.decode_expect(p, cfg) == pytest.approx(lb.decode_max(p, cfg), abs=1e-12)
 
     def test_two_class_example(self):
@@ -144,27 +147,27 @@ class TestDecodeExpect:
 
 class TestProperties:
     def test_quantize_decode_consistency(self):
-        # decode_max(one_hot(quantize(s))) stays within half a step of s
+        # decode_max of s's one-hot target stays within half a step of s
         cfg = lb.QuantizerConfig(100)
         rng = np.random.default_rng(12)
         scores = rng.uniform(-0.5, 4.5, size=10_000)
         half = cfg.step / 2
         for s in scores:
-            decoded = lb.decode_max(lb.one_hot(lb.quantize(s, cfg), cfg), cfg)
+            decoded = lb.decode_max(lb.targets([s], cfg)[0], cfg)
             assert abs(decoded - s) <= half + 1e-12
 
     def test_soft_label_expectation_matches_midpoint_in_interior(self):
         cfg = lb.QuantizerConfig(10, pad=2)
         mids = cfg.midpoints()
         for nu in range(3, 9):  # kernel fully inside the unpadded classes
-            expected = lb.decode_expect(lb.soft_label(nu, cfg), cfg)
+            expected = lb.decode_expect(class_target(nu, cfg), cfg)
             assert expected == pytest.approx(mids[nu - 1 + cfg.pad], abs=1e-12)
 
     def test_soft_label_boundary_bias_is_bounded(self):
         cfg = lb.QuantizerConfig(10, pad=2)
         mids = cfg.midpoints()
         for nu in (1, 2, 9, 10):
-            expected = lb.decode_expect(lb.soft_label(nu, cfg), cfg)
+            expected = lb.decode_expect(class_target(nu, cfg), cfg)
             assert abs(expected - mids[nu - 1 + cfg.pad]) <= 2 * cfg.step
 
     def test_decoders_invariant_to_logit_shift(self):

@@ -5,7 +5,12 @@ import pytest
 
 from speechq import diffcore as dc
 from speechq import losses
-from speechq.labels import QuantizerConfig, one_hot
+from speechq.labels import QuantizerConfig, targets
+
+
+def class_target(nu: int, cfg):
+    """The one-hot target row of class nu: ``targets`` at the class's midpoint."""
+    return targets([cfg.midpoints()[nu - 1]], cfg)[0]
 
 
 def emd2_prefix_sum_oracle(p_hat, p):
@@ -28,7 +33,7 @@ class TestEmd2:
 
     def test_one_hot_classes_one_and_three(self):
         cfg = QuantizerConfig(5)
-        v = losses.emd2(one_hot(1, cfg), one_hot(3, cfg))
+        v = losses.emd2(class_target(1, cfg), class_target(3, cfg))
         assert float(v.values) == pytest.approx(2.0, abs=1e-15)
 
     def test_all_one_hot_pairs_equal_class_distance(self):
@@ -37,7 +42,7 @@ class TestEmd2:
             cfg = QuantizerConfig(n)
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
-                    pi, pj = one_hot(i, cfg), one_hot(j, cfg)
+                    pi, pj = class_target(i, cfg), class_target(j, cfg)
                     got = float(losses.emd2(pi, pj).values)
                     assert got == emd2_prefix_sum_oracle(pi, pj)
                     assert got == abs(i - j)
@@ -56,10 +61,10 @@ class TestEmd2:
         # whereas cross-entropy cannot tell them apart.
         for n in range(3, 21):
             cfg = QuantizerConfig(n)
-            target = one_hot((n + 1) // 2, cfg)
+            target = class_target((n + 1) // 2, cfg)
             values = []
             for i in range(1, n + 1):
-                pred = one_hot(i, cfg)
+                pred = class_target(i, cfg)
                 values.append((abs(i - (n + 1) // 2), float(losses.emd2(pred, target).values)))
                 eps = 1e-12
                 xent = -np.sum(target * np.log(pred + eps))
@@ -76,8 +81,8 @@ class TestEmd2:
 
     def test_batched_mean(self):
         cfg = QuantizerConfig(6)
-        batch_hat = np.stack([one_hot(1, cfg), one_hot(2, cfg)])
-        batch = np.stack([one_hot(4, cfg), one_hot(2, cfg)])
+        batch_hat = np.stack([class_target(1, cfg), class_target(2, cfg)])
+        batch = np.stack([class_target(4, cfg), class_target(2, cfg)])
         assert float(losses.emd2(batch_hat, batch).values) == pytest.approx(1.5)
 
 
@@ -119,7 +124,7 @@ class TestJointLoss:
     def test_perfect_everything_is_zero(self):
         cfg = QuantizerConfig(8)
         x = np.array([0.1, 0.2, -0.1])
-        p = one_hot(3, cfg)
+        p = class_target(3, cfg)
         assert float(losses.joint_loss(x, x, p, p)[0].values) == 0.0
 
     def test_zero_weight_equals_emd_alone(self):
@@ -127,7 +132,7 @@ class TestJointLoss:
         rng = np.random.default_rng(4)
         x_hat, x = rng.standard_normal(32), rng.standard_normal(32)
         p_hat = rng.dirichlet(np.ones(8))
-        p = one_hot(5, cfg)
+        p = class_target(5, cfg)
         joint = float(losses.joint_loss(x_hat, x, p_hat, p, recon_weight=0.0)[0].values)
         assert joint == float(losses.emd2(p_hat, p).values)
 
@@ -137,7 +142,7 @@ class TestJointLoss:
         x_hat = np.array([0.0, 0.0])
         x = np.array([1.0, -1.0])
         p_hat = np.array([0.5, 0.5, 0.0, 0.0])
-        p = one_hot(1, cfg)
+        p = class_target(1, cfg)
         td = float(losses.td_mse(x_hat, x).values)
         em = float(losses.emd2(p_hat, p).values)
         assert float(losses.joint_loss(x_hat, x, p_hat, p, 1.0)[0].values) == td + em

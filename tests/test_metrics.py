@@ -1,8 +1,9 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from speechq import metrics
@@ -135,6 +136,49 @@ def test_empty_or_unequal_vectors_rejected(fn):
         fn([], [])
     with pytest.raises(ValueError):
         fn([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+class TestFloatRange:
+    """Finite scores far from the score range neither overflow nor underflow."""
+
+    def test_huge_scores_correlate(self):
+        assert metrics.lcc([1e200, -1e200, 0.0], [1.0, 2.0, 3.0]) == pytest.approx(-0.5, abs=1e-15)
+
+    def test_huge_scores_against_constant_truth_are_undefined(self):
+        assert metrics.lcc([1e200, -1e200, 0.0], [1.0, 1.0, 1.0]) is None
+
+    def test_tiny_scores_correlate(self):
+        assert metrics.lcc([1e-200, -1e-200, 0.0], [1.0, 2.0, 3.0]) == pytest.approx(-0.5, abs=1e-15)
+
+    def test_scores_near_the_float_maximum_correlate(self):
+        assert metrics.lcc([1.7e308, 1.7e308, 0.0], [1.0, 2.0, 3.0]) == pytest.approx(-(3**0.5) / 2, abs=1e-15)
+
+    def test_mse_is_infinite_only_past_the_float_range(self):
+        # The exact mean of the squares, rounded once: 1.125e308 to within an ulp.
+        assert metrics.mse_metric([1.5e154, 0.0], [0.0, 0.0]) == float(Fraction(1.5e154) ** 2 / 2)
+        with np.errstate(over="ignore"):
+            assert metrics.mse_metric([1e308, -1e308], [-1e308, 1e308]) == np.inf
+
+
+def unscaled_lcc(pred, truth):
+    """lcc's formula without the power-of-two scaling."""
+    a, b = pred - pred.mean(), truth - truth.mean()
+    denom = np.sqrt(np.sum(a * a) * np.sum(b * b))
+    return None if denom == 0.0 else float(np.sum(a * b) / denom)
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, 16).flatmap(lambda n: st.lists(st.floats(-0.5, 4.5), min_size=2 * n, max_size=2 * n)))
+def test_scaling_keeps_the_bits_of_scores_in_range(values):
+    pred, truth = np.array(values[::2]), np.array(values[1::2])
+    # Below 2**-255 a square, or the product of two sums of squares, may leave the normal
+    # float range, where the unscaled formulas lose bits that the scaled ones keep.
+    spreads = (pred - truth, pred - pred.mean(), truth - truth.mean())
+    assume(all(np.all((x == 0) | (np.abs(x) >= 2.0**-255)) for x in spreads))
+    assert metrics.mse_metric(pred, truth) == float(np.mean((pred - truth) ** 2))
+    want = unscaled_lcc(pred, truth)
+    got = metrics.lcc(pred, truth)
+    assert got is want is None or np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)

@@ -337,7 +337,7 @@ class TestEndToEndGradient:
         wave = rng.standard_normal(3200) * 0.1  # 0.2 s
         clean = rng.standard_normal(3200) * 0.1
         quant = lb.QuantizerConfig(10)
-        target = lb.one_hot(4, quant)[None, :]
+        target = lb.targets([1.25], quant)  # class 4 of 10: (1.0, 1.5]
 
         def loss_fn(*_):
             out = mdl.forward_graph(wave[None, :], cfg, params, training=True)

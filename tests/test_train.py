@@ -284,6 +284,18 @@ def test_entry_at_another_rate_fails_before_any_output(tmp_path, which):
     assert not os.path.exists(run.out_dir)
 
 
+def test_model_and_quantizer_class_counts_that_differ_fail_before_any_output(tmp_path):
+    # A RunConfig built in Python, which the INI rule does not see.
+    run = tiny_run()
+    run.model = dataclasses.replace(run.model, n_classes=100)
+    run.quantizer = lb.QuantizerConfig(20)
+    run.training = dataclasses.replace(run.training, crop_seconds=0.2, max_steps=2)
+    run.out_dir = str(tmp_path / "run")
+    with pytest.raises(ConfigError, match=r"^model n_classes = 100 must equal quantizer classes \+ padding = 20$"):
+        tr.run_training(run, make_entries([True] * 3))
+    assert not os.path.exists(run.out_dir)
+
+
 def test_resumed_optimizer_adopts_the_loaded_moments(tmp_path, monkeypatch):
     # A bound below the entry and mask-head weights (2,056 elements) leaves
     # them ungrouped at this model size.
