@@ -189,10 +189,11 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     cfg, quant, params, _opt, _step = load_run_checkpoint(args.checkpoint)
+    frozen = mdl.freeze(cfg, params)
     for path in args.wavs:
         wave = load_wav(path)
         try:
-            dist = mdl.forward(wave, cfg, params)
+            dist = mdl.forward(wave, cfg, frozen)
         except WavFormatError as exc:
             raise WavFormatError(f"{path}: {exc}") from exc
         line = f"{path}\t{lb.decode_expect(dist, quant):.6f}\t{lb.decode_max(dist, quant):.6f}"

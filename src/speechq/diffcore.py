@@ -336,9 +336,12 @@ def batch_norm(
 
     Train mode normalizes with batch statistics and updates the running
     buffers in place; eval mode is a deterministic affine map using the
-    frozen running statistics. The train variance is the mean of the
-    squared deviations, the same sums ``np.var`` forms, and its VJP works
-    in place in the textbook order. A train-mode output carries a
+    frozen running statistics. Scoring does not run eval mode:
+    ``model.freeze`` folds the same map into the convolutions next to the
+    norm, and eval mode is the reference that fold is tested against. The
+    train variance is the mean of the squared deviations, the same sums
+    ``np.var`` forms, and its VJP works in place in the textbook order. A
+    train-mode output carries a
     ``_recompute`` recipe that rebuilds it from ``xhat``, which the VJP
     keeps anyway, so the ops that read it do not keep it.
     """

@@ -147,17 +147,74 @@ def init_params(cfg: ModelConfig, seed: int = 0) -> dict:
 _NORM_TENSORS = ("gamma", "beta", "run_mean", "run_var")
 
 
+def _norm_affine(params: dict, prefix: str):
+    """An eval-mode batch norm as its per-channel map ``x -> a * x + c``, in float64."""
+    gamma, beta, mean, var = (params[prefix + k].values.astype(np.float64) for k in _NORM_TENSORS)
+    a = gamma / np.sqrt(var + dc.NORM_EPS)
+    return a, beta - a * mean
+
+
+def freeze(cfg: ModelConfig, params: dict) -> dict:
+    """The eval-mode map: a constant view of every tensor (no copy), and per
+    block both batch norms folded into the convolutions next to them.
+
+    With each norm's per-channel map ``a * x + c`` (see :func:`_norm_affine`),
+    ``eval.dw.kernel`` is ``dw.kernel * a1`` and ``eval.dw.b`` is
+    ``dw.b + c1 * sum(dw.kernel)``. The depthwise zero padding comes after
+    norm1, so a frame whose tap reads padding gets that tap's ``c1 * k`` too
+    much: ``eval.dw.edge_first`` for the first ``dilation`` frames and
+    ``eval.dw.edge_last`` for the last, both subtracted by :func:`conv_block`.
+    norm2 becomes ``eval.pw2.scale`` (``a2``, applied to pw2's input) and
+    ``eval.pw2.b`` (``pw2.w @ c2 + pw2.b``), so ``pw2.w`` is not copied. The
+    folding arithmetic runs in float64 and is cast to the model dtype; a
+    non-finite result fails the finiteness check of the op that reads it.
+    """
+    frozen = {name: dc.constant(t.values) for name, t in params.items()}
+    with np.errstate(all="ignore"):
+        for r in range(cfg.repeats):
+            for x in range(cfg.blocks_per_repeat):
+                p = f"block{r}.{x}."
+                a1, c1 = _norm_affine(params, p + "norm1.")
+                a2, c2 = _norm_affine(params, p + "norm2.")
+                kernel = params[p + "dw.kernel"].values.astype(np.float64)
+                folded = {
+                    "dw.kernel": kernel * a1[:, None],
+                    "dw.b": params[p + "dw.b"].values + c1 * kernel.sum(axis=1),
+                    "dw.edge_first": c1[:, None] * kernel[:, :1],
+                    "dw.edge_last": c1[:, None] * kernel[:, -1:],
+                    "pw2.scale": a2[:, None],
+                    # einsum sums in float64 without a float64 copy of pw2.w.
+                    "pw2.b": np.einsum("oc,c->o", params[p + "pw2.w"].values, c2) + params[p + "pw2.b"].values,
+                }
+                frozen.update({p + "eval." + k: dc.constant(v.astype(cfg.np_dtype)) for k, v in folded.items()})
+    return frozen
+
+
 def conv_block(x, cfg: ModelConfig, params: dict, repeat: int, block: int, training: bool) -> dc.Tensor:
-    """One residual block: 1x1 expand, PReLU, batch norm, dilated depthwise, PReLU, batch norm, 1x1 project."""
+    """One residual block: 1x1 expand, PReLU, batch norm, dilated depthwise, PReLU, batch norm, 1x1 project.
+
+    In eval mode ``params`` is :func:`freeze`'s map and no norm runs: its
+    folded depthwise kernel and bias, edge terms, scale and pw2 bias stand in
+    for both. The edge terms and the scale change arrays in place, and the
+    next op's finiteness check reads the result.
+    """
     p = f"block{repeat}.{block}."
+    fold = p if training else p + "eval."
     dilation = cfg.dilations[block]
     u = dc.conv1d_pointwise(x, params[p + "pw1.w"], params[p + "pw1.b"])
     u = dc.prelu(u, params[p + "act1.slope"])
-    u = dc.batch_norm(u, *[params[p + "norm1." + k] for k in _NORM_TENSORS], training=training)
-    u = dc.conv1d_depthwise_dilated(u, params[p + "dw.kernel"], params[p + "dw.b"], dilation)
+    if training:
+        u = dc.batch_norm(u, *[params[p + "norm1." + k] for k in _NORM_TENSORS], training=True)
+    u = dc.conv1d_depthwise_dilated(u, params[fold + "dw.kernel"], params[fold + "dw.b"], dilation)
+    if not training:
+        u.values[:, :, :dilation] -= params[fold + "dw.edge_first"].values
+        u.values[:, :, max(0, u.shape[2] - dilation) :] -= params[fold + "dw.edge_last"].values
     u = dc.prelu(u, params[p + "act2.slope"])
-    u = dc.batch_norm(u, *[params[p + "norm2." + k] for k in _NORM_TENSORS], training=training)
-    u = dc.conv1d_pointwise(u, params[p + "pw2.w"], params[p + "pw2.b"])
+    if training:
+        u = dc.batch_norm(u, *[params[p + "norm2." + k] for k in _NORM_TENSORS], training=True)
+    else:
+        u.values *= params[fold + "pw2.scale"].values
+    u = dc.conv1d_pointwise(u, params[p + "pw2.w"], params[fold + "pw2.b"])
     return dc.add(x, u)
 
 
@@ -172,7 +229,9 @@ def forward_graph(
 
     Returns graph tensors so losses composed on top backpropagate into
     the parameters. The STFT features and the input spectrogram enter the
-    graph as constants.
+    graph as constants. In training mode ``params`` is the parameter map;
+    eval mode takes :func:`freeze`'s map instead, whose constants record no
+    graph.
     """
     batch_samples = np.asarray(batch_samples, dtype=np.float64)
     if batch_samples.ndim != 2:
@@ -199,15 +258,14 @@ def forward_graph(
     return GraphOutput(recon, logits, distribution)
 
 
-def forward(wave: sig.Waveform, cfg: ModelConfig, params: dict) -> np.ndarray:
+def forward(wave: sig.Waveform, cfg: ModelConfig, frozen: dict) -> np.ndarray:
     """Score one utterance: its (n_classes,) quality distribution.
 
-    Runs eval mode on constant views of the params (no copy), so no graph
-    is recorded, and skips the reconstruction branch, which only training
-    reads.
+    Runs eval mode on ``frozen``, :func:`freeze`'s map, which a command
+    builds once for all the files it scores, so no graph is recorded; skips
+    the reconstruction branch, which only training reads.
     """
     if wave.sample_rate != cfg.sample_rate:
         raise sig.WavFormatError(f"sample rate {wave.sample_rate} does not match model rate {cfg.sample_rate}")
-    frozen = {name: dc.constant(t.values) for name, t in params.items()}
     out = forward_graph(wave.samples[None, :], cfg, frozen, training=False, compute_reconstruction=False)
     return out.distribution.values[0]

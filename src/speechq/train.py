@@ -329,10 +329,12 @@ def run_training(
 def _validation_total(run: RunConfig, params, val_entries, quant, use_recon: bool) -> float:
     """Mean joint objective over the validation entries, eval mode, no graph recorded.
 
-    ``use_recon`` is the training run's choice of objective, so a run that
-    trains quality only is scored without its untrained mask heads.
+    Runs the scoring path: one :func:`model.freeze` map, with the batch
+    norms folded, for the whole validation. ``use_recon`` is the training
+    run's choice of objective, so a run that trains quality only is scored
+    without its untrained mask heads.
     """
-    frozen = {name: dc.constant(t.values) for name, t in params.items()}
+    frozen = mdl.freeze(run.model, params)
     targets = lb.targets([e.label for e in val_entries], quant)
     total = 0.0
     for entry, row in zip(val_entries, targets):
@@ -346,7 +348,8 @@ def _validation_total(run: RunConfig, params, val_entries, quant, use_recon: boo
 
 def evaluate_entries(cfg: ModelConfig, quant: QuantizerConfig, params: dict, entries) -> dict:
     """EvalReports keyed by decoder, mirroring the two score readouts."""
-    dists = [mdl.forward(entry.degraded, cfg, params) for entry in entries]
+    frozen = mdl.freeze(cfg, params)
+    dists = [mdl.forward(entry.degraded, cfg, frozen) for entry in entries]
     scores = {
         "expect": np.array([lb.decode_expect(d, quant) for d in dists]),
         "max": np.array([lb.decode_max(d, quant) for d in dists]),

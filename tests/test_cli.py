@@ -498,7 +498,7 @@ class TestPredict:
         assert abs(probs.sum() - 1.0) < 1e-5
         # The expectation score comes first, then the argmax score.
         cfg, quant, params, _, _ = tr.load_run_checkpoint(ckpt)
-        dist = mdl.forward(load_wav(wav), cfg, params)
+        dist = mdl.forward(load_wav(wav), cfg, mdl.freeze(cfg, params))
         assert line[1:3] == [f"{lb.decode_expect(dist, quant):.6f}", f"{lb.decode_max(dist, quant):.6f}"]
 
     def test_stereo_wav_warns_in_one_line(self, trained_checkpoint, tmp_path, capsys):
@@ -650,6 +650,29 @@ class TestBadInputs:
             capsys,
             "data error: out of memory: Unable to allocate 2.29 GiB",
         )
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    @pytest.mark.parametrize(
+        "name, value",
+        [("block0.0.norm1.run_var", np.nan), ("block0.1.norm2.run_mean", np.inf)],
+        ids=["nan-variance", "inf-mean"],
+    )
+    def test_non_finite_norm_statistics_exit_3(self, fresh_checkpoint, wav, tmp_path, capsys, command, name, value):
+        # Scoring folds the norms into the convolutions; what the fold makes of
+        # a non-finite statistic still meets an op's finiteness check.
+        from speechq import diffcore as dc
+
+        arrays, header = dc.load_checkpoint(fresh_checkpoint)
+        arrays[name][3] = value
+        bad = tmp_path / "bad.ckpt"
+        dc.save_checkpoint(bad, arrays, header)
+        manifest = tmp_path / "m.tsv"
+        manifest.write_text(f"degraded_path\tlabel\n{wav}\t2.0\n")
+        argv = {"predict": [wav], "eval": ["--manifest", manifest]}[command]
+        assert cli.main([str(a) for a in [command, "--checkpoint", bad, *argv]]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "numerical failure: op produced non-finite values\n"
+        assert captured.out == ""
 
     def test_short_wav_eval(self, fresh_checkpoint, tmp_path, capsys):
         from speechq.signal import Waveform, save_wav

@@ -35,7 +35,7 @@ class TestConvBlock:
                 t.values[...] = 0.0
         rng = np.random.default_rng(1)
         x = dc.constant(rng.standard_normal((2, 8, 13)))
-        out = mdl.conv_block(x, cfg, params, repeat=0, block=0, training=False)
+        out = mdl.conv_block(x, cfg, mdl.freeze(cfg, params), repeat=0, block=0, training=False)
         np.testing.assert_array_equal(out.values, x.values)
 
     def test_same_length_for_every_dilation(self):
@@ -50,8 +50,9 @@ class TestConvBlock:
         params = mdl.init_params(cfg, seed=2)
         rng = np.random.default_rng(3)
         x = dc.constant(rng.standard_normal((1, 4, 300)))
+        frozen = mdl.freeze(cfg, params)
         for block in range(8):
-            out = mdl.conv_block(x, cfg, params, repeat=0, block=block, training=False)
+            out = mdl.conv_block(x, cfg, frozen, repeat=0, block=block, training=False)
             assert out.values.shape == x.values.shape
         assert cfg.dilations == [1, 2, 4, 8, 16, 32, 64, 128]
 
@@ -81,9 +82,10 @@ class TestConvBlock:
         x = np.zeros((1, 1, t_frames))
         x[0, 0, t_frames // 2] = 1.0
         h = dc.constant(x)
+        frozen = mdl.freeze(cfg, params)
         for r in range(cfg.repeats):
             for b in range(cfg.blocks_per_repeat):
-                h = mdl.conv_block(h, cfg, params, r, b, training=False)
+                h = mdl.conv_block(h, cfg, frozen, r, b, training=False)
         support = np.nonzero(h.values[0, 0])[0]
         width = support[-1] - support[0] + 1
         assert width == 2041
@@ -92,7 +94,7 @@ class TestConvBlock:
 
 def graph(wave, cfg, params):
     """Eval-mode graph output for one utterance, reconstruction included."""
-    return mdl.forward_graph(wave.samples[None, :], cfg, params)
+    return mdl.forward_graph(wave.samples[None, :], cfg, mdl.freeze(cfg, params))
 
 
 class TestForward:
@@ -103,7 +105,7 @@ class TestForward:
         out = graph(wave, cfg, params)
         assert out.logits.values[0].shape == (10, 61)
         assert out.reconstruction.values.shape == (1, 60 * 256 + 512)
-        dist = mdl.forward(wave, cfg, params)
+        dist = mdl.forward(wave, cfg, mdl.freeze(cfg, params))
         assert dist.shape == (10,)
         assert np.all(dist >= 0)
         assert abs(dist.sum() - 1.0) < 1e-9
@@ -112,7 +114,7 @@ class TestForward:
         cfg = tiny_cfg(dtype="float32")
         params = mdl.init_params(cfg, seed=7)
         for seed in range(5):
-            dist = mdl.forward(make_wave(0.5, seed=seed), cfg, params)
+            dist = mdl.forward(make_wave(0.5, seed=seed), cfg, mdl.freeze(cfg, params))
             assert np.all(dist >= 0)
             assert abs(dist.sum() - 1.0) < 1e-9
 
@@ -135,7 +137,8 @@ class TestForward:
         cfg = tiny_cfg(dtype="float32")
         params = mdl.init_params(cfg, seed=10)
         w = make_wave(0.4, seed=11)
-        np.testing.assert_array_equal(mdl.forward(w, cfg, params), mdl.forward(w, cfg, params))
+        frozen = mdl.freeze(cfg, params)
+        np.testing.assert_array_equal(mdl.forward(w, cfg, frozen), mdl.forward(w, cfg, frozen))
         a, b = graph(w, cfg, params), graph(w, cfg, params)
         np.testing.assert_array_equal(a.distribution.values, b.distribution.values)
         np.testing.assert_array_equal(a.reconstruction.values, b.reconstruction.values)
@@ -145,13 +148,13 @@ class TestForward:
         cfg = tiny_cfg()
         params = mdl.init_params(cfg, seed=12)
         with pytest.raises(ValueError, match="shorter than one window"):
-            mdl.forward(Waveform(np.zeros(100) + 0.01, 16000), cfg, params)
+            mdl.forward(Waveform(np.zeros(100) + 0.01, 16000), cfg, mdl.freeze(cfg, params))
 
     def test_rate_mismatch(self):
         cfg = tiny_cfg()
         params = mdl.init_params(cfg, seed=13)
         with pytest.raises(ValueError, match="does not match model rate"):
-            mdl.forward(Waveform(np.zeros(8000) + 0.01, 8000), cfg, params)
+            mdl.forward(Waveform(np.zeros(8000) + 0.01, 8000), cfg, mdl.freeze(cfg, params))
 
 
 class TestScoringForward:
@@ -177,7 +180,7 @@ class TestScoringForward:
         for n_samples in (512, 768, 1000, 3200, 8123):  # one window and up
             wave = make_wave(n_samples / 16000, seed=n_samples)
             expected = graph(wave, cfg, params).distribution.values[0]
-            np.testing.assert_array_equal(mdl.forward(wave, cfg, params), expected)
+            np.testing.assert_array_equal(mdl.forward(wave, cfg, mdl.freeze(cfg, params)), expected)
 
     def test_records_no_graph_and_leaves_params_alone(self, monkeypatch):
         cfg = tiny_cfg(dtype="float32")
@@ -191,7 +194,7 @@ class TestScoringForward:
             return outputs[-1]
 
         monkeypatch.setattr(mdl, "forward_graph", spy)
-        mdl.forward(make_wave(0.5, seed=32), cfg, params)
+        mdl.forward(make_wave(0.5, seed=32), cfg, mdl.freeze(cfg, params))
         (out,) = outputs
         assert out.reconstruction is None
         assert not out.distribution.requires_grad and out.distribution._node is None
@@ -262,7 +265,7 @@ class TestPredictQuality:
         cfg = tiny_cfg()
         params = mdl.init_params(cfg, seed=14)  # zero-initialized quality head
         quant = lb.QuantizerConfig(10)
-        score = lb.decode_expect(mdl.forward(make_wave(0.5, seed=15), cfg, params), quant)
+        score = lb.decode_expect(mdl.forward(make_wave(0.5, seed=15), cfg, mdl.freeze(cfg, params)), quant)
         assert score == pytest.approx(2.0, abs=1e-9)
 
     def test_decoder_invariance_to_logit_shift(self):
@@ -273,10 +276,10 @@ class TestPredictQuality:
         params["quality.b"].values[...] = rng.standard_normal(10)
         quant = lb.QuantizerConfig(10)
         w = make_wave(0.5, seed=18)
-        base = mdl.forward(w, cfg, params)
+        base = mdl.forward(w, cfg, mdl.freeze(cfg, params))
         base_e, base_m = lb.decode_expect(base, quant), lb.decode_max(base, quant)
         params["quality.b"].values[...] += 7.3  # shifts every pooled logit by 7.3
-        shifted = mdl.forward(w, cfg, params)
+        shifted = mdl.forward(w, cfg, mdl.freeze(cfg, params))
         assert lb.decode_expect(shifted, quant) == pytest.approx(base_e, abs=1e-9)
         assert lb.decode_max(shifted, quant) == pytest.approx(base_m, abs=1e-9)
 
@@ -298,7 +301,7 @@ class TestVariableLength:
         w = make_wave(512 / 16000, seed=22)  # exactly one window
         out = graph(w, cfg, params)
         assert out.logits.values.shape[2] == 1
-        assert abs(mdl.forward(w, cfg, params).sum() - 1.0) < 1e-9
+        assert abs(mdl.forward(w, cfg, mdl.freeze(cfg, params)).sum() - 1.0) < 1e-9
 
     def test_doubling_periodic_input_only_moves_edge_frames(self):
         cfg = tiny_cfg(blocks_per_repeat=3)  # receptive field 1 + 2*(1+2+4) = 15 frames

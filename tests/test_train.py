@@ -66,7 +66,7 @@ def old_validation_total(run, params, val_entries, quant):
     targets = lb.targets([e.label for e in val_entries], quant)
     for entry, row in zip(val_entries, targets):
         out = mdl.forward_graph(
-            entry.degraded.samples[None, :], run.model, params, training=False,
+            entry.degraded.samples[None, :], run.model, mdl.freeze(run.model, params), training=False,
             compute_reconstruction=run.training.recon_weight > 0 and entry.clean is not None,
         )
         value = float(losses.emd2(out.distribution, dc.constant(row[None, :])).values)
