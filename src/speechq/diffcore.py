@@ -13,19 +13,19 @@ training default; every op preserves the dtype of its inputs.
 
 Graph edges point at value-free nodes, not at op outputs, and each VJP
 closure keeps only the arrays it reads. A VJP that reads an input's
-values keeps them through ``_keep``, which keeps a train-mode batch-norm
-output as a recipe instead: the norm's own ``xhat`` and copies of
-``gamma`` and ``beta``, from which the VJP rebuilds the output with the
-forward's operations in the forward's order, bit for bit. Between
-forward and backward a training step therefore keeps resident the
-parameters, Adam's two moments and, per op, only:
+values keeps them through ``_keep``, which keeps a batch-norm output as
+a recipe instead: the norm's own ``xhat`` and copies of ``gamma`` and
+``beta``, from which the VJP rebuilds the output with the forward's
+operations in the forward's order, bit for bit. Between forward and
+backward a training step therefore keeps resident the parameters, Adam's
+two moments and, per op, only:
 
 - prelu: its input;
 - batch_norm: ``xhat`` and ``sigma``;
 - conv1d_pointwise: its input (for the weight gradient), or the recipe
-  of a train-mode batch-norm input;
+  of a batch-norm input;
 - conv1d_depthwise_dilated: its input (for the kernel gradient), or the
-  recipe of a train-mode batch-norm input;
+  recipe of a batch-norm input;
 - mul: its inputs; softmax: its output;
 - istft_synthesis: the spectrogram's real and imaginary parts;
 - add, scale, sum, mean, cast, cumsum: shapes and dtypes only (sub is
@@ -33,7 +33,7 @@ parameters, Adam's two moments and, per op, only:
 
 An op output that no VJP reads (a PReLU output, the last 1x1 conv of a
 residual block, the mask heads) or that it reads through a recipe (a
-train-mode batch-norm output) is freed as soon as the caller drops it.
+batch-norm output) is freed as soon as the caller drops it.
 
 A computation graph instance is single-threaded. Distinct graphs may run
 on distinct threads.
@@ -60,9 +60,8 @@ class Tensor:
     :func:`backward` for every leaf with ``requires_grad``. An op output
     that requires gradients records its VJP and its inputs on a
     :class:`_Node`; ``_vjp`` reads and writes that node's VJP, and is
-    ``None`` on a leaf. ``_recompute`` is the recipe of a train-mode
-    :func:`batch_norm` output (see :func:`_keep`) and ``None`` on every
-    other tensor.
+    ``None`` on a leaf. ``_recompute`` is the recipe of a :func:`batch_norm`
+    output (see :func:`_keep`) and ``None`` on every other tensor.
     """
 
     __slots__ = ("values", "grad", "requires_grad", "_node", "_recompute")
@@ -324,24 +323,14 @@ NORM_MOMENTUM = 0.99
 NORM_EPS = 1e-5
 
 
-def batch_norm(
-    x,
-    gamma,
-    beta,
-    running_mean: Tensor,
-    running_var: Tensor,
-    training: bool,
-) -> Tensor:
+def batch_norm(x, gamma, beta, running_mean: Tensor, running_var: Tensor) -> Tensor:
     """Per-channel batch normalization over (batch, time) of a (B, C, T) tensor.
 
-    Train mode normalizes with batch statistics and updates the running
-    buffers in place; eval mode is a deterministic affine map using the
-    frozen running statistics. Scoring does not run eval mode:
-    ``model.freeze`` folds the same map into the convolutions next to the
-    norm, and eval mode is the reference that fold is tested against. The
-    train variance is the mean of the squared deviations, the same sums
-    ``np.var`` forms, and its VJP works in place in the textbook order. A
-    train-mode output carries a
+    Normalizes with batch statistics and updates the running buffers in
+    place. Scoring runs no norm: ``model.freeze`` folds each norm's running
+    statistics into the convolutions next to it. The variance is the mean
+    of the squared deviations, the same sums ``np.var`` forms, and the VJP
+    works in place in the textbook order. The output carries a
     ``_recompute`` recipe that rebuilds it from ``xhat``, which the VJP
     keeps anyway, so the ops that read it do not keep it.
     """
@@ -354,17 +343,18 @@ def batch_norm(
     gv = gamma.values
     x_grad, gamma_grad, beta_grad = x.requires_grad, gamma.requires_grad, beta.requires_grad
     read_g = _keep(gamma) if x_grad else None
-    if training:
-        m = x.values.shape[0] * x.values.shape[2]
-        mu = x.values.sum(axis=(0, 2), keepdims=True) / m
-        xhat = x.values - mu
-        var = (xhat * xhat).sum(axis=(0, 2), keepdims=True) / m
-        sigma = np.sqrt(var + NORM_EPS)
-        xhat /= sigma
-        running_mean.values[...] = NORM_MOMENTUM * running_mean.values + (1.0 - NORM_MOMENTUM) * mu.ravel()
-        running_var.values[...] = NORM_MOMENTUM * running_var.values + (1.0 - NORM_MOMENTUM) * var.ravel()
+    m = x.values.shape[0] * x.values.shape[2]
+    mu = x.values.sum(axis=(0, 2), keepdims=True) / m
+    xhat = x.values - mu
+    var = (xhat * xhat).sum(axis=(0, 2), keepdims=True) / m
+    sigma = np.sqrt(var + NORM_EPS)
+    xhat /= sigma
+    running_mean.values[...] = NORM_MOMENTUM * running_mean.values + (1.0 - NORM_MOMENTUM) * mu.ravel()
+    running_var.values[...] = NORM_MOMENTUM * running_var.values + (1.0 - NORM_MOMENTUM) * var.ravel()
 
-        def grad_x(g):
+    def vjp(g):
+        gx = None
+        if x_grad:
             gg = g * read_g()[None, :, None]
             mean_g = gg.sum(axis=(0, 2), keepdims=True) / m
             gx = gg * xhat
@@ -374,28 +364,15 @@ def batch_norm(
             gg -= mean_g
             np.subtract(gg, gx, out=gx)
             gx /= sigma
-            return gx
-
-    else:
-        sigma = np.sqrt(running_var.values + NORM_EPS)
-        xhat = x.values - running_mean.values[None, :, None]
-        xhat /= sigma[None, :, None]
-
-        def grad_x(g):
-            return g * (read_g() / sigma)[None, :, None]
-
-    def vjp(g):
-        gx = grad_x(g) if x_grad else None
         ggamma = (g * xhat).sum(axis=(0, 2)) if gamma_grad else None
         gbeta = g.sum(axis=(0, 2)) if beta_grad else None
         return gx, ggamma, gbeta
 
     dtype = x.values.dtype
     out = _make(_affine(xhat, gv, beta.values, dtype), (x, gamma, beta), vjp)
-    if training:
-        # The recipe owns copies of gamma and beta, so an in-place update of
-        # the parameters (Adam's step) cannot change what it rebuilds.
-        out._recompute = functools.partial(_affine, xhat, gv.copy(), beta.values.copy(), dtype)
+    # The recipe owns copies of gamma and beta, so an in-place update of
+    # the parameters (Adam's step) cannot change what it rebuilds.
+    out._recompute = functools.partial(_affine, xhat, gv.copy(), beta.values.copy(), dtype)
     return out
 
 

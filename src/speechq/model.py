@@ -148,17 +148,19 @@ _NORM_TENSORS = ("gamma", "beta", "run_mean", "run_var")
 
 
 def _norm_affine(params: dict, prefix: str):
-    """An eval-mode batch norm as its per-channel map ``x -> a * x + c``, in float64."""
+    """A batch norm at its running statistics as the per-channel map ``x -> a * x + c``, in float64."""
     gamma, beta, mean, var = (params[prefix + k].values.astype(np.float64) for k in _NORM_TENSORS)
     a = gamma / np.sqrt(var + dc.NORM_EPS)
     return a, beta - a * mean
 
 
 def freeze(cfg: ModelConfig, params: dict) -> dict:
-    """The eval-mode map: a constant view of every tensor (no copy), and per
+    """The scoring map: a constant view of every tensor (no copy), and per
     block both batch norms folded into the convolutions next to them.
 
-    With each norm's per-channel map ``a * x + c`` (see :func:`_norm_affine`),
+    Scoring normalizes with the running statistics, which makes each norm
+    the fixed per-channel map ``a * x + c`` (see :func:`_norm_affine`), so
+    no norm kernel runs outside training. With those maps,
     ``eval.dw.kernel`` is ``dw.kernel * a1`` and ``eval.dw.b`` is
     ``dw.b + c1 * sum(dw.kernel)``. The depthwise zero padding comes after
     norm1, so a frame whose tap reads padding gets that tap's ``c1 * k`` too
@@ -193,10 +195,11 @@ def freeze(cfg: ModelConfig, params: dict) -> dict:
 def conv_block(x, cfg: ModelConfig, params: dict, repeat: int, block: int, training: bool) -> dc.Tensor:
     """One residual block: 1x1 expand, PReLU, batch norm, dilated depthwise, PReLU, batch norm, 1x1 project.
 
-    In eval mode ``params`` is :func:`freeze`'s map and no norm runs: its
-    folded depthwise kernel and bias, edge terms, scale and pw2 bias stand in
-    for both. The edge terms and the scale change arrays in place, and the
-    next op's finiteness check reads the result.
+    Training runs both norms on batch statistics. Otherwise ``params`` is
+    :func:`freeze`'s map and no norm runs: its folded depthwise kernel and
+    bias, edge terms, scale and pw2 bias stand in for both. The edge terms
+    and the scale change arrays in place, and the next op's finiteness
+    check reads the result.
     """
     p = f"block{repeat}.{block}."
     fold = p if training else p + "eval."
@@ -204,14 +207,14 @@ def conv_block(x, cfg: ModelConfig, params: dict, repeat: int, block: int, train
     u = dc.conv1d_pointwise(x, params[p + "pw1.w"], params[p + "pw1.b"])
     u = dc.prelu(u, params[p + "act1.slope"])
     if training:
-        u = dc.batch_norm(u, *[params[p + "norm1." + k] for k in _NORM_TENSORS], training=True)
+        u = dc.batch_norm(u, *[params[p + "norm1." + k] for k in _NORM_TENSORS])
     u = dc.conv1d_depthwise_dilated(u, params[fold + "dw.kernel"], params[fold + "dw.b"], dilation)
     if not training:
         u.values[:, :, :dilation] -= params[fold + "dw.edge_first"].values
         u.values[:, :, max(0, u.shape[2] - dilation) :] -= params[fold + "dw.edge_last"].values
     u = dc.prelu(u, params[p + "act2.slope"])
     if training:
-        u = dc.batch_norm(u, *[params[p + "norm2." + k] for k in _NORM_TENSORS], training=True)
+        u = dc.batch_norm(u, *[params[p + "norm2." + k] for k in _NORM_TENSORS])
     else:
         u.values *= params[fold + "pw2.scale"].values
     u = dc.conv1d_pointwise(u, params[p + "pw2.w"], params[fold + "pw2.b"])

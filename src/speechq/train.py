@@ -47,13 +47,24 @@ def save_run_checkpoint(
 ) -> None:
     """``best_total`` is the run's best validation score so far; the header
     stores it only when finite, and a header without it reads as ``inf``."""
-    arrays = {name: t.values for name, t in params.items()}
-    if optimizer is not None:
-        arrays.update(optimizer.state_arrays())
+    arrays = _checkpoint_arrays(params, optimizer)
     header = {"model": cfg.to_dict(), "quantizer": asdict(quant), "step": int(step)}
     if np.isfinite(best_total):
         header["best_total"] = float(best_total)
     dc.save_checkpoint(path, arrays, header)
+
+
+def _checkpoint_arrays(params: dict, optimizer: dc.Adam | None = None) -> dict:
+    """The arrays a run checkpoint holds: the params, then the optimizer's state."""
+    arrays = {name: t.values for name, t in params.items()}
+    if optimizer is not None:
+        arrays.update(optimizer.state_arrays())
+    return arrays
+
+
+def _first_non_finite(arrays: dict) -> str | None:
+    """The name of the first array that holds a NaN or an infinity, or None."""
+    return next((name for name, arr in arrays.items() if not np.isfinite(arr).all()), None)
 
 
 def load_run_checkpoint(path):
@@ -68,7 +79,8 @@ def load_run_checkpoint(path):
             arrays do not match the model's parameter names, shapes and
             dtype. Optimizer state is optional, but each ``opt.m.<p>``
             needs its ``opt.v.<p>`` (and the reverse) for a trainable
-            parameter ``p``, with ``p``'s shape and dtype.
+            parameter ``p``, with ``p``'s shape and dtype. Every array
+            must be finite.
     """
     return _read_run_checkpoint(path)[:5]
 
@@ -124,6 +136,9 @@ def _read_run_checkpoint(path):
     if problems:
         shown = "; ".join(problems[:3]) + ("; ..." if len(problems) > 3 else "")
         raise dc.CheckpointError(f"{path}: arrays do not match the model: {shown}")
+    bad = _first_non_finite(arrays)
+    if bad is not None:
+        raise dc.CheckpointError(f"{path}: {bad} holds a non-finite value")
     params = {
         name: dc.Tensor(arr, requires_grad=not mdl.is_buffer(name)) for name, arr in arrays.items() if name in layout
     }
@@ -232,7 +247,9 @@ def run_training(
     entry at another rate than the model's ``ValueError`` and a crop shorter
     than one analysis window ``WavFormatError``; these checks run before
     ``run.out_dir`` is created.
-    A non-finite value raises ``FloatingPointError`` naming the step.
+    A non-finite value raises ``FloatingPointError`` naming the step, also
+    one in the params, running statistics or Adam moments a checkpoint would
+    hold; that step writes no checkpoint.
     """
     quant = run.quantizer
     if run.model.n_classes != quant.n_total:
@@ -315,6 +332,9 @@ def run_training(
                 f"total={total_value:.6f} time={time.strftime('%Y-%m-%dT%H:%M:%S')}\n"
             )
             if step % val_every == 0 or step == tcfg.max_steps:
+                bad = _first_non_finite(_checkpoint_arrays(params, optimizer))
+                if bad is not None:
+                    raise FloatingPointError(f"non-finite value at step {step}: {bad}; no checkpoint written")
                 if log_stream is not None:
                     log_stream(f"step {step}/{tcfg.max_steps} total={total_value:.4f}")
                 score = _validation_total(run, params, val_entries, quant, use_recon) if val_entries else total_value

@@ -60,12 +60,8 @@ def _primitive_cases(rng):
             lambda x, s: dc.prelu(x, s),
             [_nudged(rng, (b, c, t)), rng.uniform(0.1, 0.5, c)],
         ),
-        "batch_norm_train": (
-            lambda x, g, bet: dc.batch_norm(x, g, bet, run_mean, run_var, training=True),
-            [rng.standard_normal((b, c, t)), rng.uniform(0.5, 1.5, c), rng.standard_normal(c)],
-        ),
-        "batch_norm_eval": (
-            lambda x, g, bet: dc.batch_norm(x, g, bet, run_mean, run_var, training=False),
+        "batch_norm": (
+            lambda x, g, bet: dc.batch_norm(x, g, bet, run_mean, run_var),
             [rng.standard_normal((b, c, t)), rng.uniform(0.5, 1.5, c), rng.standard_normal(c)],
         ),
         "softmax": (lambda x: dc.softmax(x, axis=-1), [rng.standard_normal((b, t))]),

@@ -595,6 +595,56 @@ class TestEval:
         assert capsys.readouterr().err.splitlines() == [f"data error: {empty}: manifest has no records"]
 
 
+class TestScoringRunsNoNorm:
+    """Scoring folds the batch norms into the convolutions (model.freeze), so
+    predict, eval and validation never call the norm kernel."""
+
+    def test_predict_and_eval_run_without_the_norm_kernel(self, trained_checkpoint, capsys, monkeypatch):
+        from speechq import diffcore as dc
+
+        ckpt, data_dir = trained_checkpoint
+        wavs = sorted(str(p) for p in (data_dir / "wavs").glob("*degraded.wav"))
+        argvs = [
+            ["predict", "--checkpoint", str(ckpt), "--dist", *wavs],
+            ["eval", "--checkpoint", str(ckpt), "--manifest", str(data_dir / "manifest.tsv")],
+        ]
+
+        def outputs():
+            codes = [cli.main(argv) for argv in argvs]
+            return codes, capsys.readouterr()
+
+        unpatched = outputs()
+
+        def no_norm(*args, **kwargs):
+            raise AssertionError("scoring ran dc.batch_norm")
+
+        monkeypatch.setattr(dc, "batch_norm", no_norm)
+        assert outputs() == unpatched
+        assert unpatched[0] == [0, 0] and unpatched[1].err == ""
+
+    def test_validation_adds_no_norm_call(self, trained_checkpoint, tmp_path, capsys, monkeypatch):
+        from speechq import diffcore as dc
+
+        _ckpt, data_dir = trained_checkpoint
+        batch_norm, calls = dc.batch_norm, []
+
+        def counting_norm(*args, **kwargs):
+            calls.append(None)
+            return batch_norm(*args, **kwargs)
+
+        monkeypatch.setattr(dc, "batch_norm", counting_norm)
+        manifest = data_dir / "manifest.tsv"
+        config = write_config(
+            tmp_path,
+            TINY_MODEL.format(steps=3).replace("seed = 3", "seed = 3\nval_every = 1")
+            + f"\n[data]\nmanifest = {manifest}\nval_manifest = {manifest}\n[output]\ndir = {tmp_path / 'run'}\n",
+        )
+        assert cli.main(["train", "--config", config]) == 0
+        capsys.readouterr()
+        # Three steps of one repeat of two blocks, two norms each; three validations add none.
+        assert len(calls) == 3 * 2 * 2
+
+
 class TestBadInputs:
     """Bad files map to exit code 2 with one stderr line and no traceback."""
 
@@ -657,9 +707,8 @@ class TestBadInputs:
         [("block0.0.norm1.run_var", np.nan), ("block0.1.norm2.run_mean", np.inf)],
         ids=["nan-variance", "inf-mean"],
     )
-    def test_non_finite_norm_statistics_exit_3(self, fresh_checkpoint, wav, tmp_path, capsys, command, name, value):
-        # Scoring folds the norms into the convolutions; what the fold makes of
-        # a non-finite statistic still meets an op's finiteness check.
+    def test_non_finite_norm_statistics_exit_2(self, fresh_checkpoint, wav, tmp_path, capsys, command, name, value):
+        # A checkpoint with a non-finite array is refused on load, before scoring.
         from speechq import diffcore as dc
 
         arrays, header = dc.load_checkpoint(fresh_checkpoint)
@@ -669,9 +718,9 @@ class TestBadInputs:
         manifest = tmp_path / "m.tsv"
         manifest.write_text(f"degraded_path\tlabel\n{wav}\t2.0\n")
         argv = {"predict": [wav], "eval": ["--manifest", manifest]}[command]
-        assert cli.main([str(a) for a in [command, "--checkpoint", bad, *argv]]) == 3
+        assert cli.main([str(a) for a in [command, "--checkpoint", bad, *argv]]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "numerical failure: op produced non-finite values\n"
+        assert captured.err == f"data error: {bad}: {name} holds a non-finite value\n"
         assert captured.out == ""
 
     def test_short_wav_eval(self, fresh_checkpoint, tmp_path, capsys):
@@ -1058,6 +1107,49 @@ class TestBadInputs:
             "best_total must be a finite number, got -inf",
         )
         assert {name: file_digest(run_dir / name) for name in sorted(os.listdir(run_dir))} == before
+
+    @pytest.mark.parametrize(
+        "name, index", [("block0.0.norm1.run_var", 0), ("opt.m.block0.0.pw1.w", (0, 0))], ids=["norm", "moment"]
+    )
+    def test_resume_of_a_non_finite_array_exits_2_before_writing(self, trained_checkpoint, tmp_path, capsys, name, index):
+        # Training never reads the running statistics, and the last step's Adam
+        # update is read by no forward, so no op could see either NaN.
+        from speechq import diffcore as dc
+
+        ckpt, data_dir = trained_checkpoint
+        run_dir = tmp_path / "run"
+        shutil.copytree(ckpt.parent, run_dir)
+        arrays, header = dc.load_checkpoint(run_dir / "final.ckpt")
+        arrays[name][index] = np.nan
+        dc.save_checkpoint(run_dir / "final.ckpt", arrays, header)
+        config = write_config(
+            tmp_path,
+            TINY_MODEL.format(steps=9)
+            + f"\n[data]\nmanifest = {data_dir / 'manifest.tsv'}\n[output]\ndir = {run_dir}\n",
+        )
+        before = {name: file_digest(run_dir / name) for name in sorted(os.listdir(run_dir))}
+        self.assert_data_error(
+            ["train", "--config", config, "--checkpoint", run_dir / "final.ckpt"],
+            capsys,
+            f"{run_dir / 'final.ckpt'}: {name} holds a non-finite value",
+        )
+        assert {name: file_digest(run_dir / name) for name in sorted(os.listdir(run_dir))} == before
+
+    def test_non_finite_update_writes_no_checkpoint(self, tmp_path, capsys):
+        # lr 1e300 overflows float32 weights in the first Adam step, which no
+        # forward reads before the step's checkpoint would hold them.
+        data_dir = simulate_dataset(tmp_path, count=2, seed=23)
+        run_dir = tmp_path / "run"
+        config = write_config(
+            tmp_path,
+            TINY_MODEL.format(steps=1).replace("lr = 2e-3", "lr = 1e300")
+            + f"\n[data]\nmanifest = {data_dir / 'manifest.tsv'}\n[output]\ndir = {run_dir}\n",
+        )
+        assert cli.main(["train", "--config", config]) == 3
+        # The overflow's numpy warnings come first, one line each.
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert re.fullmatch(r"numerical failure: non-finite value at step 1: [\w.]+; no checkpoint written", last)
+        assert sorted(os.listdir(run_dir)) == ["train_log.txt"]
 
     @pytest.mark.parametrize(
         "samples, rate, expected",

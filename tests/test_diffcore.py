@@ -242,7 +242,7 @@ class TestGraphRelease:
         beta = dc.parameter(randn(rng, 3).astype(dtype))
         rm, rv = dc.Tensor(np.zeros(3)), dc.Tensor(np.ones(3))
         x = dc.constant(randn(rng, 2, 3, 50).astype(dtype))
-        y = dc.batch_norm(x, gamma, beta, rm, rv, training=True)
+        y = dc.batch_norm(x, gamma, beta, rm, rv)
         expected = y.values.copy()
         gamma.values += 1.0
         beta.values -= 1.0
@@ -312,9 +312,7 @@ class TestGradientChecks:
         gamma = dc.parameter(rng.uniform(0.5, 1.5, 8))
         beta = dc.parameter(randn(rng, 8))
         rm, rv = dc.Tensor(np.zeros(8)), dc.Tensor(np.ones(8))
-        err = dc.gradient_check(
-            lambda x, g, b: dc.batch_norm(x, g, b, rm, rv, training=True), [x, gamma, beta]
-        )
+        err = dc.gradient_check(lambda x, g, b: dc.batch_norm(x, g, b, rm, rv), [x, gamma, beta])
         assert err < 1e-5
 
     @pytest.mark.parametrize(
@@ -333,7 +331,7 @@ class TestGradientChecks:
         rm, rv = dc.Tensor(np.zeros(3)), dc.Tensor(np.ones(3))
 
         def fn(x, g, be, w, b):
-            return conv(dc.batch_norm(x, g, be, rm, rv, training=True), w, b)
+            return conv(dc.batch_norm(x, g, be, rm, rv), w, b)
 
         assert dc.gradient_check(fn, [x, gamma, beta, w, b]) < 1e-5
 
@@ -357,26 +355,11 @@ class TestGradientChecks:
 
 
 class TestBatchNormEval:
-    def test_eval_is_deterministic_affine(self):
-        rng = np.random.default_rng(7)
-        x = dc.constant(randn(rng, 2, 4, 6))
-        gamma = dc.constant(rng.uniform(0.5, 2.0, 4))
-        beta = dc.constant(randn(rng, 4))
-        rm = dc.Tensor(randn(rng, 4))
-        rv = dc.Tensor(rng.uniform(0.5, 2.0, 4))
-        a = dc.batch_norm(x, gamma, beta, rm, rv, training=False).values
-        b = dc.batch_norm(x, gamma, beta, rm, rv, training=False).values
-        np.testing.assert_array_equal(a, b)
-        expected = gamma.values[None, :, None] * (
-            x.values - rm.values[None, :, None]
-        ) / np.sqrt(rv.values[None, :, None] + 1e-5) + beta.values[None, :, None]
-        np.testing.assert_allclose(a, expected, atol=1e-12)
-
     def test_train_mode_updates_running_stats(self):
         rng = np.random.default_rng(8)
         x = dc.constant(randn(rng, 3, 2, 5) + 4.0)
         rm, rv = dc.Tensor(np.zeros(2)), dc.Tensor(np.ones(2))
-        dc.batch_norm(x, dc.constant(np.ones(2)), dc.constant(np.zeros(2)), rm, rv, training=True)
+        dc.batch_norm(x, dc.constant(np.ones(2)), dc.constant(np.zeros(2)), rm, rv)
         assert np.all(rm.values > 0)  # moved toward the batch mean of ~4
 
 

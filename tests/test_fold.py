@@ -1,10 +1,12 @@
-"""Pins the eval-mode blocks, whose batch norms model.freeze folds into the
+"""Pins the scoring blocks, whose batch norms model.freeze folds into the
 convolutions next to them, to the unfolded computation.
 
-The reference is the block as it runs in training, with each norm in eval
-mode: ``dc.batch_norm(training=False)`` between the PReLUs and the convs.
-Folding changes the rounding, so float64 must match to 1e-12 of the
-reference's largest magnitude and float32 to the scoring tolerance.
+The reference is the block as it runs in training, with each norm at its
+running statistics (Ioffe & Szegedy 2015, section 3.1):
+``gamma * (x - run_mean) / sqrt(run_var + eps) + beta``, in numpy, between
+the PReLUs and the convs. Folding changes the rounding, so float64 must
+match to 1e-12 of the reference's largest magnitude and float32 to the
+scoring tolerance.
 """
 
 import numpy as np
@@ -21,12 +23,14 @@ FLOAT32_SCORE_TOL = 1e-5
 
 
 def unfolded_block(x, cfg, params, repeat, block, training):
-    """An eval-mode residual block with both batch norms run as norms."""
+    """A scoring residual block with both batch norms run as norms."""
     assert not training
     p = f"block{repeat}.{block}."
 
     def norm(u, name):
-        return dc.batch_norm(u, *[params[p + name + "." + k] for k in mdl._NORM_TENSORS], training=False)
+        gamma, beta, mean, var = (params[p + name + "." + k].values[None, :, None] for k in mdl._NORM_TENSORS)
+        xhat = (u.values - mean) / np.sqrt(var + dc.NORM_EPS)
+        return dc.constant((gamma * xhat + beta).astype(u.values.dtype, copy=False))
 
     u = dc.conv1d_pointwise(x, params[p + "pw1.w"], params[p + "pw1.b"])
     u = norm(dc.prelu(u, params[p + "act1.slope"]), "norm1")

@@ -2,7 +2,7 @@
 
 The references are the einsum contraction and the per-frame loops that
 the BLAS pointwise conv and the overlap-add replace, and the select-,
-padding- and temporary-based forms of PReLU, the norms, the depthwise
+padding- and temporary-based forms of PReLU, the norm, the depthwise
 conv and Adam. Adam's grouped update is pinned to the per-tensor kernel,
 and the batched STFT to a stack of single-signal transforms. Kernels that
 keep every operation and reduction order must match their reference
@@ -171,27 +171,21 @@ def ref_prelu(x, a, g):
     return v, gx, gs
 
 
-def ref_batch_norm(x, gamma, beta, run_mean, run_var, training, g, momentum=0.99, eps=1e-5):
+def ref_batch_norm(x, gamma, beta, run_mean, run_var, g, momentum=0.99, eps=1e-5):
     """Returns (value, gx, ggamma, gbeta) and updates the running buffers in place."""
-    if training:
-        mu = np.mean(x, axis=(0, 2))
-        var = np.var(x, axis=(0, 2))
-        run_mean[...] = momentum * run_mean + (1.0 - momentum) * mu
-        run_var[...] = momentum * run_var + (1.0 - momentum) * var
-        sigma = np.sqrt(var + eps)
-        xhat = (x - mu[None, :, None]) / sigma[None, :, None]
-        m = x.shape[0] * x.shape[2]
-        gg = g * gamma[None, :, None]
-        mean_g = np.sum(gg, axis=(0, 2), keepdims=True) / m
-        mean_gx = np.sum(gg * xhat, axis=(0, 2), keepdims=True) / m
-        gx = (gg - mean_g - xhat * mean_gx) / sigma[None, :, None]
-        grads = (gx, np.sum(g * xhat, axis=(0, 2)), np.sum(g, axis=(0, 2)))
-    else:
-        sigma = np.sqrt(run_var + eps)
-        xhat = (x - run_mean[None, :, None]) / sigma[None, :, None]
-        grads = (g * (gamma / sigma)[None, :, None], np.sum(g * xhat, axis=(0, 2)), np.sum(g, axis=(0, 2)))
+    mu = np.mean(x, axis=(0, 2))
+    var = np.var(x, axis=(0, 2))
+    run_mean[...] = momentum * run_mean + (1.0 - momentum) * mu
+    run_var[...] = momentum * run_var + (1.0 - momentum) * var
+    sigma = np.sqrt(var + eps)
+    xhat = (x - mu[None, :, None]) / sigma[None, :, None]
+    m = x.shape[0] * x.shape[2]
+    gg = g * gamma[None, :, None]
+    mean_g = np.sum(gg, axis=(0, 2), keepdims=True) / m
+    mean_gx = np.sum(gg * xhat, axis=(0, 2), keepdims=True) / m
+    gx = (gg - mean_g - xhat * mean_gx) / sigma[None, :, None]
     v = gamma[None, :, None] * xhat + beta[None, :, None]
-    return (v.astype(x.dtype, copy=False), *grads)
+    return v.astype(x.dtype, copy=False), gx, np.sum(g * xhat, axis=(0, 2)), np.sum(g, axis=(0, 2))
 
 
 def ref_depthwise(x, kernel, bias, dilation, g):
@@ -251,17 +245,16 @@ class TestElementwiseKernels:
         out = dc.prelu(dc.parameter(x), dc.parameter(a))
         assert_all_identical((out.values, *out._vjp(g)), ref_prelu(x, a, g))
 
-    @pytest.mark.parametrize("dtype", DTYPES)
-    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
-    def test_batch_norm_matches_reference(self, dtype, training):
+    @pytest.mark.parametrize("dtype", DTYPES, ids=["train-float32", "train-float64"])
+    def test_batch_norm_matches_reference(self, dtype):
         rng = np.random.default_rng(12)
         x, gamma, beta, g = norm_inputs(rng, dtype)
         run_mean = rng.standard_normal(6).astype(dtype)
         run_var = rng.uniform(0.5, 2.0, 6).astype(dtype)
         ref_mean, ref_var = run_mean.copy(), run_var.copy()
         rm, rv = dc.Tensor(run_mean), dc.Tensor(run_var)
-        out = dc.batch_norm(dc.parameter(x), dc.parameter(gamma), dc.parameter(beta), rm, rv, training)
-        expected = ref_batch_norm(x, gamma, beta, ref_mean, ref_var, training, g)
+        out = dc.batch_norm(dc.parameter(x), dc.parameter(gamma), dc.parameter(beta), rm, rv)
+        expected = ref_batch_norm(x, gamma, beta, ref_mean, ref_var, g)
         assert_all_identical((out.values, *out._vjp(g)), expected)
         assert_all_identical((rm.values, rv.values), (ref_mean, ref_var))
 
